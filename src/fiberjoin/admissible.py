@@ -4,11 +4,13 @@ A split join whose two classes differ on at least one base factor
 carries admissible data: per retained factor a normalized curvature
 value s_a and a class parameter r_a in (-1, 1), plus one entry for
 each nontrivial fiber block with r = +1 / -1.  From that data the
-extremal profile polynomial is the unique solution of an exact
-square linear system (interpolation at the nodes -1/r_a together
-with four boundary conditions), and constant scalar curvature for
-two retained factors reduces to a pair of affine equations plus
-positivity of an explicit quadratic on (-1, 1).
+extremal profile polynomial is determined by interpolation at the
+nodes -1/r_a plus two moment conditions, a symmetric 2x2 exact solve
+(Apostolov, Calderbank, Gauduchon and Tønnesen-Friedman, "Hamiltonian
+2-forms in Kähler geometry III"); its positivity is decided by
+Descartes' rule after a Möbius map, with a Sturm fallback.  Constant
+scalar curvature for two retained factors reduces to a pair of affine
+equations plus positivity of an explicit quadratic on (-1, 1).
 """
 
 from __future__ import annotations
@@ -183,15 +185,36 @@ class ExtremalProfile:
     positive: bool
 
 
+def _moment(poly: Polynomial, k: int) -> Fraction:
+    """The integral of z^k * poly(z) over [-1, 1]."""
+    return sum(
+        (2 * c / (j + k + 1) for j, c in enumerate(poly.coeffs) if (j + k) % 2 == 0),
+        Fraction(0),
+    )
+
+
 def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
     """Solve for the extremal profile polynomial of the data.
 
-    Unknowns: the |entries|+2 coefficients of the source polynomial P
-    and two integration constants.  Equations: interpolation of P at
-    each node -1/r_a, and the four boundary conditions F(+-1) = 0,
-    F'(+-1) = -+2 p(+-1) with p the characteristic product.  The
-    system is square and has a unique solution whenever the nodes are
-    distinct.
+    F is determined by F'' = R * P with R the reduced characteristic
+    product, P of degree |entries|+1 interpolating given values at each
+    node -1/r_a, and the boundary conditions F(+-1) = 0,
+    F'(+-1) = -+2 p(+-1) with p the characteristic product.  Writing
+    P = L + (alpha + beta*z) * omega, with L the Newton interpolant of
+    the node values and omega the product of (z - node), F(+-1) = 0 fix
+    the two integration constants and the derivative conditions become
+    the moment conditions
+
+        int_{-1}^{1} R*P = -2 (p(1) + p(-1)),
+        int_{-1}^{1} z*R*P = 2 (p(-1) - p(1)),
+
+    a symmetric 2x2 system in alpha and beta.  By Cauchy-Schwarz its
+    determinant is positive whenever R*omega keeps one sign on (-1, 1),
+    which holds when every |r| <= 1: then no node and no root of R lies
+    inside.  Data from ``admissible_data`` has |r| < 1 on base factors
+    and r = +-1 on fiber blocks, so only synthetic data with some
+    |r| > 1 can raise SingularSystemError.  Repeated nodes raise
+    RepeatedNodeError.
     """
     entries = data.entries
     m = len(entries)
@@ -206,62 +229,50 @@ def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
         reduced = reduced * Polynomial.linear(1, e.r) ** (e.dim - 1)
     char = characteristic_product(data)
 
-    # Basis images: for P = sum p_k z^k, F'' = reduced * P, so F' and F
-    # are the iterated antiderivatives plus the two constants.
-    monomial_first = []
-    monomial_second = []
-    for k in range(m + 2):
-        g = reduced * Polynomial.from_coeffs([0] * k + [1])
-        first = g.antiderivative()
-        monomial_first.append(first)
-        monomial_second.append(first.antiderivative())
-
-    size = m + 4
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    rhs = [Fraction(0)] * size
-
-    for i, e in enumerate(entries):
-        node = nodes[i]
-        for k in range(m + 2):
-            matrix[i][k] = node**k
+    # Newton divided differences of the node values, then the nested
+    # form L = c_0 + (z - x_0)(c_1 + (z - x_1)(c_2 + ...)).
+    divided = []
+    for e in entries:
         prod = Fraction(1)
-        for j, other in enumerate(entries):
-            if j != i:
+        for other in entries:
+            if other is not e:
                 prod *= 1 - other.r / e.r
-        rhs[i] = 2 * e.dim * e.s * e.r * prod
+        divided.append(2 * e.dim * e.s * e.r * prod)
+    for level in range(1, m):
+        for i in range(m - 1, level - 1, -1):
+            divided[i] = (divided[i] - divided[i - 1]) / (nodes[i] - nodes[i - level])
+    interpolant = Polynomial.constant(divided[-1])
+    for i in range(m - 2, -1, -1):
+        interpolant = interpolant * Polynomial.linear(-nodes[i], 1) + Polynomial.constant(
+            divided[i]
+        )
+    omega = Polynomial.one()
+    for node in nodes:
+        omega = omega * Polynomial.linear(-node, 1)
 
-    one = Fraction(1)
-    # F(x)  = sum_k p_k * B_k(x) + c_lin * x + c_const
-    # F'(x) = sum_k p_k * C_k(x) + c_lin
-    boundary = [
-        (monomial_second, one, one, one, Fraction(0)),  # F(1) = 0
-        (monomial_second, -one, -one, one, Fraction(0)),  # F(-1) = 0
-        (monomial_first, one, one, Fraction(0), -2 * char(1)),  # F'(1)
-        (monomial_first, -one, one, Fraction(0), 2 * char(-1)),  # F'(-1)
+    p_plus, p_minus = char(1), char(-1)
+    weight = reduced * omega
+    fixed = reduced * interpolant
+    m0, m1, m2 = (_moment(weight, k) for k in range(3))
+    rhs = [
+        -2 * (p_plus + p_minus) - _moment(fixed, 0),
+        2 * (p_minus - p_plus) - _moment(fixed, 1),
     ]
-    for row_idx, (basis, point, lin_coef, const_coef, value) in enumerate(boundary):
-        row = matrix[m + row_idx]
-        for k in range(m + 2):
-            row[k] = basis[k](point)
-        row[m + 2] = lin_coef
-        row[m + 3] = const_coef
-        rhs[m + row_idx] = value
-
     try:
-        solution = solve_linear(matrix, rhs)
-    except SingularMatrixError as exc:  # distinct nodes make this unreachable
+        alpha, beta = solve_linear([[m0, m1], [m1, m2]], rhs)
+    except SingularMatrixError as exc:
         raise SingularSystemError(str(exc)) from exc
 
-    source = Polynomial.from_coeffs(solution[: m + 2])
-    c_lin, c_const = solution[m + 2], solution[m + 3]
-    second = reduced * source
-    first = second.antiderivative() + Polynomial.constant(c_lin)
-    profile = second.antiderivative().antiderivative() + Polynomial.linear(
-        c_const, c_lin
-    )
+    source = interpolant + Polynomial.linear(alpha, beta) * omega
+    # F' and F are the antiderivatives of R * P fixed by F'(-1) = 2 p(-1)
+    # and F(-1) = 0; the moment conditions give the values at +1.
+    first = (reduced * source).antiderivative()
+    first = first + Polynomial.constant(2 * p_minus - first(-1))
+    profile = first.antiderivative()
+    profile = profile - Polynomial.constant(profile(-1))
 
     assert profile(1) == 0 and profile(-1) == 0
-    assert first(1) == -2 * char(1) and first(-1) == 2 * char(-1)
+    assert first(1) == -2 * p_plus and first(-1) == 2 * p_minus
     positive = (not profile.is_zero) and strictly_positive_on(profile, -1, 1)
     return ExtremalProfile(
         profile=profile, source=source, char_product=char, positive=positive
@@ -285,10 +296,6 @@ class CscResult:
     s: Optional[Fraction]
     certificate: Optional[Polynomial]
     verdict: str
-
-
-def _affine_solve(coef: Fraction, const: Fraction) -> Fraction:
-    return -const / coef
 
 
 def solve_csc(data: AdmissibleData) -> CscResult:
@@ -317,8 +324,8 @@ def solve_csc(data: AdmissibleData) -> CscResult:
     const_a = r1 * (s1 * (r1 - r2) - 2 + r1 * r2) - 3 * r2
     coef_b = r1 * (3 - r2 * r2)
     const_b = r2 * (s2 * (r2 - r1) - 2 + r1 * r2) - 3 * r1
-    sa = _affine_solve(coef_a, const_a)
-    sb = _affine_solve(coef_b, const_b)
+    sa = -const_a / coef_a
+    sb = -const_b / coef_b
     if sa != sb:
         return CscResult(s=None, certificate=None, verdict=INCONSISTENT)
     s = sa

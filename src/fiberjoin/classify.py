@@ -302,10 +302,7 @@ def _rule_extremal_profile(spec: FiberJoinSpec) -> list[Verdict]:
     data = _admissible_data_or_none(spec)
     if data is None:
         return []
-    try:
-        profile = adm.extremal_profile(data)
-    except adm.SingularSystemError:
-        return []
+    profile = adm.extremal_profile(data)
     if not profile.positive:
         return []
     return [

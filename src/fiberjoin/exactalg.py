@@ -3,15 +3,17 @@
 Everything downstream (characteristic classes, curvature profiles,
 positivity certificates) is decided by exact computation over the
 rationals: dense univariate polynomials with Fraction coefficients,
-Sturm-sequence root counting on open intervals, and Gaussian
-elimination without pivot growth concerns.  No floating point enters
-any decision.
+Sturm-sequence root counting on open intervals, positivity on an open
+interval by Descartes' rule of signs after a Möbius map with a Sturm
+fallback, and Gaussian elimination without pivot growth concerns.  No
+floating point enters any decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 # Exact scalars are plain stdlib Fractions: arbitrary-precision,
@@ -240,12 +242,45 @@ def count_roots_in_open_interval(poly: Polynomial, lo, hi) -> int:
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
+def _times_linear(coeffs: list[int], a: int, b: int) -> list[int]:
+    """Ascending integer coefficients of coeffs * (a + b*t)."""
+    return [a * x + b * y for x, y in zip(coeffs + [0], [0] + coeffs)]
+
+
+def _mobius_coefficients(poly: Polynomial, lo: Fraction, hi: Fraction) -> list[int]:
+    """Integer coefficients of a positive multiple of
+    q(t) = (1 + t)^n * poly((lo + hi*t) / (1 + t)), n = deg poly.
+
+    The map t -> (lo + hi*t) / (1 + t) sends (0, oo) onto (lo, hi), so q
+    has the sign pattern of ``poly`` on the interval.  With lo = a/b,
+    hi = c/d and ``poly`` scaled to integers c_k, (b*d)^n * q is the sum
+    of c_k * U^k * V^(n-k) for U = a*d + c*b*t and V = b*d*(1 + t),
+    evaluated by a homogeneous Horner rule.
+    """
+    scale = lcm(*(c.denominator for c in poly.coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in poly.coeffs]
+    u0 = lo.numerator * hi.denominator
+    u1 = hi.numerator * lo.denominator
+    v = lo.denominator * hi.denominator
+    acc = [ints[-1]]
+    v_power = [1]
+    for c in reversed(ints[:-1]):
+        v_power = _times_linear(v_power, v, v)
+        acc = [x + c * y for x, y in zip(_times_linear(acc, u0, u1), v_power)]
+    return acc
+
+
 def strictly_positive_on(poly: Polynomial, lo, hi) -> bool:
     """Whether ``poly`` > 0 everywhere on the open interval (lo, hi).
 
     Zeros at the endpoints themselves are allowed; any root strictly
     inside the interval (even one of even multiplicity) refutes
     positivity.
+
+    Descartes' rule of signs after a Möbius map decides first (Collins
+    and Akritas, 1976): when every nonzero coefficient of the mapped
+    polynomial has one sign, ``poly`` has that sign throughout the
+    interval.  Mixed signs fall back to Sturm root counting.
     """
     if poly.is_zero:
         raise ZeroPolynomialError("positivity is undefined for the zero polynomial")
@@ -253,6 +288,11 @@ def strictly_positive_on(poly: Polynomial, lo, hi) -> bool:
     hi = _as_fraction(hi)
     if not lo < hi:
         raise ValueError("empty interval")
+    mapped = _mobius_coefficients(poly, lo, hi)
+    if all(c >= 0 for c in mapped):
+        return True
+    if all(c <= 0 for c in mapped):
+        return False
     if count_roots_in_open_interval(poly, lo, hi) > 0:
         return False
     # Root-free on the interval, so one interior sign decides.

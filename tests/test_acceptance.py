@@ -1,4 +1,5 @@
-"""Acceptance suite: eleven end-to-end criteria, one test each.
+"""Acceptance suite: eleven end-to-end criteria, one test each, plus a
+second test for criterion 10 that checks positivity against the oracle.
 
 Every check is exact rational arithmetic against an independent oracle
 or a frozen closed form; the three timed criteria assert their runtime
@@ -32,6 +33,7 @@ from fiberjoin.exactalg import (
     Polynomial,
     SingularMatrixError,
     count_roots_in_open_interval,
+    strictly_positive_on,
 )
 from fiberjoin.model import (
     BaseFactor,
@@ -554,6 +556,43 @@ def test_criterion_10_root_count_oracle():
     assert disagreements == 0
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
     print(f"criterion 10 PASS: 1000 polynomials, zero disagreements, "
+          f"{elapsed:.1f}s")
+
+
+def random_interval(rng):
+    lo = F(rng.randint(-12, 12), rng.randint(1, 6))
+    return lo, lo + F(rng.randint(1, 12), rng.randint(1, 6))
+
+
+def test_criterion_10_positivity_oracle():
+    """strictly_positive_on (Descartes after a Möbius map, Sturm fallback)
+    agrees with the oracle: no root inside and positive at the midpoint."""
+    started = time.perf_counter()
+    rng = random.Random(20261017)
+    disagreements = 0
+    for trial in range(1000):
+        degree = rng.randint(0, 6)
+        coeffs = [rng.randint(-10, 10) for _ in range(degree + 1)]
+        while coeffs[-1] == 0:
+            coeffs[-1] = rng.randint(-10, 10)
+        polynomial = Polynomial.from_coeffs([F(c) for c in coeffs])
+        if trial % 2:
+            polynomial = (
+                polynomial
+                * poly(1, -1) ** rng.randint(0, 2)
+                * poly(1, 1) ** rng.randint(0, 2)
+            )
+        lo, hi = (F(-1), F(1)) if trial % 4 < 2 else random_interval(rng)
+        expected = (
+            root_count_oracle(polynomial, lo, hi) == 0
+            and polynomial((lo + hi) / 2) > 0
+        )
+        if strictly_positive_on(polynomial, lo, hi) != expected:
+            disagreements += 1
+    elapsed = time.perf_counter() - started
+    assert disagreements == 0
+    assert elapsed < 10.0, f"took {elapsed:.2f}s"
+    print(f"criterion 10 PASS: 1000 positivity decisions match the oracle, "
           f"{elapsed:.1f}s")
 
 

@@ -28,7 +28,11 @@ from fiberjoin.admissible import (
     quotient_class_parameters,
     solve_csc,
 )
-from fiberjoin.exactalg import Polynomial, strictly_positive_on
+from fiberjoin.exactalg import (
+    Polynomial,
+    solve_linear,
+    strictly_positive_on,
+)
 from fiberjoin.model import BaseFactor, make_spec
 
 
@@ -238,6 +242,99 @@ def test_profile_postconditions_random(params):
     p = result.char_product
     assert f(1) == 0 and f(-1) == 0
     assert fprime(1) == -2 * p(1) and fprime(-1) == 2 * p(-1)
+
+
+def reference_extremal_solve(data):
+    """The square (m+4) x (m+4) system the solver used to assemble:
+    interpolation of P at every node and the four boundary conditions
+    on F, solved by elimination.  Returns (source, profile)."""
+    entries = data.entries
+    m = len(entries)
+    nodes = [Fraction(-1, 1) / e.r for e in entries]
+    reduced = Polynomial.one()
+    for e in entries:
+        reduced = reduced * Polynomial.linear(1, e.r) ** (e.dim - 1)
+    char = characteristic_product(data)
+
+    # Basis images: for P = sum p_k z^k, F'' = reduced * P, so F' and F
+    # are the iterated antiderivatives plus the two constants.
+    monomial_first = []
+    monomial_second = []
+    for k in range(m + 2):
+        g = reduced * Polynomial.from_coeffs([0] * k + [1])
+        first = g.antiderivative()
+        monomial_first.append(first)
+        monomial_second.append(first.antiderivative())
+
+    size = m + 4
+    matrix = [[Fraction(0)] * size for _ in range(size)]
+    rhs = [Fraction(0)] * size
+
+    for i, e in enumerate(entries):
+        node = nodes[i]
+        for k in range(m + 2):
+            matrix[i][k] = node**k
+        prod = Fraction(1)
+        for j, other in enumerate(entries):
+            if j != i:
+                prod *= 1 - other.r / e.r
+        rhs[i] = 2 * e.dim * e.s * e.r * prod
+
+    one = Fraction(1)
+    # F(x)  = sum_k p_k * B_k(x) + c_lin * x + c_const
+    # F'(x) = sum_k p_k * C_k(x) + c_lin
+    boundary = [
+        (monomial_second, one, one, one, Fraction(0)),  # F(1) = 0
+        (monomial_second, -one, -one, one, Fraction(0)),  # F(-1) = 0
+        (monomial_first, one, one, Fraction(0), -2 * char(1)),  # F'(1)
+        (monomial_first, -one, one, Fraction(0), 2 * char(-1)),  # F'(-1)
+    ]
+    for row_idx, (basis, point, lin_coef, const_coef, value) in enumerate(boundary):
+        row = matrix[m + row_idx]
+        for k in range(m + 2):
+            row[k] = basis[k](point)
+        row[m + 2] = lin_coef
+        row[m + 3] = const_coef
+        rhs[m + row_idx] = value
+
+    solution = solve_linear(matrix, rhs)
+
+    source = Polynomial.from_coeffs(solution[: m + 2])
+    c_lin, c_const = solution[m + 2], solution[m + 3]
+    second = reduced * source
+    profile = second.antiderivative().antiderivative() + Polynomial.linear(
+        c_const, c_lin
+    )
+    return source, profile
+
+
+@given(
+    st.lists(
+        st.tuples(rational_r, rational_s, st.integers(min_value=1, max_value=3)),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda t: t[0],
+    ),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_profile_matches_square_system(params, d0, dinf):
+    """The 2x2 moment solve gives exactly the source and profile of the
+    square system, fiber blocks of dimension >= 2 included (R != 1)."""
+    entries = [
+        AdmissibleEntry(f"factor_{i}", dim, s, r)
+        for i, (r, s, dim) in enumerate(params)
+    ]
+    if d0:
+        entries.append(AdmissibleEntry(FIBER_ZERO, d0, Fraction(d0 + 1), Fraction(1)))
+    if dinf:
+        entries.append(
+            AdmissibleEntry(FIBER_INFINITY, dinf, Fraction(-(dinf + 1)), Fraction(-1))
+        )
+    data = AdmissibleData(tuple(entries))
+    result = extremal_profile(data)
+    assert (result.source, result.profile) == reference_extremal_solve(data)
 
 
 # --- csc solver -----------------------------------------------------------

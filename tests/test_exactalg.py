@@ -1,4 +1,5 @@
-"""Exact polynomial arithmetic, Sturm counting, and the linear solver."""
+"""Exact polynomial arithmetic, Sturm counting, Descartes positivity,
+and the linear solver."""
 
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from fiberjoin.exactalg import (
     Polynomial,
     SingularMatrixError,
     ZeroPolynomialError,
+    _mobius_coefficients,
     count_roots_in_open_interval,
     solve_linear,
     strictly_positive_on,
@@ -124,6 +126,51 @@ def test_strictly_positive_detects_interior_root():
     p = Polynomial.from_coeffs([0, 1])
     assert not strictly_positive_on(p, -1, 1)
     assert strictly_positive_on(p, Fraction(1, 100), 1)
+
+
+def _sign_pattern(p, lo, hi):
+    signs = {c > 0 for c in _mobius_coefficients(p, Fraction(lo), Fraction(hi)) if c}
+    if signs == {True}:
+        return "positive"
+    if signs == {False}:
+        return "negative"
+    return "mixed"
+
+
+@pytest.mark.parametrize(
+    "coeffs, pattern, expected",
+    [
+        ([1, 0, -1], "positive", True),  # 1 - z^2
+        ([-1, 0, 1], "negative", False),  # z^2 - 1
+        ([Fraction(13, 50), -1, 1], "mixed", True),  # no real root, Sturm decides
+        ([Fraction(-1, 4), 0, 1], "mixed", False),  # roots at +-1/2
+        ([1, -2, 1], "positive", True),  # (1 - z)^2, double root at 1
+    ],
+)
+def test_strictly_positive_branches(coeffs, pattern, expected):
+    """One polynomial per branch: Descartes decides on one-signed
+    coefficients after the Möbius map, Sturm decides on mixed ones."""
+    p = Polynomial.from_coeffs(coeffs)
+    assert _sign_pattern(p, -1, 1) == pattern
+    assert strictly_positive_on(p, -1, 1) is expected
+
+
+@given(polys, rationals, st.fractions(min_value=Fraction(1, 20), max_value=Fraction(5)))
+@settings(max_examples=60)
+def test_mobius_coefficients_are_a_positive_multiple(p, lo, width):
+    """q(t) = (1+t)^n p((lo + hi t)/(1+t)) up to a positive constant."""
+    if p.is_zero:
+        return
+    hi = lo + width
+    mapped = Polynomial.from_coeffs(_mobius_coefficients(p, lo, hi))
+    expected = Polynomial.zero()
+    for k, c in enumerate(p.coeffs):
+        expected = expected + c * Polynomial.linear(lo, hi) ** k * Polynomial.linear(
+            1, 1
+        ) ** (p.degree - k)
+    ratio = mapped.coeffs[-1] / expected.coeffs[-1]
+    assert ratio > 0
+    assert mapped == expected * ratio
 
 
 @given(polys, st.integers(min_value=0, max_value=999))
