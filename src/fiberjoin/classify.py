@@ -34,7 +34,8 @@ from .model import (
     KahlerMatrix,
     SpecError,
     admissible_split_check,
-    canonical_split_spec,
+    canonical_columns,
+    identical_factor_groups,
     is_colinear,
     make_spec,
     regular_join_data,
@@ -471,33 +472,67 @@ def survey(
     max_entry: int,
     cap: int = 200_000,
 ) -> SurveyReport:
-    """Enumerate split joins with entries in [1, max_entry], dedup by
-    the canonical matrix (columns exchanged only between identical
-    base factors), and classify each representative."""
-    width = len(base.factors)
+    """Enumerate split joins with entries in [1, max_entry], one per
+    orbit under exchanging columns of identical base factors (and the
+    poles, when the split blocks are equal), and classify each
+    representative.
+
+    Within a group of g identical factors the column pairs
+    (omega_zero[i], omega_infinity[i]) form a multiset, produced once
+    as a non-increasing tuple of pairs, which is the representative's
+    order.  A symmetric split keeps a multiset only when swapping the
+    poles gives no larger representative.  ``cap`` bounds the number
+    of multisets enumerated, the product over groups of
+    C(max_entry**2 + g - 1, g).
+    """
     if max_entry < 1:
         raise SpecError("max_entry must be at least 1")
-    candidates = max_entry ** (2 * width)
-    if candidates > cap:
-        raise BoundsTooLargeError(
-            f"{candidates} candidate class pairs exceed the cap {cap}"
-        )
+    groups = identical_factor_groups(base.factors)
+    _check_multiset_count(max_entry**2, groups, cap)
     d0, dinf = split
-    seen: dict[tuple, SurveyEntry] = {}
-    values = range(1, max_entry + 1)
-    for w0 in itertools.product(values, repeat=width):
-        for winf in itertools.product(values, repeat=width):
-            rows = [list(w0)] * (d0 + 1) + [list(winf)] * (dinf + 1)
-            spec = canonical_split_spec(make_spec(base.factors, rows, (d0, dinf)))
-            if spec.matrix.rows in seen:
-                continue
-            seen[spec.matrix.rows] = SurveyEntry(
+    values = range(max_entry, 0, -1)
+    pairs = list(itertools.product(values, repeat=2))  # descending
+    columns: list = [None] * len(base.factors)
+    entries = []
+    for choice in itertools.product(
+        *(itertools.combinations_with_replacement(pairs, len(g)) for g in groups)
+    ):
+        for positions, chosen in zip(groups, choice):
+            for i, pair in zip(positions, chosen):
+                columns[i] = pair
+        omegas = (tuple(a for a, _ in columns), tuple(b for _, b in columns))
+        if d0 == dinf and canonical_columns(columns, groups, True) != omegas:
+            continue
+        w0, winf = omegas
+        spec = make_spec(base.factors, [w0] * (d0 + 1) + [winf] * (dinf + 1), split)
+        entries.append(
+            SurveyEntry(
                 matrix=spec.matrix,
                 invariants=invariant_report(spec),
                 verdicts=tuple(classify(spec)),
             )
-    ordered = tuple(seen[key] for key in sorted(seen))
-    return SurveyReport(base=base, split=split, max_entry=max_entry, entries=ordered)
+        )
+    entries.sort(key=lambda entry: entry.matrix.rows)
+    return SurveyReport(
+        base=base, split=split, max_entry=max_entry, entries=tuple(entries)
+    )
+
+
+def _check_multiset_count(kinds: int, groups, cap: int) -> None:
+    """Raise unless the product over groups of C(kinds + g - 1, g)
+    is at most ``cap``.  The partial products only grow, so the count
+    stops as soon as it passes the cap and never exceeds cap * kinds."""
+    count = 1
+    for group in groups:
+        multisets = 1
+        for k in range(1, len(group) + 1):
+            multisets = multisets * (kinds + k - 1) // k
+            if count * multisets > cap:
+                raise BoundsTooLargeError(
+                    f"the survey would enumerate more than {cap} column-pair "
+                    f"multisets, which exceeds the cap"
+                )
+        count *= multisets
 
 
 def survey_document(report: SurveyReport) -> dict:

@@ -67,8 +67,34 @@ def _build_parser() -> _Parser:
 
 
 def _read_document(path: str) -> dict:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     return json.loads(text)
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer, refusing booleans, floats and strings."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _survey_request(document) -> tuple[BaseProduct, tuple[int, int], int, int]:
+    if not isinstance(document, dict):
+        raise ValueError("survey request must be an object")
+    factors = [parse_factor(f) for f in document["base"]]
+    split = document["split"]
+    if not isinstance(split, list) or len(split) != 2:
+        raise ValueError("split must be a list of two integers")
+    split = tuple(_integer(x, "split entry") for x in split)
+    if split[0] < 0 or split[1] < 0:
+        raise ValueError("split must be a pair of nonnegative integers")
+    max_entry = _integer(document["max_entry"], "max_entry")
+    cap = _integer(document.get("cap", 200_000), "cap")
+    return BaseProduct(tuple(factors)), split, max_entry, cap
 
 
 def _run_csc(spec: FiberJoinSpec) -> dict:
@@ -110,25 +136,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    # ValueError covers malformed JSON, undecodable bytes and integers
+    # past the interpreter's digit limit; RecursionError, deep nesting.
     try:
         document = _read_document(args.document)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read document: {exc}", file=sys.stderr)
         return 1
 
     if args.command == "survey":
         try:
-            factors = [parse_factor(f) for f in document["base"]]
-            split = tuple(int(x) for x in document["split"])
-            if len(split) != 2 or split[0] < 0 or split[1] < 0:
-                raise ValueError("split must be a pair of nonnegative integers")
-            max_entry = int(document["max_entry"])
-            cap = int(document.get("cap", 200_000))
-        except (KeyError, TypeError, ValueError, SpecError) as exc:
+            request = _survey_request(document)
+        except (KeyError, TypeError, ValueError) as exc:
             print(f"error: invalid survey request: {exc}", file=sys.stderr)
             return 1
         try:
-            report = survey(BaseProduct(tuple(factors)), split, max_entry, cap)
+            report = survey(*request)
         except SpecError as exc:  # includes the enumeration cap
             print(f"error: {exc}", file=sys.stderr)
             return 1

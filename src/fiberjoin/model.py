@@ -185,7 +185,6 @@ class FiberJoinSpec:
         return self.base.dim_c
 
     def omega_zero(self) -> tuple[int, ...]:
-        d0, _ = self.split
         return self.matrix.rows[0]
 
     def omega_infinity(self) -> tuple[int, ...]:
@@ -300,6 +299,45 @@ def canonicalize(matrix: KahlerMatrix) -> KahlerMatrix:
     return KahlerMatrix(best)
 
 
+def identical_factor_groups(
+    factors: Sequence[BaseFactor],
+) -> tuple[tuple[int, ...], ...]:
+    """Positions of each distinct base factor, in order of first
+    appearance; columns may be exchanged only within one group."""
+    groups: dict[BaseFactor, list[int]] = {}
+    for idx, factor in enumerate(factors):
+        groups.setdefault(factor, []).append(idx)
+    return tuple(tuple(group) for group in groups.values())
+
+
+def canonical_columns(
+    columns: Sequence[tuple[int, int]],
+    groups: Sequence[Sequence[int]],
+    swap_poles: bool,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Lexicographically largest (omega_zero, omega_infinity) over
+    exchanging the column pairs (omega_zero[i], omega_infinity[i])
+    within each group, and over swapping the poles when allowed.
+
+    Sorting a group's pairs in descending order and writing them back
+    to its positions in increasing order maximizes omega_zero first
+    and omega_infinity among its ties, so no permutation is tried.
+    """
+
+    def arrange(pairs):
+        placed = list(pairs)
+        for positions in groups:
+            ordered = sorted((pairs[i] for i in positions), reverse=True)
+            for i, pair in zip(positions, ordered):
+                placed[i] = pair
+        return tuple(a for a, _ in placed), tuple(b for _, b in placed)
+
+    best = arrange(columns)
+    if swap_poles:
+        best = max(best, arrange([(b, a) for a, b in columns]))
+    return best
+
+
 def canonical_split_spec(spec: FiberJoinSpec) -> FiberJoinSpec:
     """Orbit representative of a split join over its symmetries.
 
@@ -313,27 +351,11 @@ def canonical_split_spec(spec: FiberJoinSpec) -> FiberJoinSpec:
     if spec.split is None:
         raise SpecError("split required")
     d0, dinf = spec.split
-    w0 = spec.omega_zero()
-    winf = spec.omega_infinity()
-    groups: dict[BaseFactor, list[int]] = {}
-    for idx, factor in enumerate(spec.base.factors):
-        groups.setdefault(factor, []).append(idx)
-    group_lists = list(groups.values())
-    best = None
-    for perms in itertools.product(
-        *(itertools.permutations(g) for g in group_lists)
-    ):
-        mapping = {}
-        for original, permuted in zip(group_lists, perms):
-            mapping.update(dict(zip(original, permuted)))
-        order = [mapping[i] for i in range(len(spec.base.factors))]
-        a = tuple(w0[i] for i in order)
-        b = tuple(winf[i] for i in order)
-        if d0 == dinf and b > a:
-            a, b = b, a
-        if best is None or (a, b) > best:
-            best = (a, b)
-    a, b = best
+    a, b = canonical_columns(
+        list(zip(spec.omega_zero(), spec.omega_infinity())),
+        identical_factor_groups(spec.base.factors),
+        d0 == dinf,
+    )
     rows = [list(a)] * (d0 + 1) + [list(b)] * (dinf + 1)
     return make_spec(spec.base.factors, rows, spec.split)
 

@@ -1,8 +1,12 @@
 """Classification rules, reports, parsing, and the survey."""
 
 import csv as csv_module
+import importlib
 import io
+import itertools
 import json
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +23,8 @@ from fiberjoin.classify import (
     SE_EXISTS,
     SE_OBSTRUCTED,
     BoundsTooLargeError,
+    SurveyEntry,
+    SurveyReport,
     classify,
     emit,
     invariant_report,
@@ -39,6 +45,10 @@ from fiberjoin.model import (
     canonical_split_spec,
     make_spec,
 )
+
+
+# The package exports a ``classify`` function under the module's name.
+classify_module = importlib.import_module("fiberjoin.classify")
 
 
 def curve_pair(g1, g2, rows, split=(0, 0)):
@@ -413,6 +423,117 @@ def test_survey_cap():
         survey(base, (0, 0), 10, cap=100)
     with pytest.raises(SpecError):
         survey(base, (0, 0), 0)
+    # The cap counts column-pair multisets: C(3**2 + 1, 2) = 45 here.
+    assert len(survey(base, (0, 0), 3, cap=45).entries) == 27
+    with pytest.raises(BoundsTooLargeError, match="exceed"):
+        survey(base, (0, 0), 3, cap=44)
+    mixed = BaseProduct((BaseFactor.surface(0), BaseFactor.surface(1)))
+    survey(mixed, (1, 0), 2, cap=16)
+    with pytest.raises(BoundsTooLargeError):
+        survey(mixed, (1, 0), 2, cap=15)
+
+
+def test_survey_cap_rejects_huge_requests_without_counting_them():
+    wide = BaseProduct((BaseFactor.surface(0),) * 100_000)
+    with pytest.raises(BoundsTooLargeError):
+        survey(wide, (0, 0), 2)
+    single = BaseProduct((BaseFactor.surface(0),))
+    with pytest.raises(BoundsTooLargeError):
+        survey(single, (0, 0), 10**1000)
+
+
+def multiset_count(base, max_entry):
+    groups = Counter(base.factors).values()
+    return math.prod(math.comb(max_entry**2 + g - 1, g) for g in groups)
+
+
+@pytest.fixture
+def unclassified(monkeypatch):
+    """Survey enumeration alone: orbits are found but not classified."""
+    monkeypatch.setattr(classify_module, "invariant_report", lambda spec: None)
+    monkeypatch.setattr(classify_module, "classify", lambda spec: ())
+
+
+@pytest.mark.parametrize(
+    "width, max_entry, orbits",
+    [(2, 6, 351), (2, 10, 2575), (3, 4, 430), (4, 3, 267)],
+)
+def test_survey_orbit_counts(unclassified, width, max_entry, orbits):
+    base = BaseProduct((BaseFactor.surface(0),) * width)
+    keys = [entry.matrix.rows for entry in survey(base, (0, 0), max_entry).entries]
+    assert len(keys) == orbits
+    assert keys == sorted(set(keys))
+
+
+def test_survey_of_twelve_identical_factors():
+    base = BaseProduct((BaseFactor.surface(0),) * 12)
+    report = survey(base, (0, 0), 1)
+    assert [entry.matrix.rows for entry in report.entries] == [((1,) * 12,) * 2]
+
+
+@pytest.mark.parametrize(
+    "factors, split, max_entry",
+    [
+        ((BaseFactor.surface(0),) * 4, (0, 0), 3),
+        ((BaseFactor.surface(0),) * 3, (1, 0), 2),
+        ((BaseFactor.torus(), BaseFactor.surface(0), BaseFactor.torus()), (1, 1), 2),
+    ],
+)
+def test_survey_builds_one_spec_per_orbit(
+    unclassified, monkeypatch, factors, split, max_entry
+):
+    built = []
+    make = classify_module.make_spec
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(classify_module, "make_spec", counted)
+    base = BaseProduct(factors)
+    report = survey(base, split, max_entry)
+    assert len(built) == len(report.entries) <= multiset_count(base, max_entry)
+
+
+@pytest.mark.parametrize(
+    "factors, split, max_entry",
+    [
+        ((BaseFactor.surface(0),) * 3, (0, 0), 2),
+        ((BaseFactor.torus(), BaseFactor.surface(0), BaseFactor.torus()), (1, 0), 2),
+        (
+            (BaseFactor.surface(0), BaseFactor.surface(2), BaseFactor.surface(0)),
+            (1, 1),
+            3,
+        ),
+    ],
+)
+def test_survey_matches_candidate_deduplication(factors, split, max_entry):
+    base = BaseProduct(factors)
+    # Every candidate pair, canonicalised, duplicates dropped.
+    d0, dinf = split
+    seen = {}
+    values = range(1, max_entry + 1)
+    for w0 in itertools.product(values, repeat=len(factors)):
+        for winf in itertools.product(values, repeat=len(factors)):
+            rows = [list(w0)] * (d0 + 1) + [list(winf)] * (dinf + 1)
+            spec = canonical_split_spec(make_spec(base.factors, rows, (d0, dinf)))
+            if spec.matrix.rows in seen:
+                continue
+            seen[spec.matrix.rows] = SurveyEntry(
+                matrix=spec.matrix,
+                invariants=invariant_report(spec),
+                verdicts=tuple(classify(spec)),
+            )
+    expected = SurveyReport(
+        base=base,
+        split=split,
+        max_entry=max_entry,
+        entries=tuple(seen[key] for key in sorted(seen)),
+    )
+    report = survey(base, split, max_entry)
+    assert report == expected
+    assert emit(report, "json") == emit(expected, "json")
+    assert emit(report, "csv") == emit(expected, "csv")
 
 
 def test_survey_document_shape():

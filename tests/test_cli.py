@@ -166,6 +166,26 @@ def test_invalid_json(tmp_path, capsys):
     assert "cannot read document" in err
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+)
+def test_integer_past_digit_limit(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"base": [{"kind": "torus"}], "K": [[1' + "0" * 5000 + "], [1]]}")
+    code, out, err = run(capsys, ["classify", str(path)])
+    assert code == 1
+    assert out == ""
+    assert "cannot read document" in err
+
+
+def test_deeply_nested_document(capsys, monkeypatch):
+    text = "[" * 100_000 + "]" * 100_000
+    code, out, err = run(capsys, ["survey", "-"], text, monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert "cannot read document" in err
+
+
 def test_invalid_join_document(tmp_path, capsys):
     code, _, err = run(
         capsys, ["classify", write_doc(tmp_path, {"K": [[1, 2]]})]
@@ -214,6 +234,12 @@ def test_missing_split_exit_two(tmp_path, capsys):
 
 
 def test_bad_survey_request(tmp_path, capsys):
+    valid = {"base": [{"kind": "surface", "genus": 0}], "split": [0, 0], "max_entry": 2}
+    assert run(capsys, ["survey", write_doc(tmp_path, valid)])[0] == 0
+    # No coercion: only a list of two integers, and integer bounds.
+    coerced = [dict(valid, split=x) for x in ("00", [0, False], [0.0, 0], ["0", 0])]
+    coerced += [dict(valid, max_entry=x) for x in (True, 2.9, "2")]
+    coerced += [dict(valid, cap=x) for x in ("7", 7.0)]
     for broken in [
         {"base": [{"kind": "surface", "genus": 0}], "split": [0, 0]},
         {"base": [{"kind": "surface", "genus": 0}], "max_entry": 2},
@@ -228,9 +254,12 @@ def test_bad_survey_request(tmp_path, capsys):
             "max_entry": 2,
         },
         {"base": [], "split": [0, 0], "max_entry": 2},
-    ]:
-        code, _, err = run(capsys, ["survey", write_doc(tmp_path, broken)])
+        [{"kind": "surface", "genus": 0}],
+    ] + coerced:
+        code, out, err = run(capsys, ["survey", write_doc(tmp_path, broken)])
         assert code == 1, broken
+        assert out == ""
+        assert "error:" in err
 
 
 def test_survey_cap_exceeded(tmp_path, capsys):

@@ -229,6 +229,68 @@ def test_canonical_2x2_preserves_det():
         assert abs(det) == abs(canonical_det)
 
 
+def reference_canonical_pair(spec):
+    """The largest (omega_zero, omega_infinity) found by trying every
+    permutation of identical-factor columns, prod g! orders, each
+    with the pole swap when the split blocks are equal."""
+    d0, dinf = spec.split
+    w0 = spec.omega_zero()
+    winf = spec.omega_infinity()
+    groups: dict[BaseFactor, list[int]] = {}
+    for idx, factor in enumerate(spec.base.factors):
+        groups.setdefault(factor, []).append(idx)
+    group_lists = list(groups.values())
+    best = None
+    for perms in itertools.product(
+        *(itertools.permutations(g) for g in group_lists)
+    ):
+        mapping = {}
+        for original, permuted in zip(group_lists, perms):
+            mapping.update(dict(zip(original, permuted)))
+        order = [mapping[i] for i in range(len(spec.base.factors))]
+        a = tuple(w0[i] for i in order)
+        b = tuple(winf[i] for i in order)
+        if d0 == dinf and b > a:
+            a, b = b, a
+        if best is None or (a, b) > best:
+            best = (a, b)
+    return best
+
+
+FACTOR_POOL = [
+    BaseFactor.surface(0),
+    BaseFactor.surface(2),
+    BaseFactor.torus(),
+    BaseFactor.projective_space(1),
+    BaseFactor.projective_space(2),
+]
+
+
+@st.composite
+def split_joins(draw):
+    """Bases of up to 4 factors of 2 kinds, so identical factors
+    group, with small entries, so column pairs tie."""
+    kinds = draw(
+        st.lists(st.sampled_from(FACTOR_POOL), min_size=2, max_size=2, unique=True)
+    )
+    factors = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4))
+    d0, dinf = draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]))
+    entries = st.integers(min_value=1, max_value=3)
+    w0 = draw(st.lists(entries, min_size=len(factors), max_size=len(factors)))
+    winf = draw(st.lists(entries, min_size=len(factors), max_size=len(factors)))
+    return make_spec(factors, [w0] * (d0 + 1) + [winf] * (dinf + 1), (d0, dinf))
+
+
+@given(split_joins())
+@settings(max_examples=300, deadline=None)
+def test_canonical_split_spec_matches_permutation_oracle(spec):
+    d0, dinf = spec.split
+    a, b = reference_canonical_pair(spec)
+    canonical = canonical_split_spec(spec)
+    assert canonical.matrix.rows == (a,) * (d0 + 1) + (b,) * (dinf + 1)
+    assert canonical.base == spec.base and canonical.split == spec.split
+
+
 def test_canonical_split_spec_swaps_identical_factors_only():
     mixed = [BaseFactor.projective_space(1), BaseFactor.surface(2)]
     spec = make_spec(mixed, [[1, 3], [1, 2]], (0, 0))
