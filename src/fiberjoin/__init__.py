@@ -47,7 +47,6 @@ from .model import (
     KahlerMatrix,
     RegularJoinData,
     admissible_split_check,
-    canonicalize,
     is_colinear,
     make_spec,
     regular_join_data,

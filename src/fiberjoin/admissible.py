@@ -34,7 +34,6 @@ from .model import (
     is_colinear,
     regular_join_data,
     retained_factors,
-    validate,
 )
 
 
@@ -114,7 +113,6 @@ def admissible_data(spec: FiberJoinSpec) -> AdmissibleData:
     be a curve (complex dimension one) with a well-defined genus, and
     the resulting r values must be pairwise distinct.
     """
-    validate(spec)
     if spec.split is None:
         raise SpecError("admissible data needs a split join")
     retained = retained_factors(spec)
@@ -374,7 +372,6 @@ def quotient_class_parameters(spec: FiberJoinSpec) -> list[Fraction]:
     colinear joins collapse to the single value (b1-b2)/(b1+b2) built
     from the two multiples of the primitive class.
     """
-    validate(spec)
     if spec.split != (0, 0):
         raise SpecError("quotient parameters defined for d=1 split joins")
     retained = retained_factors(spec)

@@ -39,7 +39,6 @@ from .model import (
     is_colinear,
     make_spec,
     regular_join_data,
-    validate,
 )
 
 CSC_REGULAR_RAY = "csc_regular_ray"
@@ -260,8 +259,6 @@ def _rule_line_triple(spec: FiberJoinSpec) -> list[Verdict]:
 
 
 def _admissible_data_or_none(spec: FiberJoinSpec) -> Optional[adm.AdmissibleData]:
-    if spec.split is None:
-        return None
     try:
         return adm.admissible_data(spec)
     except SpecError:
@@ -358,7 +355,6 @@ _RULES: tuple[Callable[[FiberJoinSpec], list[Verdict]], ...] = (
 def classify(spec: FiberJoinSpec) -> list[Verdict]:
     """Fire every applicable rule, in a fixed order; append a single
     inconclusive verdict when no existence conclusion was reached."""
-    validate(spec)
     verdicts: list[Verdict] = []
     for rule in _RULES:
         verdicts.extend(rule(spec))
@@ -409,7 +405,6 @@ class InvariantReport:
 
 
 def invariant_report(spec: FiberJoinSpec) -> InvariantReport:
-    validate(spec)
     colinear = is_colinear(spec)
     join_b = join_w = None
     if colinear:
@@ -483,13 +478,14 @@ def survey(
     order.  A symmetric split keeps a multiset only when swapping the
     poles gives no larger representative.  ``cap`` bounds the number
     of multisets enumerated, the product over groups of
-    C(max_entry**2 + g - 1, g).
+    C(max_entry**2 + g - 1, g), times d = d0 + dinf + 1, since each
+    orbit's matrix has d + 1 rows.
     """
     if max_entry < 1:
         raise SpecError("max_entry must be at least 1")
     groups = identical_factor_groups(base.factors)
-    _check_multiset_count(max_entry**2, groups, cap)
     d0, dinf = split
+    _check_work(max_entry**2, groups, d0 + dinf + 1, cap)
     values = range(max_entry, 0, -1)
     pairs = list(itertools.product(values, repeat=2))  # descending
     columns: list = [None] * len(base.factors)
@@ -518,19 +514,20 @@ def survey(
     )
 
 
-def _check_multiset_count(kinds: int, groups, cap: int) -> None:
-    """Raise unless the product over groups of C(kinds + g - 1, g)
-    is at most ``cap``.  The partial products only grow, so the count
-    stops as soon as it passes the cap and never exceeds cap * kinds."""
-    count = 1
+def _check_work(kinds: int, groups, d: int, cap: int) -> None:
+    """Raise unless ``d`` times the product over groups of
+    C(kinds + g - 1, g) is at most ``cap``.  The partial products only
+    grow, so the count stops at the first one past the cap, at once
+    when ``d`` alone passes it."""
+    count = d
     for group in groups:
         multisets = 1
         for k in range(1, len(group) + 1):
             multisets = multisets * (kinds + k - 1) // k
             if count * multisets > cap:
                 raise BoundsTooLargeError(
-                    f"the survey would enumerate more than {cap} column-pair "
-                    f"multisets, which exceeds the cap"
+                    f"the survey's column-pair multisets times d = {d} "
+                    f"would be more than {cap}, which exceeds the cap"
                 )
         count *= multisets
 
@@ -594,29 +591,24 @@ def parse_factor(doc: dict) -> BaseFactor:
         raise SpecError(f"base factor needs a kind: {doc!r}")
     kind = doc["kind"]
     if kind == "surface":
-        return BaseFactor.surface(int(doc["genus"]))
+        return BaseFactor.surface(doc["genus"])
     if kind == "projective_space":
-        return BaseFactor.projective_space(int(doc["n"]))
+        return BaseFactor.projective_space(doc["n"])
     if kind == "torus":
         return BaseFactor.torus()
     raise SpecError(f"unknown base factor kind: {kind!r}")
 
 
 def parse_spec(doc: dict) -> FiberJoinSpec:
-    """Parse the JSON join document: base, K, optional split."""
+    """Map the JSON join document (base, K, optional split) onto the
+    model constructors, which check it."""
     if not isinstance(doc, dict):
         raise SpecError("join document must be an object")
     try:
         factors = [parse_factor(f) for f in doc["base"]]
-        rows = [[int(e) for e in row] for row in doc["K"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        return make_spec(factors, doc["K"], doc.get("split"))
+    except (KeyError, TypeError) as exc:
         raise SpecError(f"malformed join document: {exc}") from exc
-    split = doc.get("split")
-    if split is not None:
-        if len(split) != 2:
-            raise SpecError("split must be a pair")
-        split = (int(split[0]), int(split[1]))
-    return make_spec(factors, rows, split)
 
 
 def emit(report, fmt: str = "json") -> str:

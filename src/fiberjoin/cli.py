@@ -27,7 +27,7 @@ from .classify import (
     survey,
 )
 from .exactalg import SingularMatrixError
-from .model import BaseProduct, FiberJoinSpec, SpecError
+from .model import BaseProduct, FiberJoinSpec, SpecError, integer
 
 
 class _UsageError(Exception):
@@ -75,13 +75,6 @@ def _read_document(path: str) -> dict:
     return json.loads(text)
 
 
-def _integer(value, name: str) -> int:
-    """A JSON integer, refusing booleans, floats and strings."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
-    return value
-
-
 def _survey_request(document) -> tuple[BaseProduct, tuple[int, int], int, int]:
     if not isinstance(document, dict):
         raise ValueError("survey request must be an object")
@@ -89,11 +82,11 @@ def _survey_request(document) -> tuple[BaseProduct, tuple[int, int], int, int]:
     split = document["split"]
     if not isinstance(split, list) or len(split) != 2:
         raise ValueError("split must be a list of two integers")
-    split = tuple(_integer(x, "split entry") for x in split)
+    split = tuple(integer(x, "split entry") for x in split)
     if split[0] < 0 or split[1] < 0:
         raise ValueError("split must be a pair of nonnegative integers")
-    max_entry = _integer(document["max_entry"], "max_entry")
-    cap = _integer(document.get("cap", 200_000), "cap")
+    max_entry = integer(document["max_entry"], "max_entry")
+    cap = integer(document.get("cap", 200_000), "cap")
     return BaseProduct(tuple(factors)), split, max_entry, cap
 
 

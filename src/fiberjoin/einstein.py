@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .model import (
@@ -23,7 +22,6 @@ from .model import (
     SpecError,
     is_colinear,
     regular_join_data,
-    validate,
 )
 from .topology import c1_contact
 
@@ -42,16 +40,23 @@ def fano_index(base: BaseProduct) -> int:
     return math.gcd(*coefficients)
 
 
-@lru_cache(maxsize=None)
 def partitions(total: int, parts: int) -> int:
     """Number of multisets of ``parts`` positive integers summing to ``total``."""
     if parts <= 0:
         return 1 if total == 0 else 0
     if total < parts:
         return 0
-    if parts == 1:
-        return 1
-    return partitions(total - 1, parts - 1) + partitions(total - parts, parts)
+    if parts == 2:
+        return total // 2
+    # Taking one from every part leaves a partition of total - parts
+    # into at most ``parts`` parts, that is (by conjugation) into parts
+    # of size at most ``parts``; count those bottom-up by largest size.
+    rest = total - parts
+    ways = [1] + [0] * rest
+    for size in range(1, min(parts, rest) + 1):
+        for s in range(size, rest + 1):
+            ways[s] += ways[s - size]
+    return ways[rest]
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,6 @@ class SEVerdict:
 
 def se_check(spec: FiberJoinSpec) -> SEVerdict:
     """Run the obstruction chain and the known existence upgrades."""
-    validate(spec)
     n, d = spec.n, spec.d
 
     # Structural obstruction independent of the classes: equal split

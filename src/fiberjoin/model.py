@@ -11,7 +11,6 @@ agree, which is the structure all curvature computations consume.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +37,13 @@ class NotColinearError(SpecError):
     pass
 
 
+def integer(value, name: str) -> int:
+    """A JSON integer, refusing booleans, floats and strings."""
+    if type(value) is not int:
+        raise SpecError(f"{name} must be an integer, not {type(value).__name__}")
+    return value
+
+
 SURFACE = "surface"
 PROJECTIVE_SPACE = "projective_space"
 TORUS = "torus"
@@ -55,13 +61,13 @@ class BaseFactor:
 
     def __post_init__(self):
         if self.kind == SURFACE:
-            if self.genus is None or self.genus < 0:
+            if integer(self.genus, "genus") < 0:
                 raise SpecError("surface factor needs genus >= 0")
         elif self.kind == PROJECTIVE_SPACE:
-            if self.n is None or self.n < 1:
+            if integer(self.n, "n") < 1:
                 raise SpecError("projective space factor needs n >= 1")
         elif self.kind == TORUS:
-            if self.genus not in (None, 1):
+            if self.genus is not None and integer(self.genus, "genus") != 1:
                 raise SpecError("torus factor has genus 1")
         else:
             raise SpecError(f"unknown base factor kind: {self.kind!r}")
@@ -152,7 +158,7 @@ class KahlerMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "KahlerMatrix":
-        return KahlerMatrix(tuple(tuple(int(e) for e in row) for row in rows))
+        return KahlerMatrix(tuple(tuple(row) for row in rows))
 
     @property
     def row_count(self) -> int:
@@ -175,6 +181,9 @@ class FiberJoinSpec:
     matrix: KahlerMatrix
     split: Optional[tuple[int, int]] = None
 
+    def __post_init__(self):
+        validate(self)
+
     @property
     def d(self) -> int:
         """Fiber sphere dimension parameter: the fiber is S^(2d+1)."""
@@ -193,9 +202,11 @@ class FiberJoinSpec:
 
 
 def validate(spec: FiberJoinSpec) -> FiberJoinSpec:
-    """Check structural invariants; returns the spec unchanged."""
-    if not spec.base.factors:
-        raise EmptyBaseError("base product needs at least one factor")
+    """Check the join contract; returns the spec unchanged.
+
+    ``FiberJoinSpec`` runs this once, on construction, so every spec
+    in hand is valid.  Matrix entries and the split are integers,
+    never booleans, floats or strings; nothing is coerced."""
     rows = spec.matrix.rows
     if not rows or spec.d < 1:
         raise SpecError("a join needs at least two line bundle summands")
@@ -204,10 +215,12 @@ def validate(spec: FiberJoinSpec) -> FiberJoinSpec:
         if len(row) != width:
             raise SpecError("matrix width must equal the number of base factors")
         for entry in row:
-            if entry < 1:
+            if integer(entry, "matrix entry") < 1:
                 raise NonPositiveEntryError(f"matrix entries must be positive: {row}")
     if spec.split is not None:
-        d0, dinf = spec.split
+        if not isinstance(spec.split, tuple) or len(spec.split) != 2:
+            raise SpecError("split must be a pair of integers")
+        d0, dinf = (integer(x, "split entry") for x in spec.split)
         if d0 < 0 or dinf < 0 or d0 + dinf + 1 != spec.d:
             raise SplitMismatchError(
                 f"split {spec.split} incompatible with {spec.d + 1} rows"
@@ -224,12 +237,11 @@ def make_spec(
     rows: Sequence[Sequence[int]],
     split: Optional[tuple[int, int]] = None,
 ) -> FiberJoinSpec:
-    spec = FiberJoinSpec(
+    return FiberJoinSpec(
         base=BaseProduct(tuple(base)),
         matrix=KahlerMatrix.from_rows(rows),
         split=tuple(split) if split is not None else None,
     )
-    return validate(spec)
 
 
 def is_colinear(spec: FiberJoinSpec) -> bool:
@@ -277,26 +289,6 @@ def regular_join_data(spec: FiberJoinSpec) -> RegularJoinData:
     b = math.gcd(*multiples)
     w = tuple(m // b for m in multiples)
     return RegularJoinData(b=b, w=w, primitive=primitive)
-
-
-def canonicalize(matrix: KahlerMatrix) -> KahlerMatrix:
-    """Canonical representative of K under row and column permutations.
-
-    Rows are unordered (reordering line bundle summands) and columns
-    are unordered (relabeling base factors).  The representative is
-    the lexicographically largest matrix over all column permutations
-    with rows sorted descending; exact orbit enumeration is cheap at
-    these sizes and, unlike alternating row/column sorts, genuinely
-    canonical.
-    """
-    best = None
-    for perm in itertools.permutations(range(matrix.col_count)):
-        candidate = tuple(
-            sorted((tuple(row[a] for a in perm) for row in matrix.rows), reverse=True)
-        )
-        if best is None or candidate > best:
-            best = candidate
-    return KahlerMatrix(best)
 
 
 def identical_factor_groups(

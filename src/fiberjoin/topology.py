@@ -19,7 +19,6 @@ from .model import (
     BaseFactor,
     FiberJoinSpec,
     SpecError,
-    validate,
 )
 
 ClassVector = tuple[int, ...]
@@ -38,7 +37,6 @@ def c1_contact(spec: FiberJoinSpec) -> ClassVector:
 
     Componentwise: (anticanonical coefficient) minus (column sum of K).
     """
-    validate(spec)
     sums = spec.matrix.column_sums()
     return tuple(c - s for c, s in zip(spec.base.c1_vector(), sums))
 
@@ -58,7 +56,6 @@ def chern_k(spec: FiberJoinSpec, k: int) -> dict[tuple[int, ...], int]:
     Valid only while 2k < 2d+1: above that window the pullback from
     the base is no longer faithful and no formula is returned.
     """
-    validate(spec)
     if k < 1:
         raise ValueError("k must be positive")
     if 2 * k >= 2 * spec.d + 1:
@@ -104,7 +101,6 @@ def _two_curve_base(spec: FiberJoinSpec) -> tuple[BaseFactor, BaseFactor]:
 def euler_class(spec: FiberJoinSpec) -> int:
     """Euler class of the join over a product of two curves, as a
     multiple of the orientation class; zero as soon as d > 1."""
-    validate(spec)
     _two_curve_base(spec)
     if spec.d > 1:
         return 0
@@ -118,7 +114,6 @@ def p1(spec: FiberJoinSpec) -> int:
     Closed forms: any d=1 join over a product of two curves; for
     d > 1 a split join over a product of two genus-zero curves.
     """
-    validate(spec)
     f1, f2 = _two_curve_base(spec)
     if spec.d == 1:
         r0, r1 = spec.matrix.rows
@@ -147,7 +142,6 @@ NON_SPIN = "non_spin"
 def spin_status(spec: FiberJoinSpec) -> str:
     """Spin or not: the second Stiefel-Whitney class is the mod-2
     reduction of c1 of the contact bundle."""
-    validate(spec)
     _two_curve_base(spec)
     c1 = c1_contact(spec)
     return SPIN if all(c % 2 == 0 for c in c1) else NON_SPIN
@@ -200,7 +194,6 @@ def cohomology_table(spec: FiberJoinSpec) -> CohomologyTable:
     join is a curve-product times an odd sphere and the table is
     torsion free.
     """
-    validate(spec)
     f1, f2 = _two_curve_base(spec)
     g1, g2 = f1.effective_genus, f2.effective_genus
     betti = _curve_product_betti(g1, g2)
@@ -242,7 +235,6 @@ class HomeoKey:
 def homeo_key(spec: FiberJoinSpec) -> HomeoKey:
     """Homeomorphism-separating key for d=1 joins over a product of two
     genus-zero curves with matrix [[k, l], [l, k]], k > l."""
-    validate(spec)
     f1, f2 = _two_curve_base(spec)
     if f1.effective_genus != 0 or f2.effective_genus != 0:
         raise UnsupportedBaseError("key defined over two genus-zero curves")

@@ -428,9 +428,10 @@ def test_survey_cap():
     with pytest.raises(BoundsTooLargeError, match="exceed"):
         survey(base, (0, 0), 3, cap=44)
     mixed = BaseProduct((BaseFactor.surface(0), BaseFactor.surface(1)))
-    survey(mixed, (1, 0), 2, cap=16)
+    # Split (1, 0) has d = 2: 4 * 4 multisets times 2 = 32.
+    survey(mixed, (1, 0), 2, cap=32)
     with pytest.raises(BoundsTooLargeError):
-        survey(mixed, (1, 0), 2, cap=15)
+        survey(mixed, (1, 0), 2, cap=31)
 
 
 def test_survey_cap_rejects_huge_requests_without_counting_them():
@@ -440,6 +441,20 @@ def test_survey_cap_rejects_huge_requests_without_counting_them():
     single = BaseProduct((BaseFactor.surface(0),))
     with pytest.raises(BoundsTooLargeError):
         survey(single, (0, 0), 10**1000)
+
+
+def test_survey_cap_counts_the_split(monkeypatch):
+    def built(*args):
+        raise AssertionError("the cap must be checked before any spec is built")
+
+    monkeypatch.setattr(classify_module, "make_spec", built)
+    base = BaseProduct((BaseFactor.surface(0), BaseFactor.surface(2)))
+    # 16 multisets times d = 100,001 passes the default cap.
+    with pytest.raises(BoundsTooLargeError):
+        survey(base, (0, 10**5), 2)
+    # Reached only when the split is counted, so no 10**9-row list is built.
+    with pytest.raises(BoundsTooLargeError):
+        survey(base, (0, 10**9), 2)
 
 
 def multiset_count(base, max_entry):

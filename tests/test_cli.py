@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fiberjoin
 from fiberjoin.cli import main
@@ -30,6 +32,8 @@ SURVEY_REQUEST = {
     "split": [0, 0],
     "max_entry": 2,
 }
+
+JOIN_COMMANDS = ["invariants", "classify", "csc", "extremal", "se"]
 
 
 def run(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -262,6 +266,53 @@ def test_bad_survey_request(tmp_path, capsys):
         assert "error:" in err
 
 
+def test_se_count_at_a_large_index(tmp_path, capsys):
+    request = {"base": [{"kind": "projective_space", "n": 3999}], "K": [[1], [3999]]}
+    code, out, err = run(capsys, ["se", write_doc(tmp_path, request)])
+    assert code == 0, err
+    assert json.loads(out)["count"] == 2000
+
+
+def _container(doc, path):
+    """The list or object holding the item at ``path``, and its key there."""
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    return doc, last
+
+
+def _replaced(path, value):
+    """A deep copy of the reference join with the item at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(REFERENCE))
+    target, key = _container(doc, path)
+    target[key] = value
+    return doc
+
+
+MALFORMED = {
+    "genus-string": _replaced(("base", 0, "genus"), "5"),
+    "genus-float": _replaced(("base", 0, "genus"), 3.9),
+    "n-string": {"base": [{"kind": "projective_space", "n": "2"}], "K": [[1], [2]]},
+    "entry-float": _replaced(("K", 0, 0), 2.7),
+    "entry-boolean": _replaced(("K", 0, 0), True),
+    "entry-string": _replaced(("K", 0, 0), "3"),
+    "split-integer": _replaced(("split",), 5),
+    "split-string": _replaced(("split",), "ab"),
+    "split-booleans": _replaced(("split",), [True, False]),
+    "split-float": _replaced(("split",), [0.5, 0]),
+    "split-triple": _replaced(("split",), [0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("command", JOIN_COMMANDS)
+@pytest.mark.parametrize("document", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_join_document(tmp_path, capsys, command, document):
+    code, out, err = run(capsys, [command, write_doc(tmp_path, document)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid join document")
+
+
 def test_survey_cap_exceeded(tmp_path, capsys):
     request = dict(SURVEY_REQUEST)
     request["max_entry"] = 40
@@ -324,3 +375,101 @@ def test_installed_console_script(tmp_path):
     assert result.returncode == 0
     doc = json.loads(result.stdout)
     assert doc["invariants"]["c1"] == [-11, -8]
+
+
+# --- fuzzing the input contract ------------------------------------------------
+
+def call_main(argv, text):
+    """``main`` on a document given as text: (exit code, stdout, stderr)."""
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = (io.StringIO(text), io.StringIO(), io.StringIO())
+    try:
+        code = main(argv)
+        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+
+
+def assert_contract(argv, document):
+    """Exit 0 with JSON on stdout, or exit 1 or 2 with only an error."""
+    code, out, err = call_main(argv, json.dumps(document))
+    assert code in (0, 1, 2), (document, code)
+    if code == 0:
+        json.loads(out)
+    else:
+        assert out == ""
+        assert err.startswith("error: "), err
+
+
+def paths_below(doc, prefix=()):
+    """Paths to every value below the root of a JSON tree."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from paths_below(value, prefix + (key,))
+
+
+JSON_TREES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["base", "K", "split", "kind", "genus", "n", "max_entry", "cap"])
+        | st.text(max_size=3),
+        children,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+
+ODD_VALUES = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(min_value=-2, max_value=5), max_size=3),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([0, -1, 2**64, {}, None]),
+)
+
+
+@st.composite
+def mutated(draw, document):
+    """``document`` with one to three values replaced or keys deleted."""
+    doc = json.loads(json.dumps(document))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        paths = list(paths_below(doc))
+        if not paths:
+            break
+        target, key = _container(doc, draw(st.sampled_from(paths)))
+        if draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(ODD_VALUES)
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(JOIN_COMMANDS + ["survey"]), JSON_TREES)
+def test_random_documents_keep_the_contract(command, document):
+    if command == "survey" and isinstance(document, dict):
+        document["cap"] = 50
+    assert_contract([command, "-"], document)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(JOIN_COMMANDS), mutated(REFERENCE))
+def test_mutated_join_documents_keep_the_contract(command, document):
+    assert_contract([command, "-"], document)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(SURVEY_REQUEST), st.integers(min_value=-1, max_value=1000))
+def test_mutated_survey_requests_keep_the_contract(document, cap):
+    if isinstance(document, dict):
+        document["cap"] = cap
+    assert_contract(["survey", "-"], document)
+

@@ -40,6 +40,13 @@ def test_partitions_edges():
     assert partitions(7, 2) == 3
 
 
+def test_partitions_of_large_totals():
+    assert partitions(4000, 2) == 2000
+    # Partitions into exactly three parts: the integer nearest n^2/12.
+    for n in (3000, 3001, 3002, 3003):
+        assert partitions(n, 3) == (n * n + 6) // 12
+
+
 # --- fano index -----------------------------------------------------------
 
 

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiberjoin.model import (
+    TORUS,
     BaseFactor,
     BaseProduct,
     EmptyBaseError,
+    FiberJoinSpec,
     KahlerMatrix,
     NonPositiveEntryError,
     NotColinearError,
@@ -17,7 +19,6 @@ from fiberjoin.model import (
     SplitMismatchError,
     admissible_split_check,
     canonical_split_spec,
-    canonicalize,
     column_differences,
     is_colinear,
     make_spec,
@@ -47,6 +48,14 @@ def test_factor_validation():
         BaseFactor.surface(-1)
     with pytest.raises(SpecError):
         BaseFactor.projective_space(0)
+    # Integers only: booleans, floats, strings and missing values are refused.
+    for bad in ("5", 3.9, 5.0, True, None):
+        with pytest.raises(SpecError, match="genus must be an integer"):
+            BaseFactor.surface(bad)
+        with pytest.raises(SpecError, match="n must be an integer"):
+            BaseFactor.projective_space(bad)
+    with pytest.raises(SpecError):
+        BaseFactor(TORUS, genus=True)
 
 
 def test_c1_coefficients():
@@ -111,6 +120,35 @@ def test_split_is_optional():
     spec = make_spec(TWO_LINES, [[1, 2], [2, 1], [1, 1]], None)
     assert spec.split is None
     assert spec.d == 2
+
+
+@pytest.mark.parametrize("entry", [2.7, 2.0, True, "3"])
+def test_matrix_entries_must_be_integers(entry):
+    with pytest.raises(SpecError, match="matrix entry must be an integer"):
+        two_surface_spec([[entry, 1], [1, 3]], split=None)
+
+
+@pytest.mark.parametrize(
+    "split", [(True, False), (0.5, 0), ("0", 0), (0, 0, 1), (0,), ()]
+)
+def test_split_must_be_a_pair_of_integers(split):
+    with pytest.raises(SpecError):
+        two_surface_spec([[2, 1], [1, 3]], split=split)
+
+
+def test_spec_validates_on_construction():
+    base = BaseProduct((BaseFactor.surface(2),))
+    with pytest.raises(SpecError, match="two line bundle summands"):
+        FiberJoinSpec(base, KahlerMatrix(((2,),)))
+    with pytest.raises(NonPositiveEntryError):
+        FiberJoinSpec(base, KahlerMatrix(((2,), (0,))))
+    with pytest.raises(SplitMismatchError):
+        FiberJoinSpec(base, KahlerMatrix(((2,), (3,))), (1, 0))
+    # A list split would compare unequal to every tuple downstream.
+    with pytest.raises(SpecError, match="pair"):
+        FiberJoinSpec(base, KahlerMatrix(((2,), (3,))), [0, 0])
+    spec = FiberJoinSpec(base, KahlerMatrix(((2,), (3,))), (0, 0))
+    assert spec == make_spec([BaseFactor.surface(2)], [[2], [3]], [0, 0])
 
 
 # --- colinearity and join data ----------------------------------------
@@ -180,53 +218,6 @@ def test_join_data_reconstructs_multiples(b, w):
 
 
 # --- canonical forms ---------------------------------------------------
-
-
-def test_canonicalize_row_swap():
-    a = canonicalize(KahlerMatrix.from_rows([[1, 3], [2, 1]]))
-    b = canonicalize(KahlerMatrix.from_rows([[2, 1], [1, 3]]))
-    assert a == b
-
-
-def test_canonicalize_column_swap():
-    a = canonicalize(KahlerMatrix.from_rows([[5, 2], [2, 5]]))
-    b = canonicalize(KahlerMatrix.from_rows([[2, 5], [5, 2]]))
-    assert a == b
-
-
-def test_canonicalize_idempotent_cases():
-    for rows in [[[1, 3], [2, 1]], [[2, 2], [1, 4]], [[7, 1], [1, 7]]]:
-        once = canonicalize(KahlerMatrix.from_rows(rows))
-        assert canonicalize(once) == once
-
-
-@given(
-    st.lists(
-        st.lists(st.integers(min_value=1, max_value=5), min_size=2, max_size=2),
-        min_size=2,
-        max_size=3,
-    )
-)
-@settings(max_examples=80)
-def test_canonicalize_constant_on_orbit(rows):
-    matrix = KahlerMatrix.from_rows(rows)
-    reference = canonicalize(matrix)
-    n_rows, n_cols = len(rows), len(rows[0])
-    for row_perm in itertools.permutations(range(n_rows)):
-        for col_perm in itertools.permutations(range(n_cols)):
-            shuffled = KahlerMatrix.from_rows(
-                [[rows[i][j] for j in col_perm] for i in row_perm]
-            )
-            assert canonicalize(shuffled) == reference
-
-
-def test_canonical_2x2_preserves_det():
-    for rows in [[[2, 1], [1, 3]], [[1, 4], [2, 2]], [[3, 3], [2, 1]]]:
-        matrix = KahlerMatrix.from_rows(rows)
-        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-        c = canonicalize(matrix).rows
-        canonical_det = c[0][0] * c[1][1] - c[0][1] * c[1][0]
-        assert abs(det) == abs(canonical_det)
 
 
 def reference_canonical_pair(spec):
