@@ -29,6 +29,7 @@ from .classify import (
     emit,
     invariant_report,
     parse_spec,
+    parse_survey,
     spec_report,
     survey,
 )

@@ -8,7 +8,7 @@ extremal profile polynomial is determined by interpolation at the
 nodes -1/r_a plus two moment conditions, a symmetric 2x2 exact solve
 (Apostolov, Calderbank, Gauduchon and Tønnesen-Friedman, "Hamiltonian
 2-forms in Kähler geometry III"); its positivity is decided by
-Descartes' rule after a Möbius map, with a Sturm fallback.  Constant
+Descartes' rule after a Möbius map, bisecting on mixed signs.  Constant
 scalar curvature for two retained factors reduces to a pair of affine
 equations plus positivity of an explicit quadratic on (-1, 1).
 """
@@ -22,7 +22,6 @@ from typing import Optional
 
 from .exactalg import (
     Polynomial,
-    Rational,
     SingularMatrixError,
     solve_linear,
     strictly_positive_on,

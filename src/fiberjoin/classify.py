@@ -36,6 +36,7 @@ from .model import (
     admissible_split_check,
     canonical_columns,
     identical_factor_groups,
+    integer,
     is_colinear,
     make_spec,
     regular_join_data,
@@ -55,6 +56,10 @@ _EXISTENCE_KINDS = {
     EXTREMAL_REGULAR_RAY,
     EXTREMAL_OPEN_SET,
 }
+
+
+# Default bound on the column-pair multisets times d a survey may enumerate.
+SURVEY_CAP = 200_000
 
 
 class BoundsTooLargeError(SpecError):
@@ -465,7 +470,7 @@ def survey(
     base: BaseProduct,
     split: tuple[int, int],
     max_entry: int,
-    cap: int = 200_000,
+    cap: int = SURVEY_CAP,
 ) -> SurveyReport:
     """Enumerate split joins with entries in [1, max_entry], one per
     orbit under exchanging columns of identical base factors (and the
@@ -578,25 +583,36 @@ def survey_csv(report: SurveyReport) -> str:
 # Document parsing
 
 
+# The keys each document may hold, and the fields of each factor kind;
+# any other key is refused, so a misspelt one cannot change the question.
+JOIN_KEYS = ("base", "K", "split")
+SURVEY_KEYS = ("base", "split", "max_entry", "cap")
+FACTOR_FIELDS = {"surface": ("genus",), "projective_space": ("n",), "torus": ()}
+
+
 def _factor_document(factor: BaseFactor) -> dict:
-    if factor.kind == "surface":
-        return {"kind": "surface", "genus": factor.genus}
-    if factor.kind == "projective_space":
-        return {"kind": "projective_space", "n": factor.n}
-    return {"kind": "torus"}
+    fields = FACTOR_FIELDS[factor.kind]
+    return {"kind": factor.kind, **{field: getattr(factor, field) for field in fields}}
+
+
+def _refuse_unknown_keys(doc: dict, allowed: tuple[str, ...], what: str) -> None:
+    unknown = [key for key in doc if key not in allowed]
+    if unknown:
+        raise SpecError(
+            f"unknown key {', '.join(map(repr, unknown))} in {what}; "
+            f"allowed: {', '.join(allowed)}"
+        )
 
 
 def parse_factor(doc: dict) -> BaseFactor:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SpecError(f"base factor needs a kind: {doc!r}")
     kind = doc["kind"]
-    if kind == "surface":
-        return BaseFactor.surface(doc["genus"])
-    if kind == "projective_space":
-        return BaseFactor.projective_space(doc["n"])
-    if kind == "torus":
-        return BaseFactor.torus()
-    raise SpecError(f"unknown base factor kind: {kind!r}")
+    if not isinstance(kind, str) or kind not in FACTOR_FIELDS:
+        raise SpecError(f"unknown base factor kind: {kind!r}")
+    fields = FACTOR_FIELDS[kind]
+    _refuse_unknown_keys(doc, ("kind", *fields), f"{kind} factor")
+    return BaseFactor(kind, **{field: doc[field] for field in fields})
 
 
 def parse_spec(doc: dict) -> FiberJoinSpec:
@@ -604,11 +620,34 @@ def parse_spec(doc: dict) -> FiberJoinSpec:
     model constructors, which check it."""
     if not isinstance(doc, dict):
         raise SpecError("join document must be an object")
+    _refuse_unknown_keys(doc, JOIN_KEYS, "join document")
     try:
         factors = [parse_factor(f) for f in doc["base"]]
         return make_spec(factors, doc["K"], doc.get("split"))
     except (KeyError, TypeError) as exc:
         raise SpecError(f"malformed join document: {exc}") from exc
+
+
+def parse_survey(doc: dict) -> tuple[BaseProduct, tuple[int, int], int, int]:
+    """Map the JSON survey request (base, split, max_entry, optional
+    cap) onto the arguments of ``survey``.  Only a list of two
+    nonnegative integers is a split, and the bounds are integers."""
+    if not isinstance(doc, dict):
+        raise SpecError("survey request must be an object")
+    _refuse_unknown_keys(doc, SURVEY_KEYS, "survey request")
+    try:
+        factors = [parse_factor(f) for f in doc["base"]]
+        split = doc["split"]
+        if not isinstance(split, list) or len(split) != 2:
+            raise SpecError("split must be a list of two integers")
+        split = tuple(integer(x, "split entry") for x in split)
+        if split[0] < 0 or split[1] < 0:
+            raise SpecError("split must be a pair of nonnegative integers")
+        max_entry = integer(doc["max_entry"], "max_entry")
+        cap = integer(doc.get("cap", SURVEY_CAP), "cap")
+        return BaseProduct(tuple(factors)), split, max_entry, cap
+    except (KeyError, TypeError) as exc:
+        raise SpecError(f"malformed survey request: {exc}") from exc
 
 
 def emit(report, fmt: str = "json") -> str:

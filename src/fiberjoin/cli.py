@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -19,15 +20,15 @@ from . import einstein
 from .classify import (
     emit,
     invariant_report,
-    parse_factor,
     parse_spec,
+    parse_survey,
     serialize_polynomial,
     serialize_rational,
     spec_report,
     survey,
 )
 from .exactalg import SingularMatrixError
-from .model import BaseProduct, FiberJoinSpec, SpecError, integer
+from .model import FiberJoinSpec, SpecError
 
 
 class _UsageError(Exception):
@@ -75,21 +76,6 @@ def _read_document(path: str) -> dict:
     return json.loads(text)
 
 
-def _survey_request(document) -> tuple[BaseProduct, tuple[int, int], int, int]:
-    if not isinstance(document, dict):
-        raise ValueError("survey request must be an object")
-    factors = [parse_factor(f) for f in document["base"]]
-    split = document["split"]
-    if not isinstance(split, list) or len(split) != 2:
-        raise ValueError("split must be a list of two integers")
-    split = tuple(integer(x, "split entry") for x in split)
-    if split[0] < 0 or split[1] < 0:
-        raise ValueError("split must be a pair of nonnegative integers")
-    max_entry = integer(document["max_entry"], "max_entry")
-    cap = integer(document.get("cap", 200_000), "cap")
-    return BaseProduct(tuple(factors)), split, max_entry, cap
-
-
 def _run_csc(spec: FiberJoinSpec) -> dict:
     result = adm.solve_csc(adm.admissible_data(spec))
     return {
@@ -122,6 +108,20 @@ def _run_se(spec: FiberJoinSpec) -> dict:
     }
 
 
+def _write(text: str) -> int:
+    """Print the result; 0, or 1 when the reader has closed stdout."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: let that flush reach
+        # devnull ("Note on SIGPIPE" in the signal module's docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -139,8 +139,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "survey":
         try:
-            request = _survey_request(document)
-        except (KeyError, TypeError, ValueError) as exc:
+            request = parse_survey(document)
+        except SpecError as exc:
             print(f"error: invalid survey request: {exc}", file=sys.stderr)
             return 1
         try:
@@ -148,8 +148,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except SpecError as exc:  # includes the enumeration cap
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        print(emit(report, args.format))
-        return 0
+        return _write(emit(report, args.format))
 
     try:
         spec = parse_spec(document)
@@ -172,8 +171,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: degenerate data: {exc}", file=sys.stderr)
         return 2
 
-    print(emit(output, args.format))
-    return 0
+    return _write(emit(output, args.format))
 
 
 if __name__ == "__main__":

@@ -3,10 +3,10 @@
 Everything downstream (characteristic classes, curvature profiles,
 positivity certificates) is decided by exact computation over the
 rationals: dense univariate polynomials with Fraction coefficients,
-Sturm-sequence root counting on open intervals, positivity on an open
-interval by Descartes' rule of signs after a Möbius map with a Sturm
-fallback, and Gaussian elimination without pivot growth concerns.  No
-floating point enters any decision.
+Descartes' rule of signs after a Möbius map, which decides positivity
+on an open interval and, by bisection, counts the roots there, and
+Gaussian elimination without pivot growth concerns.  No floating point
+enters any decision.
 """
 
 from __future__ import annotations
@@ -181,66 +181,6 @@ class Polynomial:
         assert r.is_zero
         return q * (1 / q.coeffs[-1])
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(f"{c}")
-            elif i == 1:
-                parts.append(f"{c}*z")
-            else:
-                parts.append(f"{c}*z^{i}")
-        return " + ".join(parts)
-
-
-def _sturm_chain(poly: Polynomial) -> list[Polynomial]:
-    chain = [poly, poly.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        _, rem = chain[-2].divmod(chain[-1])
-        if rem.is_zero:
-            break
-        chain.append(-rem)
-    return [p for p in chain if not p.is_zero]
-
-
-def _sign_variations(chain: Sequence[Polynomial], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = p(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots_in_open_interval(poly: Polynomial, lo, hi) -> int:
-    """Number of distinct real roots of ``poly`` in the open interval (lo, hi).
-
-    Multiplicities are ignored: the count refers to roots of the
-    square-free part.  Roots at the endpoints are excluded.
-    """
-    if poly.is_zero:
-        raise ZeroPolynomialError("root counting is undefined for the zero polynomial")
-    lo = _as_fraction(lo)
-    hi = _as_fraction(hi)
-    if not lo < hi:
-        raise ValueError("empty interval")
-    reduced = poly.squarefree_part()
-    # Endpoint roots are simple in the square-free part; dividing them
-    # out keeps the interior count intact and makes Sturm's theorem
-    # applicable (it needs nonvanishing endpoints).
-    for endpoint in (lo, hi):
-        if reduced(endpoint) == 0:
-            reduced, rem = reduced.divmod(Polynomial.linear(-endpoint, 1))
-            assert rem.is_zero
-    if reduced.degree <= 0:
-        return 0
-    chain = _sturm_chain(reduced)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
-
 
 def _times_linear(coeffs: list[int], a: int, b: int) -> list[int]:
     """Ascending integer coefficients of coeffs * (a + b*t)."""
@@ -270,6 +210,41 @@ def _mobius_coefficients(poly: Polynomial, lo: Fraction, hi: Fraction) -> list[i
     return acc
 
 
+def count_roots_in_open_interval(poly: Polynomial, lo, hi) -> int:
+    """Number of distinct real roots of ``poly`` in the open interval (lo, hi).
+
+    Multiplicities are ignored: the count refers to roots of the
+    square-free part.  Roots at the endpoints are excluded.
+
+    Vincent-Collins-Akritas bisection (Collins and Akritas, 1976): the
+    sign changes of a piece's Möbius coefficients exceed its roots by
+    an even number, so 0 or 1 is exact and more splits the piece at its
+    midpoint.  An endpoint root is a zero end coefficient, which the
+    count skips.  For a square-free polynomial every small enough piece
+    shows 0 or 1 (Alesina and Galuzzi, 1998), so the bisection ends.
+    """
+    if poly.is_zero:
+        raise ZeroPolynomialError("root counting is undefined for the zero polynomial")
+    lo = _as_fraction(lo)
+    hi = _as_fraction(hi)
+    if not lo < hi:
+        raise ValueError("empty interval")
+    reduced = poly.squarefree_part()
+    count = 0
+    pieces = [(lo, hi)]
+    while pieces:
+        a, b = pieces.pop()
+        signs = [c > 0 for c in _mobius_coefficients(reduced, a, b) if c]
+        changes = sum(x != y for x, y in zip(signs, signs[1:]))
+        if changes <= 1:
+            count += changes
+        else:
+            mid = (a + b) / 2
+            count += reduced(mid) == 0
+            pieces += [(a, mid), (mid, b)]
+    return count
+
+
 def strictly_positive_on(poly: Polynomial, lo, hi) -> bool:
     """Whether ``poly`` > 0 everywhere on the open interval (lo, hi).
 
@@ -280,7 +255,7 @@ def strictly_positive_on(poly: Polynomial, lo, hi) -> bool:
     Descartes' rule of signs after a Möbius map decides first (Collins
     and Akritas, 1976): when every nonzero coefficient of the mapped
     polynomial has one sign, ``poly`` has that sign throughout the
-    interval.  Mixed signs fall back to Sturm root counting.
+    interval.  Mixed signs fall back to counting the roots by bisection.
     """
     if poly.is_zero:
         raise ZeroPolynomialError("positivity is undefined for the zero polynomial")

@@ -69,6 +69,8 @@ class BaseFactor:
         elif self.kind == TORUS:
             if self.genus is not None and integer(self.genus, "genus") != 1:
                 raise SpecError("torus factor has genus 1")
+            # One torus, however spelt: equal and hashing alike.
+            object.__setattr__(self, "genus", 1)
         else:
             raise SpecError(f"unknown base factor kind: {self.kind!r}")
 
@@ -92,32 +94,22 @@ class BaseFactor:
     def c1_coefficient(self) -> int:
         """Coefficient of the anticanonical class on this factor's
         primitive generator."""
-        if self.kind == SURFACE:
-            return 2 - 2 * self.genus
         if self.kind == PROJECTIVE_SPACE:
             return self.n + 1
-        return 0
+        return 2 - 2 * self.genus
 
     @property
     def b1(self) -> int:
-        if self.kind == SURFACE:
+        if self.kind in (SURFACE, TORUS):
             return 2 * self.genus
-        if self.kind == TORUS:
-            return 2
         return 0
-
-    @property
-    def b2(self) -> int:
-        return 1
 
     @property
     def effective_genus(self) -> Optional[int]:
         """Genus when the factor is a curve (surface, torus, or CP^1);
         None for higher-dimensional projective spaces."""
-        if self.kind == SURFACE:
+        if self.kind in (SURFACE, TORUS):
             return self.genus
-        if self.kind == TORUS:
-            return 1
         if self.kind == PROJECTIVE_SPACE and self.n == 1:
             return 0
         return None
@@ -163,13 +155,6 @@ class KahlerMatrix:
     @property
     def row_count(self) -> int:
         return len(self.rows)
-
-    @property
-    def col_count(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def column(self, a: int) -> tuple[int, ...]:
-        return tuple(row[a] for row in self.rows)
 
     def column_sums(self) -> tuple[int, ...]:
         return tuple(sum(col) for col in zip(*self.rows))

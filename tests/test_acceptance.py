@@ -10,7 +10,7 @@ pass/fail line per criterion.
 import random
 import time
 from fractions import Fraction as F
-from math import gcd, isqrt, lcm
+from math import ceil, floor, gcd, isqrt, lcm
 
 import pytest
 
@@ -565,8 +565,8 @@ def random_interval(rng):
 
 
 def test_criterion_10_positivity_oracle():
-    """strictly_positive_on (Descartes after a Möbius map, Sturm fallback)
-    agrees with the oracle: no root inside and positive at the midpoint."""
+    """strictly_positive_on (Descartes after a Möbius map, bisection on
+    mixed signs) agrees with the oracle: no root inside and positive at the midpoint."""
     started = time.perf_counter()
     rng = random.Random(20261017)
     disagreements = 0
@@ -593,6 +593,43 @@ def test_criterion_10_positivity_oracle():
     assert disagreements == 0
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
     print(f"criterion 10 PASS: 1000 positivity decisions match the oracle, "
+          f"{elapsed:.1f}s")
+
+
+def test_criterion_10_hard_roots_oracle():
+    """Root counts and positivity against the oracle on what the tests
+    above rarely draw: repeated rational factors whose roots are not
+    dyadic, roots at the endpoints, the double irrational roots of
+    (z^2 - 1/2)^2, and random rational intervals."""
+    started = time.perf_counter()
+    rng = random.Random(20261018)
+    disagreements = 0
+    for trial in range(1000):
+        lo, hi = (F(-1), F(1)) if trial % 3 == 0 else random_interval(rng)
+        degree = rng.randint(0, 4)
+        coeffs = [rng.randint(-10, 10) for _ in range(degree + 1)]
+        while coeffs[-1] == 0:
+            coeffs[-1] = rng.randint(-10, 10)
+        polynomial = Polynomial.from_coeffs([F(c) for c in coeffs])
+        for _ in range(rng.randint(0, 3)):
+            q = rng.randint(1, 7)
+            root = F(rng.randint(floor(lo * q) - 1, ceil(hi * q) + 1), q)
+            polynomial = polynomial * poly(-root, 1) ** rng.randint(1, 3)
+        if rng.random() < 0.3:
+            endpoint = rng.choice([lo, hi])
+            polynomial = polynomial * poly(-endpoint, 1) ** rng.randint(1, 2)
+        if rng.random() < 0.25:
+            polynomial = polynomial * poly(F(-1, 2), 0, 1) ** 2
+        count = root_count_oracle(polynomial, lo, hi)
+        positive = count == 0 and polynomial((lo + hi) / 2) > 0
+        if count_roots_in_open_interval(polynomial, lo, hi) != count:
+            disagreements += 1
+        if strictly_positive_on(polynomial, lo, hi) != positive:
+            disagreements += 1
+    elapsed = time.perf_counter() - started
+    assert disagreements == 0
+    assert elapsed < 10.0, f"took {elapsed:.2f}s"
+    print(f"criterion 10 PASS: 1000 hard-root polynomials match the oracle, "
           f"{elapsed:.1f}s")
 
 

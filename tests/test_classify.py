@@ -480,6 +480,14 @@ def test_survey_orbit_counts(unclassified, width, max_entry, orbits):
     assert keys == sorted(set(keys))
 
 
+def test_survey_over_both_torus_spellings(unclassified):
+    """The two spellings of the torus form one group of identical factors."""
+    mixed = BaseProduct((BaseFactor("torus"), BaseFactor.torus()))
+    same = BaseProduct((BaseFactor.torus(), BaseFactor.torus()))
+    assert len(survey(mixed, (0, 0), 3).entries) == 27
+    assert len(survey(same, (0, 0), 3).entries) == 27
+
+
 def test_survey_of_twelve_identical_factors():
     base = BaseProduct((BaseFactor.surface(0),) * 12)
     report = survey(base, (0, 0), 1)

@@ -9,11 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fiberjoin
+from fiberjoin.classify import _factor_document, parse_spec
 from fiberjoin.cli import main
+from fiberjoin.model import BaseFactor, make_spec
 
 # The directory that holds the imported ``fiberjoin`` package (``src/``).
 PACKAGE_ROOT = Path(fiberjoin.__file__).resolve().parent.parent
@@ -313,6 +315,43 @@ def test_malformed_join_document(tmp_path, capsys, command, document):
     assert err.startswith("error: invalid join document")
 
 
+def _renamed(doc, old, new):
+    """A copy of ``doc`` with its key ``old`` renamed to ``new``."""
+    return {new if key == old else key: value for key, value in doc.items()}
+
+
+UNKNOWN_KEYS = {
+    "splt": _renamed(REFERENCE, "split", "splt"),
+    "extra-key": _replaced(("comment",), "g5 x g3"),
+    "surface-with-n": _replaced(("base", 0, "n"), 2),
+    "torus-with-genus": {"base": [{"kind": "torus", "genus": 1}], "K": [[1], [2]]},
+}
+
+
+@pytest.mark.parametrize("command", JOIN_COMMANDS)
+@pytest.mark.parametrize("document", UNKNOWN_KEYS.values(), ids=UNKNOWN_KEYS.keys())
+def test_unknown_join_key(tmp_path, capsys, command, document):
+    code, out, err = run(capsys, [command, write_doc(tmp_path, document)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid join document: unknown key")
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        dict(SURVEY_REQUEST, max_entries=3),
+        _renamed(SURVEY_REQUEST, "max_entry", "max_entries"),
+        dict(SURVEY_REQUEST, base=[{"kind": "torus", "genus": 1}]),
+    ],
+)
+def test_unknown_survey_key(tmp_path, capsys, document):
+    code, out, err = run(capsys, ["survey", write_doc(tmp_path, document)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid survey request: unknown key")
+
+
 def test_survey_cap_exceeded(tmp_path, capsys):
     request = dict(SURVEY_REQUEST)
     request["max_entry"] = 40
@@ -333,22 +372,27 @@ sys.exit(entry())
 """
 
 
+def child_env():
+    """The environment of a child Python that imports this ``fiberjoin``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 def run_console_script(args):
     """Run ``[project.scripts]["fiberjoin"]`` from this repository's code."""
     tomllib = pytest.importorskip("tomllib")
     with (PACKAGE_ROOT.parent / "pyproject.toml").open("rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["fiberjoin"]
     module, _, attr = target.partition(":")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")])
-    )
     program = CONSOLE_WRAPPER.format(module=module.strip(), attr=attr.strip())
     return subprocess.run(
         [sys.executable, "-c", program, *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
 
 
@@ -375,6 +419,22 @@ def test_installed_console_script(tmp_path):
     assert result.returncode == 0
     doc = json.loads(result.stdout)
     assert doc["invariants"]["c1"] == [-11, -8]
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    """A reader that goes away before the output is written."""
+    child = subprocess.Popen(
+        [sys.executable, "-m", "fiberjoin", "survey", "-"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    child.stdout.close()
+    _, err = child.communicate(json.dumps(SURVEY_REQUEST).encode(), timeout=60)
+    assert child.returncode == 1
+    assert b"Traceback" not in err
+    assert b"Exception ignored" not in err
 
 
 # --- fuzzing the input contract ------------------------------------------------
@@ -473,3 +533,46 @@ def test_mutated_survey_requests_keep_the_contract(document, cap):
         document["cap"] = cap
     assert_contract(["survey", "-"], document)
 
+
+
+# --- serialise and parse ---------------------------------------------------------
+
+FACTORS = st.one_of(
+    st.integers(min_value=0, max_value=6).map(BaseFactor.surface),
+    st.integers(min_value=1, max_value=4).map(BaseFactor.projective_space),
+    st.sampled_from([BaseFactor.torus(), BaseFactor("torus")]),
+)
+
+
+@st.composite
+def specs(draw):
+    """Valid joins of one to three factors, split or not."""
+    factors = draw(st.lists(FACTORS, min_size=1, max_size=3))
+    row = st.lists(
+        st.integers(min_value=1, max_value=9),
+        min_size=len(factors),
+        max_size=len(factors),
+    )
+    if draw(st.booleans()):
+        d0, dinf = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        rows = [draw(row)] * (d0 + 1) + [draw(row)] * (dinf + 1)
+        return make_spec(factors, rows, (d0, dinf))
+    return make_spec(factors, draw(st.lists(row, min_size=2, max_size=4)))
+
+
+def spec_document(spec):
+    """The join document of ``spec``, through JSON text."""
+    document = {
+        "base": [_factor_document(f) for f in spec.base.factors],
+        "K": [list(row) for row in spec.matrix.rows],
+        "split": list(spec.split) if spec.split is not None else None,
+    }
+    return json.loads(json.dumps(document))
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs())
+@example(make_spec([BaseFactor("torus")], [[1], [2]]))
+@example(make_spec([BaseFactor("torus"), BaseFactor.surface(2)], [[1, 2]] * 2, (0, 0)))
+def test_serialised_spec_parses_back(spec):
+    assert parse_spec(spec_document(spec)) == spec

@@ -1,5 +1,5 @@
-"""Exact polynomial arithmetic, Sturm counting, Descartes positivity,
-and the linear solver."""
+"""Exact polynomial arithmetic, root counting by bisection, Descartes
+positivity, and the linear solver."""
 
 from fractions import Fraction
 
@@ -142,14 +142,14 @@ def _sign_pattern(p, lo, hi):
     [
         ([1, 0, -1], "positive", True),  # 1 - z^2
         ([-1, 0, 1], "negative", False),  # z^2 - 1
-        ([Fraction(13, 50), -1, 1], "mixed", True),  # no real root, Sturm decides
+        ([Fraction(13, 50), -1, 1], "mixed", True),  # no real root, bisection decides
         ([Fraction(-1, 4), 0, 1], "mixed", False),  # roots at +-1/2
         ([1, -2, 1], "positive", True),  # (1 - z)^2, double root at 1
     ],
 )
 def test_strictly_positive_branches(coeffs, pattern, expected):
     """One polynomial per branch: Descartes decides on one-signed
-    coefficients after the Möbius map, Sturm decides on mixed ones."""
+    coefficients after the Möbius map, bisection decides on mixed ones."""
     p = Polynomial.from_coeffs(coeffs)
     assert _sign_pattern(p, -1, 1) == pattern
     assert strictly_positive_on(p, -1, 1) is expected

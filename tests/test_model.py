@@ -58,6 +58,13 @@ def test_factor_validation():
         BaseFactor(TORUS, genus=True)
 
 
+def test_torus_spellings_are_one_factor():
+    plain = BaseFactor(TORUS)
+    assert plain == BaseFactor.torus()
+    assert hash(plain) == hash(BaseFactor.torus())
+    assert plain.genus == 1
+
+
 def test_c1_coefficients():
     assert BaseFactor.surface(0).c1_coefficient == 2
     assert BaseFactor.surface(5).c1_coefficient == -8
