@@ -4,13 +4,15 @@ A split join whose two classes differ on at least one base factor
 carries admissible data: per retained factor a normalized curvature
 value s_a and a class parameter r_a in (-1, 1), plus one entry for
 each nontrivial fiber block with r = +1 / -1.  From that data the
-extremal profile polynomial is determined by interpolation at the
-nodes -1/r_a plus two moment conditions, a symmetric 2x2 exact solve
-(Apostolov, Calderbank, Gauduchon and Tønnesen-Friedman, "Hamiltonian
-2-forms in Kähler geometry III"); its positivity is decided by
-Descartes' rule after a Möbius map, bisecting on mixed signs.  Constant
-scalar curvature for two retained factors reduces to a pair of affine
-equations plus positivity of an explicit quadratic on (-1, 1).
+extremal profile polynomial is determined by a closed-form source
+polynomial, a Lagrange-form sum over the entries plus an affine
+multiple of the product of the (1 + r_a z), whose two coefficients
+solve a symmetric 2x2 exact moment system (Apostolov, Calderbank,
+Gauduchon and Tønnesen-Friedman, "Hamiltonian 2-forms in Kähler
+geometry III"); its positivity is decided by Descartes' rule after a
+Möbius map, bisecting on mixed signs.  Constant scalar curvature for
+two retained factors reduces to a pair of affine equations plus
+positivity of an explicit quadratic on (-1, 1).
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ class SingularSystemError(SingularMatrixError):
 
 
 class RepeatedNodeError(SingularSystemError):
-    """Two interpolation nodes coincide (repeated r values)."""
+    """Two entries share a class parameter r, so the values the
+    source polynomial must take at -1/r conflict."""
 
 
 FIBER_ZERO = "fiber_zero"
@@ -194,63 +197,53 @@ def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
     """Solve for the extremal profile polynomial of the data.
 
     F is determined by F'' = R * P with R the reduced characteristic
-    product, P of degree |entries|+1 interpolating given values at each
-    node -1/r_a, and the boundary conditions F(+-1) = 0,
-    F'(+-1) = -+2 p(+-1) with p the characteristic product.  Writing
-    P = L + (alpha + beta*z) * omega, with L the Newton interpolant of
-    the node values and omega the product of (z - node), F(+-1) = 0 fix
-    the two integration constants and the derivative conditions become
-    the moment conditions
+    product, the product of (1 + r_a z)^(dim_a - 1), and the boundary
+    conditions F(+-1) = 0, F'(+-1) = -+2 p(+-1) with p the
+    characteristic product.  The source P has the closed form
+
+        P = L + (alpha + beta*z) * q,   q = prod_a (1 + r_a z),
+        L = 2 * sum_a dim_a * s_a * r_a * prod_{b != a} (1 + r_b z),
+
+    so P(-1/r_a) = L(-1/r_a) is the value the data prescribes there,
+    and R*q = p.  F(+-1) = 0 fix the two integration constants and the
+    derivative conditions become the moment conditions
 
         int_{-1}^{1} R*P = -2 (p(1) + p(-1)),
         int_{-1}^{1} z*R*P = 2 (p(-1) - p(1)),
 
     a symmetric 2x2 system in alpha and beta.  By Cauchy-Schwarz its
-    determinant is positive whenever R*omega keeps one sign on (-1, 1),
-    which holds when every |r| <= 1: then no node and no root of R lies
-    inside.  Data from ``admissible_data`` has |r| < 1 on base factors
-    and r = +-1 on fiber blocks, so only synthetic data with some
-    |r| > 1 can raise SingularSystemError.  Repeated nodes raise
+    determinant is positive whenever p keeps one sign on (-1, 1),
+    which holds when every |r| <= 1: then no root of p lies inside.
+    Data from ``admissible_data`` has |r| < 1 on base factors and
+    r = +-1 on fiber blocks, so only synthetic data with some |r| > 1
+    can raise SingularSystemError.  Repeated r values raise
     RepeatedNodeError.
     """
     entries = data.entries
     m = len(entries)
     if m == 0:
         raise SpecError("empty admissible data")
-    nodes = [Fraction(-1, 1) / e.r for e in entries]
-    if len(set(nodes)) != m:
-        raise RepeatedNodeError("repeated interpolation nodes")
+    if len({e.r for e in entries}) != m:
+        raise RepeatedNodeError("repeated class parameters")
 
+    linears = [Polynomial.linear(1, e.r) for e in entries]
     reduced = Polynomial.one()
-    for e in entries:
-        reduced = reduced * Polynomial.linear(1, e.r) ** (e.dim - 1)
-    char = characteristic_product(data)
-
-    # Newton divided differences of the node values, then the nested
-    # form L = c_0 + (z - x_0)(c_1 + (z - x_1)(c_2 + ...)).
-    divided = []
-    for e in entries:
-        prod = Fraction(1)
-        for other in entries:
-            if other is not e:
-                prod *= 1 - other.r / e.r
-        divided.append(2 * e.dim * e.s * e.r * prod)
-    for level in range(1, m):
-        for i in range(m - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (nodes[i] - nodes[i - level])
-    interpolant = Polynomial.constant(divided[-1])
-    for i in range(m - 2, -1, -1):
-        interpolant = interpolant * Polynomial.linear(-nodes[i], 1) + Polynomial.constant(
-            divided[i]
-        )
-    omega = Polynomial.one()
-    for node in nodes:
-        omega = omega * Polynomial.linear(-node, 1)
+    q = Polynomial.one()
+    for e, linear in zip(entries, linears):
+        reduced = reduced * linear ** (e.dim - 1)
+        q = q * linear
+    char = reduced * q
+    interpolant = Polynomial.zero()
+    for a, e in enumerate(entries):
+        term = Polynomial.constant(2 * e.dim * e.s * e.r)
+        for b, linear in enumerate(linears):
+            if b != a:
+                term = term * linear
+        interpolant = interpolant + term
 
     p_plus, p_minus = char(1), char(-1)
-    weight = reduced * omega
     fixed = reduced * interpolant
-    m0, m1, m2 = (_moment(weight, k) for k in range(3))
+    m0, m1, m2 = (_moment(char, k) for k in range(3))
     rhs = [
         -2 * (p_plus + p_minus) - _moment(fixed, 0),
         2 * (p_minus - p_plus) - _moment(fixed, 1),
@@ -260,7 +253,7 @@ def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
     except SingularMatrixError as exc:
         raise SingularSystemError(str(exc)) from exc
 
-    source = interpolant + Polynomial.linear(alpha, beta) * omega
+    source = interpolant + Polynomial.linear(alpha, beta) * q
     # F' and F are the antiderivatives of R * P fixed by F'(-1) = 2 p(-1)
     # and F(-1) = 0; the moment conditions give the values at +1.
     first = (reduced * source).antiderivative()
@@ -380,11 +373,4 @@ def quotient_class_parameters(spec: FiberJoinSpec) -> list[Fraction]:
         join = regular_join_data(spec)
         m1, m2 = join.multiples
         return [Fraction(m1 - m2, m1 + m2)]
-    w0 = spec.omega_zero()
-    winf = spec.omega_infinity()
-    params = [
-        Fraction(w0[a] - winf[a], w0[a] + winf[a]) for a in retained
-    ]
-    data = admissible_data(spec)
-    assert params == [e.r for e in data.base_entries]
-    return params
+    return [e.r for e in admissible_data(spec).base_entries]

@@ -624,8 +624,10 @@ def parse_spec(doc: dict) -> FiberJoinSpec:
     try:
         factors = [parse_factor(f) for f in doc["base"]]
         return make_spec(factors, doc["K"], doc.get("split"))
-    except (KeyError, TypeError) as exc:
-        raise SpecError(f"malformed join document: {exc}") from exc
+    except KeyError as exc:
+        raise SpecError(f"missing key {exc}") from exc
+    except TypeError as exc:
+        raise SpecError(str(exc)) from exc
 
 
 def parse_survey(doc: dict) -> tuple[BaseProduct, tuple[int, int], int, int]:
@@ -646,8 +648,10 @@ def parse_survey(doc: dict) -> tuple[BaseProduct, tuple[int, int], int, int]:
         max_entry = integer(doc["max_entry"], "max_entry")
         cap = integer(doc.get("cap", SURVEY_CAP), "cap")
         return BaseProduct(tuple(factors)), split, max_entry, cap
-    except (KeyError, TypeError) as exc:
-        raise SpecError(f"malformed survey request: {exc}") from exc
+    except KeyError as exc:
+        raise SpecError(f"missing key {exc}") from exc
+    except TypeError as exc:
+        raise SpecError(str(exc)) from exc
 
 
 def emit(report, fmt: str = "json") -> str:

@@ -11,7 +11,7 @@ factor of genus zero for the higher-fiber Pontryagin number).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Optional
 
 from .model import (
@@ -49,6 +49,21 @@ def _require_curve_factors(spec: FiberJoinSpec) -> None:
             )
 
 
+def _degree_part(rows, width: int, k: int) -> dict[tuple[int, ...], int]:
+    """Degree-k part of the product over rows of (1 + sum_a f_a x_a)
+    with x_a^2 = 0, keyed by the generator indices of each monomial."""
+    product = {(): 1}
+    for row in rows:
+        grown = dict(product)
+        for monomial, coeff in product.items():
+            for a, f in enumerate(row):
+                if f and a not in monomial and len(monomial) < k:
+                    key = tuple(sorted((*monomial, a)))
+                    grown[key] = grown.get(key, 0) + coeff * f
+        product = grown
+    return {combo: product.get(combo, 0) for combo in combinations(range(width), k)}
+
+
 def chern_k(spec: FiberJoinSpec, k: int) -> dict[tuple[int, ...], int]:
     """Degree-k Chern class of the contact bundle, expanded in the
     square-free monomials of the base generators.
@@ -64,29 +79,16 @@ def chern_k(spec: FiberJoinSpec, k: int) -> dict[tuple[int, ...], int]:
         )
     if k > 1:
         _require_curve_factors(spec)
+    # Elementary symmetric polynomial of the negated rows, plus the
+    # Chern class of the base: the product over factors of
+    # (1 + c1_a x_a).  Squares of generators vanish on curve factors.
     width = len(spec.base.factors)
-    result: dict[tuple[int, ...], int] = {
-        combo: 0 for combo in combinations(range(width), k)
-    }
-    # Elementary symmetric polynomial of the negated rows, expanded
-    # multilinearly; squares of generators vanish on curve factors.
-    for picked in combinations(range(spec.d + 1), k):
-        for combo in combinations(range(width), k):
-            total = 0
-            for assignment in permutations(combo):
-                term = 1
-                for row_idx, col in zip(picked, assignment):
-                    term *= -spec.matrix.rows[row_idx][col]
-                total += term
-            result[combo] += total
-    # Chern class of the base: product over factors of (1 + c1_a x_a).
+    negated = [[-e for e in row] for row in spec.matrix.rows]
     c1s = spec.base.c1_vector()
-    for combo in combinations(range(width), k):
-        term = 1
-        for a in combo:
-            term *= c1s[a]
-        result[combo] += term
-    return result
+    diagonal = [[c if b == a else 0 for b in range(width)] for a, c in enumerate(c1s)]
+    rows = _degree_part(negated, width, k)
+    base = _degree_part(diagonal, width, k)
+    return {combo: rows[combo] + base[combo] for combo in rows}
 
 
 def _two_curve_base(spec: FiberJoinSpec) -> tuple[BaseFactor, BaseFactor]:

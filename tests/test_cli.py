@@ -97,6 +97,39 @@ def test_csc_positivity_failure_still_succeeds(tmp_path, capsys):
     assert doc["s"] == "-11/1"
 
 
+G2_G3_SPLIT_JOIN = {
+    "base": [{"kind": "surface", "genus": 2}, {"kind": "surface", "genus": 3}],
+    "K": [[3, 1], [3, 1], [1, 4]],
+    "split": [1, 0],
+}
+
+EXTREMAL_OUTPUT = [
+    (
+        REFERENCE,
+        {
+            "profile": ["3/4", "-1/6", "-2/3", "1/6", "-1/12"],
+            "source": ["-4/3", "1/1", "-1/1"],
+            "char_product": ["1/1", "-1/6", "-1/6"],
+            "positive": True,
+        },
+    ),
+    (
+        G2_G3_SPLIT_JOIN,
+        {
+            "profile": [
+                "6583/9110", "5449/9110", "-7923/9110", "-2716/4555",
+                "1563/9110", "-17/9110", "-223/9110",
+            ],
+            "source": [
+                "-7923/4555", "-16296/4555", "9378/4555", "-34/911", "-669/911",
+            ],
+            "char_product": ["1/1", "9/10", "-2/5", "-3/10"],
+            "positive": True,
+        },
+    ),
+]
+
+
 def test_extremal(tmp_path, capsys):
     code, out, _ = run(capsys, ["extremal", write_doc(tmp_path, REFERENCE)])
     assert code == 0
@@ -104,6 +137,12 @@ def test_extremal(tmp_path, capsys):
     assert set(doc) == {"profile", "source", "char_product", "positive"}
     assert doc["positive"] is True
     assert doc["profile"][:2] == ["3/4", "-1/6"]
+    # The whole output, byte for byte, on the README join and a g2 x g3
+    # join with split (1, 0): profile, source and characteristic product.
+    for document, expected in EXTREMAL_OUTPUT:
+        code, out, err = run(capsys, ["extremal", write_doc(tmp_path, document)])
+        assert (code, err) == (0, "")
+        assert out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_se(tmp_path, capsys):
@@ -313,6 +352,37 @@ def test_malformed_join_document(tmp_path, capsys, command, document):
     assert code == 1
     assert out == ""
     assert err.startswith("error: invalid join document")
+
+
+MISSING_OR_MISTYPED = [
+    (
+        "survey",
+        {key: value for key, value in SURVEY_REQUEST.items() if key != "max_entry"},
+        "error: invalid survey request: missing key 'max_entry'\n",
+    ),
+    (
+        "classify",
+        {key: value for key, value in REFERENCE.items() if key != "K"},
+        "error: invalid join document: missing key 'K'\n",
+    ),
+    (
+        "classify",
+        _replaced(("base",), 5),
+        "error: invalid join document: 'int' object is not iterable\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, document, message",
+    MISSING_OR_MISTYPED,
+    ids=["survey-without-max_entry", "join-without-K", "base-integer"],
+)
+def test_error_names_the_document_kind_once(
+    tmp_path, capsys, command, document, message
+):
+    code, out, err = run(capsys, [command, write_doc(tmp_path, document)])
+    assert (code, out, err) == (1, "", message)
 
 
 def _renamed(doc, old, new):

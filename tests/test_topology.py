@@ -1,6 +1,8 @@
 """Characteristic classes, cohomology, and homeomorphism keys."""
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,60 @@ def test_chern_two_on_three_rows():
     # plus the base contribution c1_1 * c1_2
     sigma2 = (1 * 1 + 1 * 1) + (1 * 2 + 1 * 2) + (1 * 2 + 1 * 2)
     assert chern_k(spec, 2) == {(0, 1): sigma2 + 2 * 2}
+
+
+def permutation_chern_k(spec, k):
+    """Reference c_k: the elementary symmetric sum of the negated rows
+    over row subsets x column subsets x bijections between them, plus
+    the product of the base c1 coefficients."""
+    width = len(spec.base.factors)
+    result = {combo: 0 for combo in itertools.combinations(range(width), k)}
+    for picked in itertools.combinations(range(spec.d + 1), k):
+        for combo in itertools.combinations(range(width), k):
+            for assignment in itertools.permutations(combo):
+                term = 1
+                for row_idx, col in zip(picked, assignment):
+                    term *= -spec.matrix.rows[row_idx][col]
+                result[combo] += term
+    c1s = spec.base.c1_vector()
+    for combo in itertools.combinations(range(width), k):
+        term = 1
+        for a in combo:
+            term *= c1s[a]
+        result[combo] += term
+    return result
+
+
+def test_chern_k_matches_permutation_sum():
+    rng = random.Random(20)
+    checked = 0
+    for _ in range(250):
+        width = rng.randint(1, 5)
+        d = rng.randint(1, 5)
+        factors = [
+            BaseFactor.torus()
+            if rng.random() < 0.3
+            else BaseFactor.surface(rng.randint(0, 6))
+            for _ in range(width)
+        ]
+        rows = [[rng.randint(1, 9) for _ in range(width)] for _ in range(d + 1)]
+        spec = make_spec(factors, rows, None)
+        for k in range(1, d + 1):
+            assert chern_k(spec, k) == permutation_chern_k(spec, k)
+            checked += 1
+    assert checked > 500
+
+
+def test_chern_k_many_rows_is_fast():
+    rng = random.Random(13)
+    factors = [BaseFactor.surface(0)] * 8
+    rows = [[rng.randint(1, 9) for _ in range(8)] for _ in range(13)]
+    spec = make_spec(factors, rows, None)
+    start = time.perf_counter()
+    result = chern_k(spec, 6)
+    assert time.perf_counter() - start < 2.0
+    assert len(result) == 28
+    assert any(result.values())
 
 
 def test_chern_out_of_range():
