@@ -186,11 +186,25 @@ class ExtremalProfile:
 
 
 def _moment(poly: Polynomial, k: int) -> Fraction:
-    """The integral of z^k * poly(z) over [-1, 1]."""
-    return sum(
-        (2 * c / (j + k + 1) for j, c in enumerate(poly.coeffs) if (j + k) % 2 == 0),
-        Fraction(0),
-    )
+    """The integral of z^k * poly(z) over [-1, 1]: the sum of
+    2 * nums[j] / (j + k + 1) over even j + k, taken over one common
+    denominator."""
+    terms = [(n, j + k + 1) for j, n in enumerate(poly.nums) if (j + k) % 2 == 0]
+    scale = math.lcm(*(d for _, d in terms))
+    return Fraction(2 * sum(n * (scale // d) for n, d in terms), scale * poly.den)
+
+
+def _ends(poly: Polynomial) -> tuple[int, int]:
+    """poly(1) and poly(-1) times poly.den: the sums of the even and odd
+    numerators, added and subtracted."""
+    even, odd = sum(poly.nums[::2]), sum(poly.nums[1::2])
+    return even + odd, even - odd
+
+
+def _antiderivative_from(poly: Polynomial, start) -> Polynomial:
+    """The antiderivative of poly that takes the value ``start`` at -1."""
+    anti = poly.antiderivative()
+    return anti + Polynomial.constant(start - anti(-1))
 
 
 def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
@@ -241,12 +255,13 @@ def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
                 term = term * linear
         interpolant = interpolant + term
 
-    p_plus, p_minus = char(1), char(-1)
+    # p(1) and p(-1) are these numerators over char.den.
+    p_plus, p_minus = _ends(char)
     fixed = reduced * interpolant
     m0, m1, m2 = (_moment(char, k) for k in range(3))
     rhs = [
-        -2 * (p_plus + p_minus) - _moment(fixed, 0),
-        2 * (p_minus - p_plus) - _moment(fixed, 1),
+        Fraction(-2 * (p_plus + p_minus), char.den) - _moment(fixed, 0),
+        Fraction(2 * (p_minus - p_plus), char.den) - _moment(fixed, 1),
     ]
     try:
         alpha, beta = solve_linear([[m0, m1], [m1, m2]], rhs)
@@ -256,13 +271,14 @@ def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
     source = interpolant + Polynomial.linear(alpha, beta) * q
     # F' and F are the antiderivatives of R * P fixed by F'(-1) = 2 p(-1)
     # and F(-1) = 0; the moment conditions give the values at +1.
-    first = (reduced * source).antiderivative()
-    first = first + Polynomial.constant(2 * p_minus - first(-1))
-    profile = first.antiderivative()
-    profile = profile - Polynomial.constant(profile(-1))
+    first = _antiderivative_from(reduced * source, Fraction(2 * p_minus, char.den))
+    profile = _antiderivative_from(first, 0)
 
-    assert profile(1) == 0 and profile(-1) == 0
-    assert first(1) == -2 * p_plus and first(-1) == 2 * p_minus
+    # F(+-1) = 0 and F'(+-1) = -+2 p(+-1), compared on numerators.
+    assert _ends(profile) == (0, 0)
+    first_plus, first_minus = _ends(first)
+    assert first_plus * char.den == -2 * p_plus * first.den
+    assert first_minus * char.den == 2 * p_minus * first.den
     positive = (not profile.is_zero) and strictly_positive_on(profile, -1, 1)
     return ExtremalProfile(
         profile=profile, source=source, char_product=char, positive=positive

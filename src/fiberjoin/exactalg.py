@@ -2,18 +2,23 @@
 
 Everything downstream (characteristic classes, curvature profiles,
 positivity certificates) is decided by exact computation over the
-rationals: dense univariate polynomials with Fraction coefficients,
-Descartes' rule of signs after a Möbius map, which decides positivity
-on an open interval and, by bisection, counts the roots there, and
-Gaussian elimination without pivot growth concerns.  No floating point
-enters any decision.
+rationals.  A dense univariate polynomial is stored as integer
+numerators over one positive common denominator, the layout of
+FLINT's fmpq_poly (von zur Gathen and Gerhard, *Modern Computer
+Algebra*, ch. 6), so its arithmetic runs on Python integers and a
+Fraction is built only where a caller reads a coefficient or a value.
+Descartes' rule of signs after a Möbius map decides positivity on an
+open interval and, by bisection, counts the roots there; gcds and
+square-free parts come from a primitive pseudo-remainder sequence;
+square linear systems are solved by fraction-free (Bareiss)
+elimination.  No floating point enters any decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 # Exact scalars are plain stdlib Fractions: arbitrary-precision,
@@ -30,44 +35,66 @@ class SingularMatrixError(ValueError):
 
 
 def _as_fraction(value) -> Fraction:
+    """An exact scalar (int, Fraction or numeric string) as a Fraction.
+
+    Booleans are refused rather than read as 0 and 1."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if type(value) is int or isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
+def _ratio(value) -> tuple[int, int]:
+    """Numerator and positive denominator of an exact scalar."""
+    if type(value) is int:
+        return value, 1
+    if not isinstance(value, Fraction):
+        value = _as_fraction(value)
+    return value.numerator, value.denominator
+
+
+def _over_common_denominator(values: Iterable) -> tuple[list[int], int]:
+    """Integers n_i and the least d > 0 with values[i] == n_i / d."""
+    pairs = [_ratio(v) for v in values]
+    den = lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
+
+
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense univariate polynomial over the rationals.
+    """Dense univariate polynomial over the rationals, stored as integer
+    numerators over one denominator: the coefficient of z^k is
+    nums[k] / den.
 
-    Coefficients are stored in ascending degree with no trailing
-    zeros; the zero polynomial has an empty coefficient tuple and
-    degree -1.
+    The form is canonical, so == and hash compare structure: den > 0,
+    gcd(den, *nums) == 1 and no trailing zero numerator; the zero
+    polynomial is ((), 1) and has degree -1.  Then den is the least
+    common denominator of the coefficients.  Build polynomials with
+    ``from_coeffs`` and the other constructors: the dataclass
+    constructor takes a pair already in canonical form.
     """
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     @staticmethod
     def from_coeffs(coeffs: Iterable) -> "Polynomial":
-        items = [_as_fraction(c) for c in coeffs]
-        while items and items[-1] == 0:
-            items.pop()
-        return Polynomial(tuple(items))
+        """The polynomial with these coefficients, in ascending degree."""
+        return _canonical(*_over_common_denominator(coeffs))
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial(())
+        return _ZERO
 
     @staticmethod
     def one() -> "Polynomial":
-        return Polynomial.from_coeffs([1])
+        return _ONE
 
     @staticmethod
     def constant(c) -> "Polynomial":
-        return Polynomial.from_coeffs([c])
+        num, den = _ratio(c)
+        return Polynomial((num,), den) if num else _ZERO
 
     @staticmethod
     def linear(constant, slope) -> "Polynomial":
@@ -75,100 +102,128 @@ class Polynomial:
         return Polynomial.from_coeffs([constant, slope])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients in ascending degree, as Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
+        a, b, den = self.nums, other.nums, self.den
+        if den != other.den:
+            g = gcd(den, other.den)
+            a = [x * (other.den // g) for x in a]
+            b = [y * (den // g) for y in b]
+            den = den // g * other.den
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial.from_coeffs(out)
+        for i, y in enumerate(b):
+            out[i] += y
+        return _canonical(out, den)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial(tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial.from_coeffs(out)
-        scalar = _as_fraction(other)
-        return Polynomial.from_coeffs(c * scalar for c in self.coeffs)
+            a, b = self.nums, other.nums
+            if not a or not b:
+                return _ZERO
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            return _canonical(out, self.den * other.den)
+        num, den = _ratio(other)
+        return _canonical([n * num for n in self.nums], self.den * den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative exponent")
-        result = Polynomial.one()
+        result = _ONE
         base = self
         n = exponent
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __call__(self, x) -> Fraction:
-        x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """The value at x, by Horner's rule on integers: with x = p/q,
+        q^n * den * poly(x) = sum nums[k] * p^k * q^(n-k)."""
+        nums = self.nums
+        if not nums:
+            return Fraction(0)
+        p, q = _ratio(x)
+        acc = nums[-1]
+        if q == 1:
+            for c in reversed(nums[:-1]):
+                acc = acc * p + c
+            return Fraction(acc, self.den)
+        scale = 1
+        for c in reversed(nums[:-1]):
+            scale *= q
+            acc = acc * p + c * scale
+        return Fraction(acc, self.den * scale)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial.from_coeffs(
-            i * c for i, c in enumerate(self.coeffs) if i > 0
-        )
+        return _canonical([i * n for i, n in enumerate(self.nums)][1:], self.den)
 
     def antiderivative(self) -> "Polynomial":
-        """Antiderivative with zero constant term."""
-        out = [Fraction(0)]
-        out.extend(c / (i + 1) for i, c in enumerate(self.coeffs))
-        return Polynomial.from_coeffs(out)
+        """Antiderivative with zero constant term: every coefficient
+        over the one denominator lcm(1, ..., n + 1)."""
+        nums = self.nums
+        scale = lcm(*range(1, len(nums) + 1))
+        return _canonical(
+            [0] + [n * (scale // k) for k, n in enumerate(nums, 1)],
+            self.den * scale,
+        )
 
     def divmod(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """Quotient and remainder, from a pseudo-division of the
+        numerators: m * a == q * b + r gives
+        a/da == (q * db / (m * da)) * (b/db) + r / (m * da)."""
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(len(rem) - len(divisor.coeffs) + 1, 0)
-        dlead = divisor.coeffs[-1]
-        dn = len(divisor.coeffs)
-        for k in range(len(rem) - dn, -1, -1):
-            factor = rem[k + dn - 1] / dlead
-            quot[k] = factor
-            if factor == 0:
-                continue
-            for j, c in enumerate(divisor.coeffs):
-                rem[k + j] -= factor * c
-        return Polynomial.from_coeffs(quot), Polynomial.from_coeffs(rem)
+        quot, rem, m = _pseudo_divmod(self.nums, divisor.nums)
+        den = m * self.den
+        return (
+            _canonical([x * divisor.den for x in quot], den),
+            _canonical(rem, den),
+        )
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor (Euclid's algorithm)."""
-        a, b = self, other
-        while not b.is_zero:
-            _, r = a.divmod(b)
-            a, b = b, r
-        if a.is_zero:
-            return a
-        return a * (1 / a.coeffs[-1])
+        """Monic greatest common divisor.
+
+        Euclid's algorithm as a primitive pseudo-remainder sequence on
+        the numerators: each remainder is divided by its content, so the
+        integers stay small, and only the last is made monic."""
+        a, b = _primitive(self.nums), _primitive(other.nums)
+        while b:
+            _, r, _ = _pseudo_divmod(a, b)
+            a, b = b, _primitive(r)
+        return _monic(a)
 
     def squarefree_part(self) -> "Polynomial":
         """The product of the distinct irreducible factors, made monic."""
@@ -176,15 +231,78 @@ class Polynomial:
             raise ZeroPolynomialError("zero polynomial has no square-free part")
         g = self.gcd(self.derivative())
         if g.degree <= 0:
-            return self * (1 / self.coeffs[-1])
-        q, r = self.divmod(g)
-        assert r.is_zero
-        return q * (1 / q.coeffs[-1])
+            return _monic(self.nums)
+        quot, rem, _ = _pseudo_divmod(self.nums, g.nums)
+        assert not rem
+        return _monic(quot)
 
 
-def _times_linear(coeffs: list[int], a: int, b: int) -> list[int]:
-    """Ascending integer coefficients of coeffs * (a + b*t)."""
-    return [a * x + b * y for x, y in zip(coeffs + [0], [0] + coeffs)]
+def _canonical(nums: list[int], den: int) -> Polynomial:
+    """The polynomial with coefficients nums[k] / den, den != 0, in
+    canonical form."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return _ZERO
+    if den < 0:
+        nums, den = [-n for n in nums], -den
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+    return Polynomial(tuple(nums), den)
+
+
+_ZERO = Polynomial(())
+_ONE = Polynomial((1,))
+
+
+def _primitive(nums: Sequence[int]) -> list[int]:
+    """The numerators divided by their content, the gcd of them all."""
+    g = gcd(*nums)
+    return [n // g for n in nums] if g > 1 else list(nums)
+
+
+def _monic(nums: Sequence[int]) -> Polynomial:
+    """The monic polynomial proportional to nums (zero for no nums)."""
+    return _canonical(list(nums), nums[-1]) if nums else _ZERO
+
+
+def _pseudo_divmod(
+    a: Sequence[int], b: Sequence[int]
+) -> tuple[list[int], list[int], int]:
+    """Pseudo-division of integer coefficient lists, b without trailing
+    zero: q, r and m, a power of the leading coefficient of b, with
+    m * a == q * b + r and deg r < deg b; r has no trailing zero."""
+    lead, n = b[-1], len(b)
+    rem = list(a)
+    quot = [0] * max(len(rem) - n + 1, 0)
+    m = 1
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem.pop()
+        if c:
+            # m*a == q*b + r  becomes  lead*m*a == (lead*q + c*z^k)*b
+            # + (lead*r - c*z^k*b), which clears the top of r.
+            rem = [lead * x for x in rem]
+            quot = [lead * x for x in quot]
+            quot[k] = c
+            for j, y in enumerate(b[:-1], k):
+                rem[j] -= c * y
+            m *= lead
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem, m
+
+
+def _taylor_shift(coeffs: list[int], a: int) -> list[int]:
+    """Ascending coefficients of p(y + a) from those of p, in place:
+    repeated synthetic division, integer additions and products by a."""
+    n = len(coeffs)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            coeffs[j] += a * coeffs[j + 1]
+    return coeffs
 
 
 def _mobius_coefficients(poly: Polynomial, lo: Fraction, hi: Fraction) -> list[int]:
@@ -192,22 +310,23 @@ def _mobius_coefficients(poly: Polynomial, lo: Fraction, hi: Fraction) -> list[i
     q(t) = (1 + t)^n * poly((lo + hi*t) / (1 + t)), n = deg poly.
 
     The map t -> (lo + hi*t) / (1 + t) sends (0, oo) onto (lo, hi), so q
-    has the sign pattern of ``poly`` on the interval.  With lo = a/b,
-    hi = c/d and ``poly`` scaled to integers c_k, (b*d)^n * q is the sum
-    of c_k * U^k * V^(n-k) for U = a*d + c*b*t and V = b*d*(1 + t),
-    evaluated by a homogeneous Horner rule.
+    has the sign pattern of ``poly`` on the interval.  With lo = a/b and
+    hi - lo = e/f, the numerators of ``poly`` (its coefficients times the
+    positive den) give (b*f)^n * poly(lo + (hi - lo)*x) by a Taylor shift
+    by a and a rescaling; reversing the coefficients, a Taylor shift by
+    1 and reversing again give (b*f)^n * den * q (Collins and Akritas,
+    1976).  The shifts take only integer additions and products by a
+    and 1, no product of two large coefficients.
     """
-    scale = lcm(*(c.denominator for c in poly.coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in poly.coeffs]
-    u0 = lo.numerator * hi.denominator
-    u1 = hi.numerator * lo.denominator
-    v = lo.denominator * hi.denominator
-    acc = [ints[-1]]
-    v_power = [1]
-    for c in reversed(ints[:-1]):
-        v_power = _times_linear(v_power, v, v)
-        acc = [x + c * y for x, y in zip(_times_linear(acc, u0, u1), v_power)]
-    return acc
+    nums = poly.nums
+    n = len(nums) - 1
+    a, b = lo.numerator, lo.denominator
+    width = hi - lo
+    e, f = width.numerator, width.denominator
+    # b^n * poly((y + a) / b), then y = b*(hi - lo)*x with f^n cleared.
+    shifted = _taylor_shift([c * b ** (n - k) for k, c in enumerate(nums)], a)
+    scaled = [c * (b * e) ** k * f ** (n - k) for k, c in enumerate(shifted)]
+    return _taylor_shift(scaled[::-1], 1)[::-1]
 
 
 def count_roots_in_open_interval(poly: Polynomial, lo, hi) -> int:
@@ -277,32 +396,35 @@ def strictly_positive_on(poly: Polynomial, lo, hi) -> bool:
 def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
     """Solve a square rational linear system exactly.
 
-    Plain Gaussian elimination with row pivoting; raises
-    SingularMatrixError when no unique solution exists.
+    Fraction-free Gaussian elimination (Bareiss, 1968) with row
+    pivoting: each row, right-hand side included, is scaled to
+    integers, and each step divides exactly by the previous pivot, so
+    every entry stays an integer minor of the scaled system.  The last
+    pivot is its determinant, det, so back substitution yields the
+    integers det * x.  Raises SingularMatrixError when no unique
+    solution exists.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("system is not square")
-    a = [[_as_fraction(entry) for entry in row] for row in matrix]
-    b = [_as_fraction(entry) for entry in rhs]
+    rows = [_over_common_denominator([*row, b])[0] for row, b in zip(matrix, rhs)]
+    det = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
             raise SingularMatrixError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor == 0:
-                continue
-            b[r] -= factor * b[col]
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-    x = [Fraction(0)] * n
-    for row in range(n - 1, -1, -1):
-        acc = b[row]
-        for c in range(row + 1, n):
-            acc -= a[row][c] * x[c]
-        x[row] = acc / a[row][row]
-    return x
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        lead = top[col]
+        for row in rows[col + 1:]:
+            factor = row[col]
+            row[col] = 0
+            for c in range(col + 1, n + 1):
+                row[c] = (lead * row[c] - factor * top[c]) // det
+        det = lead
+    scaled = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = det * row[n] - sum(row[c] * scaled[c] for c in range(i + 1, n))
+        scaled[i] = acc // row[i]
+    return [Fraction(v, det) for v in scaled]

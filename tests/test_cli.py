@@ -1,11 +1,13 @@
 """Exit codes, document handling, and output formats of the CLI."""
 
+import hashlib
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -143,6 +145,35 @@ def test_extremal(tmp_path, capsys):
         code, out, err = run(capsys, ["extremal", write_doc(tmp_path, document)])
         assert (code, err) == (0, "")
         assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def long_split_join(d0):
+    """g2 x g3 with rows [3, 1] and [1, 4] each repeated d0 + 1 times,
+    split (d0, d0): the profile has degree 2 * d0 + 4 and large
+    coefficients."""
+    return {
+        "base": [{"kind": "surface", "genus": 2}, {"kind": "surface", "genus": 3}],
+        "K": [[3, 1]] * (d0 + 1) + [[1, 4]] * (d0 + 1),
+        "split": [d0, d0],
+    }
+
+
+def test_extremal_large_document(tmp_path, capsys):
+    """Exact bytes where the coefficients run to hundreds of digits, and
+    a time budget for a profile of degree 804."""
+    path = write_doc(tmp_path, long_split_join(150))
+    code, out, err = run(capsys, ["extremal", path])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ee2b2f1cfd6ee76680025c002778fd500549e398629c5eb8143daa65ff502ae2"
+    )
+    path = write_doc(tmp_path, long_split_join(400))
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["extremal", path])
+    elapsed = time.perf_counter() - started
+    assert (code, err) == (0, "")
+    assert json.loads(out)["positive"] is True
+    assert elapsed < 1.5, f"took {elapsed:.2f}s"
 
 
 def test_se(tmp_path, capsys):

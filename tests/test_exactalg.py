@@ -1,7 +1,9 @@
 """Exact polynomial arithmetic, root counting by bisection, Descartes
 positivity, and the linear solver."""
 
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -213,3 +215,234 @@ def test_solve_linear_solves_or_raises(matrix, rhs):
         return
     for row, b in zip(matrix, rhs):
         assert sum(Fraction(a) * v for a, v in zip(row, x)) == Fraction(b)
+
+
+def test_booleans_are_refused():
+    """True and False are not read as 1 and 0."""
+    with pytest.raises(TypeError):
+        Polynomial.from_coeffs([True, False, True])
+    with pytest.raises(TypeError):
+        solve_linear([[True]], [True])
+
+
+# --- the integer-numerator layout against a Fraction reference ----------------
+
+
+@dataclass(frozen=True)
+class FractionPolynomial:
+    """The earlier layout, kept as the reference: a tuple of Fraction
+    coefficients in ascending degree with no trailing zero, and plain
+    Fraction arithmetic throughout."""
+
+    coeffs: tuple
+
+    @staticmethod
+    def from_coeffs(coeffs):
+        items = [Fraction(c) for c in coeffs]
+        while items and items[-1] == 0:
+            items.pop()
+        return FractionPolynomial(tuple(items))
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPolynomial.from_coeffs(out)
+
+    def __neg__(self):
+        return FractionPolynomial(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, FractionPolynomial):
+            if self.is_zero or other.is_zero:
+                return FractionPolynomial(())
+            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+            return FractionPolynomial.from_coeffs(out)
+        return FractionPolynomial.from_coeffs(c * Fraction(other) for c in self.coeffs)
+
+    def __pow__(self, exponent):
+        result = FractionPolynomial((Fraction(1),))
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def __call__(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self):
+        return FractionPolynomial.from_coeffs(
+            i * c for i, c in enumerate(self.coeffs) if i > 0
+        )
+
+    def antiderivative(self):
+        out = [Fraction(0)]
+        out.extend(c / (i + 1) for i, c in enumerate(self.coeffs))
+        return FractionPolynomial.from_coeffs(out)
+
+    def divmod(self, divisor):
+        rem = list(self.coeffs)
+        quot = [Fraction(0)] * max(len(rem) - len(divisor.coeffs) + 1, 0)
+        dlead = divisor.coeffs[-1]
+        dn = len(divisor.coeffs)
+        for k in range(len(rem) - dn, -1, -1):
+            factor = rem[k + dn - 1] / dlead
+            quot[k] = factor
+            for j, c in enumerate(divisor.coeffs):
+                rem[k + j] -= factor * c
+        return FractionPolynomial.from_coeffs(quot), FractionPolynomial.from_coeffs(rem)
+
+    def gcd(self, other):
+        a, b = self, other
+        while not b.is_zero:
+            a, b = b, a.divmod(b)[1]
+        if a.is_zero:
+            return a
+        return a * (1 / a.coeffs[-1])
+
+    def squarefree_part(self):
+        g = self.gcd(self.derivative())
+        if len(g.coeffs) <= 1:
+            return self * (1 / self.coeffs[-1])
+        q, _ = self.divmod(g)
+        return q * (1 / q.coeffs[-1])
+
+
+def gaussian_solve(matrix, rhs):
+    """Reference solver: Gaussian elimination over Fractions with the
+    same row pivoting (the first nonzero entry of the column)."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
+    b = [Fraction(x) for x in rhs]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise SingularMatrixError("matrix is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            b[r] -= factor * b[col]
+            for c in range(col, n):
+                a[r][c] -= factor * a[col][c]
+    x = [Fraction(0)] * n
+    for row in range(n - 1, -1, -1):
+        acc = b[row] - sum(a[row][c] * x[c] for c in range(row + 1, n))
+        x[row] = acc / a[row][row]
+    return x
+
+
+coefficient_lists = st.lists(rationals, min_size=0, max_size=7)
+
+
+def assert_canonical(p):
+    assert p.den > 0
+    assert gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert p.coeffs == tuple(Fraction(n, p.den) for n in p.nums)
+
+
+def assert_agrees(p, reference):
+    assert_canonical(p)
+    assert p.coeffs == reference.coeffs
+
+
+@given(coefficient_lists, coefficient_lists, rationals, st.integers(0, 4))
+@settings(max_examples=150)
+def test_layout_matches_fraction_reference(a, b, x, exponent):
+    p, q = Polynomial.from_coeffs(a), Polynomial.from_coeffs(b)
+    rp, rq = FractionPolynomial.from_coeffs(a), FractionPolynomial.from_coeffs(b)
+    assert_agrees(p, rp)
+    assert_agrees(p + q, rp + rq)
+    assert_agrees(p - q, rp - rq)
+    assert_agrees(-p, -rp)
+    assert_agrees(p * q, rp * rq)
+    assert_agrees(p * x, rp * x)
+    assert_agrees(x * p, rp * x)
+    assert_agrees(p * 3, rp * 3)
+    assert_agrees(p**exponent, rp**exponent)
+    assert_agrees(p.derivative(), rp.derivative())
+    assert_agrees(p.antiderivative(), rp.antiderivative())
+    assert p(x) == rp(x) and p(-3) == rp(Fraction(-3))
+    assert_agrees(p.gcd(q), rp.gcd(rq))
+    if not q.is_zero:
+        quot, rem = p.divmod(q)
+        rquot, rrem = rp.divmod(rq)
+        assert_agrees(quot, rquot)
+        assert_agrees(rem, rrem)
+    if not p.is_zero:
+        assert_agrees(p.squarefree_part(), rp.squarefree_part())
+
+
+factors = st.lists(rationals, min_size=1, max_size=3)
+
+
+@given(coefficient_lists, factors, st.integers(2, 4))
+@settings(max_examples=100)
+def test_repeated_factors_match_fraction_reference(a, factor, power):
+    """gcd and square-free part where they have work to do: a monic
+    factor raised to a power of at least 2."""
+    p = Polynomial.from_coeffs(a) * Polynomial.from_coeffs(factor + [1]) ** power
+    rp = FractionPolynomial.from_coeffs(a) * (
+        FractionPolynomial.from_coeffs(factor + [1]) ** power
+    )
+    if p.is_zero:
+        return
+    assert_agrees(p.gcd(p.derivative()), rp.gcd(rp.derivative()))
+    assert_agrees(p.squarefree_part(), rp.squarefree_part())
+
+
+@given(coefficient_lists, rationals)
+def test_equal_polynomials_compare_and_hash_equal(a, x):
+    """One polynomial built three ways has one canonical form."""
+    direct = Polynomial.from_coeffs(a)
+    as_text = Polynomial.from_coeffs(str(Fraction(c)) for c in a)
+    shifted = (direct + Polynomial.linear(x, 1)) - Polynomial.linear(x, 1)
+    assert direct == as_text == shifted
+    assert hash(direct) == hash(as_text) == hash(shifted)
+    assert (direct - shifted) == Polynomial.zero()
+    assert (Polynomial.zero().nums, Polynomial.zero().den) == ((), 1)
+
+
+@st.composite
+def linear_systems(draw):
+    """A 1x1 to 4x4 system; about half the time the last row is a
+    rational combination of the others, so the matrix is singular."""
+    n = draw(st.integers(1, 4))
+    rows = [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        weights = draw(st.lists(rationals, min_size=n - 1, max_size=n - 1))
+        rows[-1] = [
+            sum((w * row[c] for w, row in zip(weights, rows)), Fraction(0))
+            for c in range(n)
+        ]
+    rhs = draw(st.lists(rationals, min_size=n, max_size=n))
+    return rows, rhs
+
+
+@given(linear_systems())
+@settings(max_examples=120)
+def test_solve_linear_matches_gaussian_reference(system):
+    matrix, rhs = system
+    try:
+        expected = gaussian_solve(matrix, rhs)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError, match="matrix is singular"):
+            solve_linear(matrix, rhs)
+        return
+    assert solve_linear(matrix, rhs) == expected
