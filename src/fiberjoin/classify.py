@@ -12,16 +12,20 @@ the extremal profile itself) as a witness.  Verdict kinds:
   se_exists             a Sasaki-Einstein structure exists
   se_obstructed         Sasaki-Einstein is impossible
   inconclusive          no rule applies
+
+A survey classifies an orbit only when its entry is read, and
+``survey_chunks`` writes one entry at a time.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 from . import admissible as adm
@@ -458,12 +462,32 @@ class SurveyEntry:
     verdicts: tuple[Verdict, ...]
 
 
+class _OrbitEntries(Sequence):
+    """A survey's entries, each classified from its key when it is read."""
+
+    def __init__(self, factors, split: tuple[int, int], keys: list):
+        self.factors, self.split, self.keys = factors, split, keys
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _OrbitEntries) and vars(self) == vars(other)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        (w0, winf), (d0, dinf) = self.keys[index], self.split
+        spec = make_spec(self.factors, [w0] * (d0 + 1) + [winf] * (dinf + 1), self.split)
+        return SurveyEntry(spec.matrix, invariant_report(spec), tuple(classify(spec)))
+
+
 @dataclass(frozen=True)
 class SurveyReport:
     base: BaseProduct
     split: tuple[int, int]
     max_entry: int
-    entries: tuple[SurveyEntry, ...]
+    entries: Sequence[SurveyEntry]
 
 
 def survey(
@@ -472,10 +496,11 @@ def survey(
     max_entry: int,
     cap: int = SURVEY_CAP,
 ) -> SurveyReport:
-    """Enumerate split joins with entries in [1, max_entry], one per
-    orbit under exchanging columns of identical base factors (and the
-    poles, when the split blocks are equal), and classify each
-    representative.
+    """Check the request, then sort the canonical keys of the split
+    joins with entries in [1, max_entry], one per orbit under
+    exchanging columns of identical base factors (and the poles, when
+    the split blocks are equal); an entry is built and classified when
+    it is read, so every refusal comes before any output.
 
     Within a group of g identical factors the column pairs
     (omega_zero[i], omega_infinity[i]) form a multiset, produced once
@@ -494,7 +519,7 @@ def survey(
     values = range(max_entry, 0, -1)
     pairs = list(itertools.product(values, repeat=2))  # descending
     columns: list = [None] * len(base.factors)
-    entries = []
+    keys = []
     for choice in itertools.product(
         *(itertools.combinations_with_replacement(pairs, len(g)) for g in groups)
     ):
@@ -504,19 +529,9 @@ def survey(
         omegas = (tuple(a for a, _ in columns), tuple(b for _, b in columns))
         if d0 == dinf and canonical_columns(columns, groups, True) != omegas:
             continue
-        w0, winf = omegas
-        spec = make_spec(base.factors, [w0] * (d0 + 1) + [winf] * (dinf + 1), split)
-        entries.append(
-            SurveyEntry(
-                matrix=spec.matrix,
-                invariants=invariant_report(spec),
-                verdicts=tuple(classify(spec)),
-            )
-        )
-    entries.sort(key=lambda entry: entry.matrix.rows)
-    return SurveyReport(
-        base=base, split=split, max_entry=max_entry, entries=tuple(entries)
-    )
+        keys.append(omegas)
+    keys.sort()  # (omega_zero, omega_infinity) sorts as the matrix rows do
+    return SurveyReport(base, split, max_entry, _OrbitEntries(base.factors, split, keys))
 
 
 def _check_work(kinds: int, groups, d: int, cap: int) -> None:
@@ -537,33 +552,41 @@ def _check_work(kinds: int, groups, d: int, cap: int) -> None:
         count *= multisets
 
 
-def survey_document(report: SurveyReport) -> dict:
-    return {
-        "base": [_factor_document(f) for f in report.base.factors],
-        "split": list(report.split),
-        "max_entry": report.max_entry,
-        "entries": [
-            {
-                "K": [list(row) for row in entry.matrix.rows],
-                "invariants": entry.invariants.as_dict(),
-                "verdicts": [v.as_dict() for v in entry.verdicts],
-            }
-            for entry in report.entries
-        ],
-    }
+def survey_chunks(report: SurveyReport, fmt: str = "json") -> Iterator[str]:
+    """A survey's text, a chunk per entry: JSON as ``json.dumps(document,
+    indent=2)`` writes it, or csv rows of invariants and verdict kinds."""
+    if fmt not in ("json", "csv"):
+        raise SpecError(f"unsupported format: {fmt}")
+    return _json_chunks(report) if fmt == "json" else _csv_chunks(report)
 
 
-def survey_csv(report: SurveyReport) -> str:
-    """One row per canonical matrix: flattened invariants plus the
-    sorted set of verdict kinds."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(
+def _json_chunks(report: SurveyReport) -> Iterator[str]:
+    base = [_factor_document(f) for f in report.base.factors]
+    head = {"base": base, "split": list(report.split), "max_entry": report.max_entry}
+    # The head ends at '"entries": [': an entry sits two levels deep,
+    # and JSON escapes newlines in strings, so re-indenting it is safe.
+    yield json.dumps({**head, "entries": []}, indent=2)[: -len("]\n}")]
+    separator, tail = "\n    ", "]\n}"
+    for entry in report.entries:
+        document = {
+            "K": [list(row) for row in entry.matrix.rows],
+            "invariants": entry.invariants.as_dict(),
+            "verdicts": [v.as_dict() for v in entry.verdicts],
+        }
+        yield separator + json.dumps(document, indent=2).replace("\n", "\n    ")
+        separator, tail = ",\n    ", "\n  ]\n}"
+    yield tail
+
+
+def _csv_chunks(report: SurveyReport) -> Iterator[str]:
+    # writerow returns what its file's write returns: here, the row.
+    writer = csv.writer(SimpleNamespace(write=str))
+    yield writer.writerow(
         ["K", "d", "n", "colinear", "c1", "euler", "p1", "spin", "verdicts"]
     )
     for entry in report.entries:
         inv = entry.invariants
-        writer.writerow(
+        yield writer.writerow(
             [
                 ";".join(",".join(str(e) for e in row) for row in entry.matrix.rows),
                 inv.d,
@@ -576,7 +599,6 @@ def survey_csv(report: SurveyReport) -> str:
                 ";".join(sorted({v.kind for v in entry.verdicts})),
             ]
         )
-    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -658,11 +680,7 @@ def emit(report, fmt: str = "json") -> str:
     """Serialize a survey report or a plain document; surveys also
     support csv."""
     if isinstance(report, SurveyReport):
-        if fmt == "json":
-            return json.dumps(survey_document(report), indent=2)
-        if fmt == "csv":
-            return survey_csv(report)
-        raise SpecError(f"unsupported format: {fmt}")
+        return "".join(survey_chunks(report, fmt))
     if fmt == "json":
         return json.dumps(report, indent=2)
     raise SpecError(f"unsupported format: {fmt}")

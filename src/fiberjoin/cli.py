@@ -1,10 +1,10 @@
 """Command line interface.
 
 Every subcommand reads one JSON document from a file path (or ``-``
-for stdin) and writes a JSON document to stdout; ``survey`` can write
-csv instead.  Exit codes: 0 on success, 1 for an invalid input
-document, 2 when a valid join hits degenerate data for the requested
-computation.
+for stdin) and writes a JSON document to stdout; ``survey`` writes
+JSON or csv one entry at a time.  Exit codes: 0 on success, 1 for an
+invalid input document, 2 when a valid join hits degenerate data for
+the requested computation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import admissible as adm
 from . import einstein
@@ -26,6 +26,7 @@ from .classify import (
     serialize_rational,
     spec_report,
     survey,
+    survey_chunks,
 )
 from .exactalg import SingularMatrixError
 from .model import FiberJoinSpec, SpecError
@@ -108,10 +109,11 @@ def _run_se(spec: FiberJoinSpec) -> dict:
     }
 
 
-def _write(text: str) -> int:
-    """Print the result; 0, or 1 when the reader has closed stdout."""
+def _write(chunks: Iterable[str]) -> int:
+    """Print the chunks and a newline; 0, or 1 once the reader has closed stdout."""
     try:
-        print(text)
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # Python flushes stdout again at exit: let that flush reach
@@ -148,7 +150,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except SpecError as exc:  # includes the enumeration cap
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        return _write(emit(report, args.format))
+        return _write(survey_chunks(report, args.format))
 
     try:
         spec = parse_spec(document)
@@ -171,7 +173,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: degenerate data: {exc}", file=sys.stderr)
         return 2
 
-    return _write(emit(output, args.format))
+    return _write([emit(output, args.format)])
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from fiberjoin.classify import (
     BoundsTooLargeError,
     SurveyEntry,
     SurveyReport,
+    _factor_document,
     classify,
     emit,
     invariant_report,
@@ -34,8 +35,6 @@ from fiberjoin.classify import (
     serialize_rational,
     spec_report,
     survey,
-    survey_csv,
-    survey_document,
 )
 from fiberjoin.exactalg import Polynomial
 from fiberjoin.model import (
@@ -515,7 +514,10 @@ def test_survey_builds_one_spec_per_orbit(
     monkeypatch.setattr(classify_module, "make_spec", counted)
     base = BaseProduct(factors)
     report = survey(base, split, max_entry)
-    assert len(built) == len(report.entries) <= multiset_count(base, max_entry)
+    assert built == []  # entries are built when they are read
+    entries = list(report.entries)
+    assert len(built) == len(entries) == len(report.entries)
+    assert len(built) <= multiset_count(base, max_entry)
 
 
 @pytest.mark.parametrize(
@@ -554,7 +556,8 @@ def test_survey_matches_candidate_deduplication(factors, split, max_entry):
         entries=tuple(seen[key] for key in sorted(seen)),
     )
     report = survey(base, split, max_entry)
-    assert report == expected
+    assert (report.base, report.split, report.max_entry) == (base, split, max_entry)
+    assert list(report.entries) == list(expected.entries)
     assert emit(report, "json") == emit(expected, "json")
     assert emit(report, "csv") == emit(expected, "csv")
 
@@ -562,19 +565,19 @@ def test_survey_matches_candidate_deduplication(factors, split, max_entry):
 def test_survey_document_shape():
     base = BaseProduct((BaseFactor.surface(0),))
     report = survey(base, (0, 0), 2)
-    doc = survey_document(report)
+    doc = json.loads(emit(report))
     assert set(doc) == {"base", "split", "max_entry", "entries"}
     assert doc["base"] == [{"kind": "surface", "genus": 0}]
     assert doc["split"] == [0, 0]
+    assert len(doc["entries"]) == len(report.entries)
     for entry in doc["entries"]:
         assert set(entry) == {"K", "invariants", "verdicts"}
-    json.loads(emit(report))
 
 
 def test_survey_csv_shape():
     base = BaseProduct((BaseFactor.surface(0), BaseFactor.surface(0)))
     report = survey(base, (0, 0), 2)
-    text = survey_csv(report)
+    text = emit(report, "csv")
     parsed = list(csv_module.reader(io.StringIO(text)))
     assert parsed[0] == [
         "K", "d", "n", "colinear", "c1", "euler", "p1", "spin", "verdicts",
@@ -585,4 +588,99 @@ def test_survey_csv_shape():
         [int(x) for x in chunk.split(",")] for chunk in first[0].split(";")
     ]
     assert len(rows) == 2 and len(rows[0]) == 2
-    assert emit(report, "csv") == text
+    assert text == reference_csv(report)
+
+
+def test_survey_entries_are_a_read_only_sequence():
+    base = BaseProduct((BaseFactor.surface(0), BaseFactor.surface(2)))
+    entries = survey(base, (1, 0), 2).entries
+    everything = tuple(entries)
+    assert entries[-1] == everything[-1]
+    assert entries[1:3] == everything[1:3]
+    assert entries[::-2] == everything[::-2]
+    with pytest.raises(IndexError):
+        entries[len(everything)]
+    with pytest.raises(TypeError):
+        entries[0] = everything[0]
+    assert survey(base, (1, 0), 2) == survey(base, (1, 0), 2)
+    assert survey(base, (1, 0), 2) != survey(base, (0, 1), 2)
+
+
+# --- the survey writer against the documents it replaced ------------------------
+
+
+def reference_document(report):
+    """The whole survey as one document, as the writer used to build it."""
+    return {
+        "base": [_factor_document(f) for f in report.base.factors],
+        "split": list(report.split),
+        "max_entry": report.max_entry,
+        "entries": [
+            {
+                "K": [list(row) for row in entry.matrix.rows],
+                "invariants": entry.invariants.as_dict(),
+                "verdicts": [v.as_dict() for v in entry.verdicts],
+            }
+            for entry in report.entries
+        ],
+    }
+
+
+def reference_csv(report):
+    """One row per canonical matrix: flattened invariants plus the
+    sorted set of verdict kinds, written in one piece."""
+    out = io.StringIO()
+    writer = csv_module.writer(out)
+    writer.writerow(
+        ["K", "d", "n", "colinear", "c1", "euler", "p1", "spin", "verdicts"]
+    )
+    for entry in report.entries:
+        inv = entry.invariants
+        writer.writerow(
+            [
+                ";".join(",".join(str(e) for e in row) for row in entry.matrix.rows),
+                inv.d,
+                inv.n,
+                inv.colinear,
+                ",".join(str(c) for c in inv.c1),
+                inv.euler if inv.euler is not None else "",
+                inv.p1 if inv.p1 is not None else "",
+                inv.spin if inv.spin is not None else "",
+                ";".join(sorted({v.kind for v in entry.verdicts})),
+            ]
+        )
+    return out.getvalue()
+
+
+WRITER_FACTORS = st.sampled_from(
+    [BaseFactor.surface(g) for g in range(4)]
+    + [BaseFactor.torus()]
+    + [BaseFactor.projective_space(n) for n in (1, 2)]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(WRITER_FACTORS, min_size=1, max_size=3),
+    st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    st.integers(1, 3),
+    st.sampled_from(["json", "csv"]),
+)
+def test_survey_writer_matches_the_whole_document(factors, split, max_entry, fmt):
+    base = BaseProduct(tuple(factors))
+    text = emit(survey(base, split, max_entry), fmt)
+    report = survey(base, split, max_entry)
+    held = SurveyReport(report.base, report.split, report.max_entry, tuple(report.entries))
+    if fmt == "json":
+        assert text == json.dumps(reference_document(held), indent=2)
+    else:
+        assert text == reference_csv(held)
+
+
+def test_survey_writer_on_a_report_without_entries():
+    base = BaseProduct((BaseFactor.surface(0),))
+    empty = SurveyReport(base, (0, 0), 1, ())
+    assert emit(empty) == json.dumps(reference_document(empty), indent=2)
+    assert emit(empty, "csv") == reference_csv(empty)
+    with pytest.raises(SpecError, match="unsupported format"):
+        emit(empty, "xml")

@@ -1,6 +1,8 @@
 """Exit codes, document handling, and output formats of the CLI."""
 
+import errno
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -8,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,9 @@ import fiberjoin
 from fiberjoin.classify import _factor_document, parse_spec
 from fiberjoin.cli import main
 from fiberjoin.model import BaseFactor, make_spec
+
+# The package exports a ``classify`` function under the module's name.
+classify_module = importlib.import_module("fiberjoin.classify")
 
 # The directory that holds the imported ``fiberjoin`` package (``src/``).
 PACKAGE_ROOT = Path(fiberjoin.__file__).resolve().parent.parent
@@ -536,6 +542,76 @@ def test_closed_stdout_exits_one_without_traceback():
     assert child.returncode == 1
     assert b"Traceback" not in err
     assert b"Exception ignored" not in err
+
+
+# g2 x g3 at max_entry 8: 2,080 orbits and about 4 MB of JSON.
+DISTINCT_SURVEY = {
+    "base": [{"kind": "surface", "genus": 2}, {"kind": "surface", "genus": 3}],
+    "split": [0, 0],
+    "max_entry": 8,
+}
+
+
+class ClosedAfterFirstChunk(io.TextIOBase):
+    """A stdout whose reader goes away once the first chunk is in."""
+
+    def __init__(self, fd):
+        self.fd = fd
+        self.chunks = 0
+
+    def write(self, text):
+        self.chunks += 1
+        if self.chunks > 1:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return len(text)
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_stops_the_survey(tmp_path, monkeypatch):
+    """A closed reader stops the classification, not only the output."""
+    classified = []
+    original = classify_module.classify
+    monkeypatch.setattr(
+        classify_module, "classify", lambda spec: classified.append(spec) or original(spec)
+    )
+    # The closed-pipe handler points the stdout descriptor at devnull.
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        stdout, stderr = ClosedAfterFirstChunk(fd), io.StringIO()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(DISTINCT_SURVEY)))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "stderr", stderr)
+        code = main(["survey", "-"])
+    finally:
+        os.close(fd)
+    assert code == 1
+    assert stderr.getvalue() == ""
+    assert stdout.chunks == 2
+    assert 0 < len(classified) < 20
+
+
+class Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def test_survey_memory_does_not_hold_the_output(monkeypatch):
+    """g2 x g3 at max_entry 5 (325 orbits, 0.6 MB of JSON) is written
+    one entry at a time: about 0.5 MB at the traced peak, where holding
+    the whole report, its document and the encoder's pieces took 6 MB."""
+    request = dict(DISTINCT_SURVEY, max_entry=5)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request)))
+    monkeypatch.setattr(sys, "stdout", Discard())
+    tracemalloc.start()
+    try:
+        code = main(["survey", "-"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1.5e6, peak
 
 
 # --- fuzzing the input contract ------------------------------------------------
