@@ -17,6 +17,7 @@ positivity of an explicit quadratic on (-1, 1).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,6 @@ from .exactalg import (
 from .model import (
     FiberJoinSpec,
     SpecError,
-    column_differences,
     is_colinear,
     regular_join_data,
     retained_factors,
@@ -122,14 +122,9 @@ def admissible_data(spec: FiberJoinSpec) -> AdmissibleData:
         raise NotAdmissibleError("both split classes agree on every factor")
     w0 = spec.omega_zero()
     winf = spec.omega_infinity()
-    columns = [(w0[a], winf[a]) for a in range(len(w0))]
-    for i in range(len(columns)):
-        for j in range(i + 1, len(columns)):
-            if i in retained and j in retained and columns[i] == columns[j]:
-                raise DegenerateFactorError(
-                    f"factors {i} and {j} carry identical class columns"
-                )
-    diffs = column_differences(spec)
+    for i, j in itertools.combinations(retained, 2):
+        if (w0[i], winf[i]) == (w0[j], winf[j]):
+            raise DegenerateFactorError(f"factors {i} and {j} carry identical class columns")
     entries = []
     for a in retained:
         factor = spec.base.factors[a]
@@ -138,8 +133,9 @@ def admissible_data(spec: FiberJoinSpec) -> AdmissibleData:
             raise NotAdmissibleError(
                 "curvature normalization defined for curve factors only"
             )
-        s = Fraction(2 * (1 - genus), diffs[a])
-        r = Fraction(diffs[a], w0[a] + winf[a])
+        diff = w0[a] - winf[a]
+        s = Fraction(2 * (1 - genus), diff)
+        r = Fraction(diff, w0[a] + winf[a])
         entries.append(AdmissibleEntry(f"factor_{a}", factor.dim_c, s, r))
     seen = {}
     for e in entries:

@@ -23,6 +23,7 @@ import csv
 import itertools
 import json
 from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -91,18 +92,11 @@ def serialize_polynomial(poly: Polynomial) -> list[str]:
     return [serialize_rational(c) for c in poly.coeffs]
 
 
-def _curvature_weight(factor: BaseFactor) -> int:
-    """Scalar-curvature weight of the factor's unit-class CSC metric:
-    positive for positive curvature, scaling with 1/class otherwise."""
-    if factor.kind == "projective_space":
-        return factor.n * (factor.n + 1)
-    genus = factor.effective_genus
-    return 2 - 2 * genus
-
-
 def _base_scalar_sign(base: BaseProduct, class_vector) -> int:
+    """Sign of the base's scalar curvature in these classes: each factor
+    contributes c1 times its complex dimension over its class."""
     total = sum(
-        Fraction(_curvature_weight(f), v)
+        Fraction(f.c1_coefficient * f.dim_c, v)
         for f, v in zip(base.factors, class_vector)
     )
     return (total > 0) - (total < 0)
@@ -267,9 +261,11 @@ def _rule_line_triple(spec: FiberJoinSpec) -> list[Verdict]:
     ]
 
 
-def _admissible_data_or_none(spec: FiberJoinSpec) -> Optional[adm.AdmissibleData]:
+def _or_none(fn: Callable[[FiberJoinSpec], object], spec: FiberJoinSpec):
+    """``fn(spec)``, or None where the join has no such fact.  Callers
+    look ``fn`` up in its module at each call, so a rebinding holds."""
     try:
-        return adm.admissible_data(spec)
+        return fn(spec)
     except SpecError:
         return None
 
@@ -278,7 +274,7 @@ def _rule_csc_profile(spec: FiberJoinSpec) -> list[Verdict]:
     """Exact CSC solve for two retained factors on a d=1 split."""
     if spec.split != (0, 0):
         return []
-    data = _admissible_data_or_none(spec)
+    data = _or_none(adm.admissible_data, spec)
     if data is None or len(data.base_entries) != 2:
         return []
     result = adm.solve_csc(data)
@@ -306,7 +302,7 @@ def _rule_extremal_profile(spec: FiberJoinSpec) -> list[Verdict]:
     class is pinned by the join data."""
     if spec.split != (0, 0):
         return []
-    data = _admissible_data_or_none(spec)
+    data = _or_none(adm.admissible_data, spec)
     if data is None:
         return []
     profile = adm.extremal_profile(data)
@@ -419,14 +415,7 @@ def invariant_report(spec: FiberJoinSpec) -> InvariantReport:
     if colinear:
         join = regular_join_data(spec)
         join_b, join_w = join.b, join.w
-
-    def attempt(fn):
-        try:
-            return fn(spec)
-        except SpecError:
-            return None
-
-    cohomology = attempt(topology.cohomology_table)
+    cohomology = _or_none(topology.cohomology_table, spec)
     return InvariantReport(
         base=spec.base.describe(),
         d=spec.d,
@@ -436,9 +425,9 @@ def invariant_report(spec: FiberJoinSpec) -> InvariantReport:
         join_b=join_b,
         join_w=join_w,
         c1=topology.c1_contact(spec),
-        euler=attempt(topology.euler_class),
-        p1=attempt(topology.p1),
-        spin=attempt(topology.spin_status),
+        euler=_or_none(topology.euler_class, spec),
+        p1=_or_none(topology.p1, spec),
+        spin=_or_none(topology.spin_status, spec),
         cohomology=cohomology.as_dict() if cohomology is not None else None,
     )
 
@@ -509,12 +498,20 @@ def survey(
     poles gives no larger representative.  ``cap`` bounds the number
     of multisets enumerated, the product over groups of
     C(max_entry**2 + g - 1, g), times d = d0 + dinf + 1, since each
-    orbit's matrix has d + 1 rows.
+    orbit's matrix has d + 1 rows.  The split is a list or tuple of
+    two nonnegative integers, and the bounds are integers.
     """
+    if not isinstance(split, (list, tuple)) or len(split) != 2:
+        raise SpecError("split must be a list of two integers")
+    split = tuple(integer(x, "split entry") for x in split)
+    d0, dinf = split
+    if d0 < 0 or dinf < 0:
+        raise SpecError("split must be a pair of nonnegative integers")
+    integer(max_entry, "max_entry")
+    integer(cap, "cap")
     if max_entry < 1:
         raise SpecError("max_entry must be at least 1")
     groups = identical_factor_groups(base.factors)
-    d0, dinf = split
     _check_work(max_entry**2, groups, d0 + dinf + 1, cap)
     values = range(max_entry, 0, -1)
     pairs = list(itertools.product(values, repeat=2))  # descending
@@ -637,43 +634,34 @@ def parse_factor(doc: dict) -> BaseFactor:
     return BaseFactor(kind, **{field: doc[field] for field in fields})
 
 
+@contextmanager
+def _document(doc, allowed: tuple[str, ...], what: str):
+    """The base factors of a JSON object holding only ``allowed`` keys;
+    a missing key or a mistyped value in the body is a SpecError."""
+    if not isinstance(doc, dict):
+        raise SpecError(f"{what} must be an object")
+    _refuse_unknown_keys(doc, allowed, what)
+    try:
+        yield [parse_factor(f) for f in doc["base"]]
+    except KeyError as exc:
+        raise SpecError(f"missing key {exc}") from exc
+    except TypeError as exc:
+        raise SpecError(str(exc)) from exc
+
+
 def parse_spec(doc: dict) -> FiberJoinSpec:
     """Map the JSON join document (base, K, optional split) onto the
     model constructors, which check it."""
-    if not isinstance(doc, dict):
-        raise SpecError("join document must be an object")
-    _refuse_unknown_keys(doc, JOIN_KEYS, "join document")
-    try:
-        factors = [parse_factor(f) for f in doc["base"]]
+    with _document(doc, JOIN_KEYS, "join document") as factors:
         return make_spec(factors, doc["K"], doc.get("split"))
-    except KeyError as exc:
-        raise SpecError(f"missing key {exc}") from exc
-    except TypeError as exc:
-        raise SpecError(str(exc)) from exc
 
 
-def parse_survey(doc: dict) -> tuple[BaseProduct, tuple[int, int], int, int]:
+def parse_survey(doc: dict) -> tuple:
     """Map the JSON survey request (base, split, max_entry, optional
-    cap) onto the arguments of ``survey``.  Only a list of two
-    nonnegative integers is a split, and the bounds are integers."""
-    if not isinstance(doc, dict):
-        raise SpecError("survey request must be an object")
-    _refuse_unknown_keys(doc, SURVEY_KEYS, "survey request")
-    try:
-        factors = [parse_factor(f) for f in doc["base"]]
-        split = doc["split"]
-        if not isinstance(split, list) or len(split) != 2:
-            raise SpecError("split must be a list of two integers")
-        split = tuple(integer(x, "split entry") for x in split)
-        if split[0] < 0 or split[1] < 0:
-            raise SpecError("split must be a pair of nonnegative integers")
-        max_entry = integer(doc["max_entry"], "max_entry")
-        cap = integer(doc.get("cap", SURVEY_CAP), "cap")
-        return BaseProduct(tuple(factors)), split, max_entry, cap
-    except KeyError as exc:
-        raise SpecError(f"missing key {exc}") from exc
-    except TypeError as exc:
-        raise SpecError(str(exc)) from exc
+    cap) onto the arguments of ``survey``, which checks them."""
+    with _document(doc, SURVEY_KEYS, "survey request") as factors:
+        cap = doc.get("cap", SURVEY_CAP)
+        return BaseProduct(tuple(factors)), doc["split"], doc["max_entry"], cap
 
 
 def emit(report, fmt: str = "json") -> str:

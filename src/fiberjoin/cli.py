@@ -10,6 +10,7 @@ the requested computation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,6 +42,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="fiberjoin",
@@ -141,14 +143,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "survey":
         try:
-            request = parse_survey(document)
-        except SpecError as exc:
-            print(f"error: invalid survey request: {exc}", file=sys.stderr)
-            return 1
-        try:
-            report = survey(*request)
+            report = survey(*parse_survey(document))
         except SpecError as exc:  # includes the enumeration cap
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: invalid survey request: {exc}", file=sys.stderr)
             return 1
         return _write(survey_chunks(report, args.format))
 

@@ -177,10 +177,6 @@ class Polynomial:
             return Fraction(0)
         p, q = _ratio(x)
         acc = nums[-1]
-        if q == 1:
-            for c in reversed(nums[:-1]):
-                acc = acc * p + c
-            return Fraction(acc, self.den)
         scale = 1
         for c in reversed(nums[:-1]):
             scale *= q

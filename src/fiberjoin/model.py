@@ -232,18 +232,17 @@ def make_spec(
 def is_colinear(spec: FiberJoinSpec) -> bool:
     """Whether all rows of K are proportional (rank one over Q).
 
-    Equivalent to the cone of the join decomposing as a product; rank
-    one is decided by vanishing of every 2x2 minor against the first
-    row.
+    Equivalent to the cone of the join decomposing as a product.  Every
+    entry is positive, so row i is a multiple of the first row exactly
+    when each 2x2 minor on the first row and the first column vanishes.
     """
     rows = spec.matrix.rows
     first = rows[0]
-    for row in rows[1:]:
-        for a in range(len(first)):
-            for b in range(a + 1, len(first)):
-                if first[a] * row[b] != first[b] * row[a]:
-                    return False
-    return True
+    return all(
+        first[0] * row[b] == first[b] * row[0]
+        for row in rows[1:]
+        for b in range(1, len(first))
+    )
 
 
 @dataclass(frozen=True)
@@ -337,21 +336,13 @@ def canonical_split_spec(spec: FiberJoinSpec) -> FiberJoinSpec:
     return make_spec(spec.base.factors, rows, spec.split)
 
 
-def column_differences(spec: FiberJoinSpec) -> tuple[int, ...]:
-    """Per-factor difference of the two split classes, omega_zero - omega_infinity."""
-    if spec.split is None:
-        raise SpecError("split required")
-    w0 = spec.omega_zero()
-    winf = spec.omega_infinity()
-    return tuple(a - b for a, b in zip(w0, winf))
-
-
 def retained_factors(spec: FiberJoinSpec) -> tuple[int, ...]:
     """Indices of base factors where the split classes differ; the
     curvature reduction keeps exactly these."""
-    return tuple(
-        a for a, diff in enumerate(column_differences(spec)) if diff != 0
-    )
+    if spec.split is None:
+        raise SpecError("split required")
+    pairs = zip(spec.omega_zero(), spec.omega_infinity())
+    return tuple(a for a, (w0, winf) in enumerate(pairs) if w0 != winf)
 
 
 def admissible_split_check(spec: FiberJoinSpec) -> bool:

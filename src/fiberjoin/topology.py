@@ -10,6 +10,7 @@ factor of genus zero for the higher-fiber Pontryagin number).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -80,15 +81,12 @@ def chern_k(spec: FiberJoinSpec, k: int) -> dict[tuple[int, ...], int]:
     if k > 1:
         _require_curve_factors(spec)
     # Elementary symmetric polynomial of the negated rows, plus the
-    # Chern class of the base: the product over factors of
-    # (1 + c1_a x_a).  Squares of generators vanish on curve factors.
-    width = len(spec.base.factors)
+    # Chern class of the base, the product over factors of (1 + c1_a x_a):
+    # prod c1_a on x_combo.  Squares of generators vanish on curve factors.
     negated = [[-e for e in row] for row in spec.matrix.rows]
     c1s = spec.base.c1_vector()
-    diagonal = [[c if b == a else 0 for b in range(width)] for a, c in enumerate(c1s)]
-    rows = _degree_part(negated, width, k)
-    base = _degree_part(diagonal, width, k)
-    return {combo: rows[combo] + base[combo] for combo in rows}
+    rows = _degree_part(negated, len(c1s), k)
+    return {combo: f + math.prod(c1s[a] for a in combo) for combo, f in rows.items()}
 
 
 def _two_curve_base(spec: FiberJoinSpec) -> tuple[BaseFactor, BaseFactor]:

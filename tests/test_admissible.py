@@ -116,6 +116,14 @@ def test_admissible_data_rejects_duplicate_columns():
         admissible_data(spec)
 
 
+def test_duplicate_columns_name_the_least_pair():
+    # CP^2 x T^3: factors 0 and 3 share a column, and so do 1 and 2.
+    base = [BaseFactor.projective_space(2)] + [BaseFactor.torus()] * 3
+    spec = make_spec(base, [[3, 1, 1, 3], [1, 2, 2, 1]], (0, 0))
+    with pytest.raises(DegenerateFactorError, match="^factors 0 and 3 carry"):
+        admissible_data(spec)
+
+
 def test_admissible_data_rejects_repeated_r():
     spec = make_spec(
         [BaseFactor.surface(1), BaseFactor.surface(2)], [[2, 4], [1, 2]], (0, 0)

@@ -128,6 +128,16 @@ def test_line_times_line_family_always_extremal():
                 assert "line-times-curve-regular-ray" in verdict_rules
 
 
+@pytest.mark.parametrize("genus, exhausted", [(4, True), (5, False)])
+def test_colinear_subcone_weighs_each_factor_by_c1_times_dimension(genus, exhausted):
+    # In the primitive class (1, 1) the base scalar curvature is 3 * 2
+    # from CP^2 plus 2 - 2g from the curve: zero at genus 4.  Weighing
+    # CP^2 by c1 = 3 alone would make it negative there.
+    base = [BaseFactor.projective_space(2), BaseFactor.surface(genus)]
+    spec = make_spec(base, [[1, 1], [2, 2]])
+    assert ("colinear-subcone-exhausted" in rules(spec)) == exhausted
+
+
 def test_homogeneous_line_pair_einstein():
     spec = make_spec(
         [BaseFactor.surface(0), BaseFactor.surface(0)], [[1, 1], [1, 1]], (0, 0)
@@ -454,6 +464,36 @@ def test_survey_cap_counts_the_split(monkeypatch):
     # Reached only when the split is counted, so no 10**9-row list is built.
     with pytest.raises(BoundsTooLargeError):
         survey(base, (0, 10**9), 2)
+
+
+@pytest.mark.parametrize(
+    "split, max_entry, cap",
+    [
+        ((-1, 0), 2, 100),
+        ((0, -1), 2, 100),
+        ([0], 2, 100),
+        ((0, True), 2, 100),
+        ((0, 0), 2.5, 100),
+        ((0, 0), True, 100),
+        ((0, 0), 2, "7"),
+    ],
+    ids=["d0", "dinf", "one-entry", "bool-entry", "float-bound", "bool-bound", "str-cap"],
+)
+def test_survey_refuses_a_bad_request_at_the_call(monkeypatch, split, max_entry, cap):
+    def built(*args):
+        raise AssertionError("the request must be refused before any spec is built")
+
+    monkeypatch.setattr(classify_module, "make_spec", built)
+    base = BaseProduct((BaseFactor.surface(0), BaseFactor.surface(2)))
+    with pytest.raises(SpecError):
+        survey(base, split, max_entry, cap)
+
+
+def test_survey_takes_a_list_split():
+    base = BaseProduct((BaseFactor.surface(0), BaseFactor.surface(2)))
+    report = survey(base, [0, 0], 2)
+    assert report.split == (0, 0)
+    assert report == survey(base, (0, 0), 2)
 
 
 def multiset_count(base, max_entry):

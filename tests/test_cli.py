@@ -1,5 +1,6 @@
 """Exit codes, document handling, and output formats of the CLI."""
 
+import argparse
 import errno
 import hashlib
 import importlib
@@ -200,6 +201,17 @@ def test_se_count(tmp_path, capsys):
     assert json.loads(out)["count"] == 2
 
 
+def test_se_count_on_a_huge_projective_space(tmp_path, capsys):
+    # Two summands count in closed form, so the work does not grow with n.
+    n = 10**12
+    request = {"base": [{"kind": "projective_space", "n": n}], "K": [[1], [n]]}
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["se", write_doc(tmp_path, request)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert json.loads(out)["count"] == (n + 1) // 2
+
+
 def test_survey_json(tmp_path, capsys):
     code, out, _ = run(capsys, ["survey", write_doc(tmp_path, SURVEY_REQUEST)])
     assert code == 0
@@ -286,6 +298,22 @@ def test_nonpositive_entry_rejected(tmp_path, capsys):
 def test_usage_error(capsys):
     assert run(capsys, [])[0] == 1
     assert run(capsys, ["frobnicate", "-"])[0] == 1
+
+
+def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, REFERENCE)
+    assert run(capsys, ["classify", path])[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(2):
+        assert run(capsys, ["classify", path])[0] == 0
+    assert built == []
 
 
 def test_csv_rejected_outside_survey(tmp_path, capsys):
@@ -465,6 +493,7 @@ def test_survey_cap_exceeded(tmp_path, capsys):
     request["cap"] = 1000
     code, _, err = run(capsys, ["survey", write_doc(tmp_path, request)])
     assert code == 1
+    assert err.startswith("error: invalid survey request: ")
     assert "exceed" in err
 
 
