@@ -14,11 +14,8 @@ from .admissible import (
     CscResult,
     ExtremalProfile,
     admissible_data,
-    characteristic_product,
-    csc_ansatz,
     extremal_profile,
     genus_threshold,
-    quotient_class_parameters,
     solve_csc,
 )
 from .classify import (

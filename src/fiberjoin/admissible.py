@@ -10,9 +10,9 @@ multiple of the product of the (1 + r_a z), whose two coefficients
 solve a symmetric 2x2 exact moment system (Apostolov, Calderbank,
 Gauduchon and Tønnesen-Friedman, "Hamiltonian 2-forms in Kähler
 geometry III"); its positivity is decided by Descartes' rule after a
-Möbius map, bisecting on mixed signs.  Constant scalar curvature for
-two retained factors reduces to a pair of affine equations plus
-positivity of an explicit quadratic on (-1, 1).
+Möbius map, bisecting on mixed signs.  Constant scalar curvature is
+the extremal case whose affine function alpha + beta*z is constant,
+so for two retained factors it is read off the same solve.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .exactalg import (
 from .model import (
     FiberJoinSpec,
     SpecError,
-    is_colinear,
-    regular_join_data,
     retained_factors,
 )
 
@@ -52,10 +50,6 @@ class RepeatedParameterError(SpecError):
 
 class EqualParameterError(SpecError):
     """The two-factor solver needs distinct class parameters."""
-
-
-class AnsatzError(SpecError):
-    """The balanced ansatz needs s1 + s2 = 0 and r1 + r2 = 0."""
 
 
 class SingularSystemError(SingularMatrixError):
@@ -156,15 +150,6 @@ def admissible_data(spec: FiberJoinSpec) -> AdmissibleData:
     return AdmissibleData(tuple(entries))
 
 
-def characteristic_product(data: AdmissibleData) -> Polynomial:
-    """The product of (1 + r_a z)^(dim_a) over all entries; it weights
-    the boundary conditions and divides the profile's second derivative."""
-    result = Polynomial.one()
-    for e in data.entries:
-        result = result * Polynomial.linear(1, e.r) ** e.dim
-    return result
-
-
 @dataclass(frozen=True)
 class ExtremalProfile:
     """Solution of the extremal profile system.
@@ -173,12 +158,15 @@ class ExtremalProfile:
     source:        P, with F'' = (reduced characteristic product) * P
     char_product:  the characteristic product of the data
     positive:      whether F > 0 strictly inside (-1, 1)
+    alpha, beta:   the extremal affine function alpha + beta*z in P
     """
 
     profile: Polynomial
     source: Polynomial
     char_product: Polynomial
     positive: bool
+    alpha: Fraction
+    beta: Fraction
 
 
 def _moment(poly: Polynomial, k: int) -> Fraction:
@@ -277,7 +265,12 @@ def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
     assert first_minus * char.den == 2 * p_minus * first.den
     positive = (not profile.is_zero) and strictly_positive_on(profile, -1, 1)
     return ExtremalProfile(
-        profile=profile, source=source, char_product=char, positive=positive
+        profile=profile,
+        source=source,
+        char_product=char,
+        positive=positive,
+        alpha=alpha,
+        beta=beta,
     )
 
 
@@ -302,56 +295,31 @@ class CscResult:
 
 def solve_csc(data: AdmissibleData) -> CscResult:
     """Decide constant scalar curvature for two retained factors and
-    trivial fiber blocks.
-
-    Each of the two curvature equations is affine in the candidate
-    value s; a common root plus positivity of the certificate
-    quadratic on (-1, 1) is equivalent to a CSC structure.  For data
-    coming from curve factors a nonnegative root makes the quadratic
-    concave down with positive endpoint values, so positivity follows,
-    but the solver always runs the exact check: it accepts synthetic
-    data with s_a * r_a >= 2 where that argument breaks down.
-    """
+    trivial fiber blocks, by reading the extremal solve of the data
+    (see ``csc_from_profile``)."""
     base = data.base_entries
     if len(base) != 2 or data.d0 != 0 or data.dinf != 0:
         raise SpecError("two retained factors and a trivial split required")
-    (e1, e2) = base
-    s1, r1 = e1.s, e1.r
-    s2, r2 = e2.s, e2.r
-    if r1 == r2:
+    if base[0].r == base[1].r:
         raise EqualParameterError("class parameters must differ")
+    return csc_from_profile(extremal_profile(data))
 
-    # r1*(s1*(r1-r2) - 2 + (1-s)*r1*r2) + 3*(s-1)*r2 = 0, affine in s.
-    coef_a = r2 * (3 - r1 * r1)
-    const_a = r1 * (s1 * (r1 - r2) - 2 + r1 * r2) - 3 * r2
-    coef_b = r1 * (3 - r2 * r2)
-    const_b = r2 * (s2 * (r2 - r1) - 2 + r1 * r2) - 3 * r1
-    sa = -const_a / coef_a
-    sb = -const_b / coef_b
-    if sa != sb:
+
+def csc_from_profile(extremal: ExtremalProfile) -> CscResult:
+    """The CSC reading of the extremal solve of two retained factors on
+    a trivial split.
+
+    The structure has constant scalar curvature exactly when the
+    extremal affine function is constant, beta = 0; then s = -alpha/6
+    and F = (1 - z^2) * Q with Q the certificate quadratic, positive on
+    (-1, 1) exactly when F is.  Otherwise the data are inconsistent.
+    """
+    if extremal.beta != 0:
         return CscResult(s=None, certificate=None, verdict=INCONSISTENT)
-    s = sa
-
-    certificate = (
-        Polynomial.linear(1, r1) * Polynomial.linear(1, r2)
-        + (1 - s / 2) * r1 * r2 * Polynomial.from_coeffs([1, 0, -1])
-    )
-    if strictly_positive_on(certificate, -1, 1):
-        return CscResult(s=s, certificate=certificate, verdict=CSC)
-    return CscResult(s=s, certificate=certificate, verdict=POSITIVITY_FAILS)
-
-
-def csc_ansatz(data: AdmissibleData) -> Fraction:
-    """Closed form for the CSC value under the balanced hypothesis
-    s1 + s2 = 0, r1 + r2 = 0."""
-    base = data.base_entries
-    if len(base) != 2 or data.d0 != 0 or data.dinf != 0:
-        raise SpecError("two retained factors and a trivial split required")
-    (e1, e2) = base
-    if e1.s + e2.s != 0 or e1.r + e2.r != 0:
-        raise AnsatzError("balanced hypothesis fails")
-    s1, r1 = e1.s, e1.r
-    return (1 - r1 * r1 + 2 * s1 * r1) / (3 - r1 * r1)
+    certificate, rest = extremal.profile.divmod(Polynomial.from_coeffs([1, 0, -1]))
+    assert rest.is_zero
+    verdict = CSC if extremal.positive else POSITIVITY_FAILS
+    return CscResult(s=-extremal.alpha / 6, certificate=certificate, verdict=verdict)
 
 
 def genus_threshold(genus: int) -> int:
@@ -367,22 +335,3 @@ def genus_threshold(genus: int) -> int:
     disc = 4 * genus * genus - 8 * genus + 5
     root = math.isqrt(disc)
     return (2 * genus - 3 + root) // 2
-
-
-def quotient_class_parameters(spec: FiberJoinSpec) -> list[Fraction]:
-    """Class parameters of the regular quotient for a d=1 split join.
-
-    Per retained factor: (difference)/(sum) of the two class entries;
-    colinear joins collapse to the single value (b1-b2)/(b1+b2) built
-    from the two multiples of the primitive class.
-    """
-    if spec.split != (0, 0):
-        raise SpecError("quotient parameters defined for d=1 split joins")
-    retained = retained_factors(spec)
-    if not retained:
-        raise NotAdmissibleError("both classes agree; no admissible direction")
-    if is_colinear(spec):
-        join = regular_join_data(spec)
-        m1, m2 = join.multiples
-        return [Fraction(m1 - m2, m1 + m2)]
-    return [e.r for e in admissible_data(spec).base_entries]

@@ -270,55 +270,48 @@ def _or_none(fn: Callable[[FiberJoinSpec], object], spec: FiberJoinSpec):
         return None
 
 
-def _rule_csc_profile(spec: FiberJoinSpec) -> list[Verdict]:
-    """Exact CSC solve for two retained factors on a d=1 split."""
-    if spec.split != (0, 0):
-        return []
-    data = _or_none(adm.admissible_data, spec)
-    if data is None or len(data.base_entries) != 2:
-        return []
-    result = adm.solve_csc(data)
-    if result.verdict != adm.CSC:
-        return []
-    return [
-        Verdict(
-            kind=CSC_REGULAR_RAY,
-            rule="csc-profile-certificate",
-            citation=(
-                "both curvature equations share a root and the certificate "
-                "quadratic is positive on (-1, 1), so the regular ray has "
-                "constant scalar curvature"
-            ),
-            witness={
-                "s": serialize_rational(result.s),
-                "certificate": serialize_polynomial(result.certificate),
-            },
-        )
-    ]
-
-
-def _rule_extremal_profile(spec: FiberJoinSpec) -> list[Verdict]:
+def _rule_profile(spec: FiberJoinSpec) -> list[Verdict]:
     """Exact extremal solve on a d=1 split, where the regular quotient
-    class is pinned by the join data."""
+    class is pinned by the join data; with two retained factors the
+    same solve decides constant scalar curvature."""
     if spec.split != (0, 0):
         return []
     data = _or_none(adm.admissible_data, spec)
     if data is None:
         return []
     profile = adm.extremal_profile(data)
-    if not profile.positive:
-        return []
-    return [
-        Verdict(
-            kind=EXTREMAL_REGULAR_RAY,
-            rule="extremal-profile-certificate",
-            citation=(
-                "the extremal profile polynomial is positive on (-1, 1), so "
-                "the regular ray carries an extremal structure"
-            ),
-            witness={"profile": serialize_polynomial(profile.profile)},
+    verdicts = []
+    if len(data.base_entries) == 2:
+        result = adm.csc_from_profile(profile)
+        if result.verdict == adm.CSC:
+            verdicts.append(
+                Verdict(
+                    kind=CSC_REGULAR_RAY,
+                    rule="csc-profile-certificate",
+                    citation=(
+                        "both curvature equations share a root and the "
+                        "certificate quadratic is positive on (-1, 1), so the "
+                        "regular ray has constant scalar curvature"
+                    ),
+                    witness={
+                        "s": serialize_rational(result.s),
+                        "certificate": serialize_polynomial(result.certificate),
+                    },
+                )
+            )
+    if profile.positive:
+        verdicts.append(
+            Verdict(
+                kind=EXTREMAL_REGULAR_RAY,
+                rule="extremal-profile-certificate",
+                citation=(
+                    "the extremal profile polynomial is positive on (-1, 1), so "
+                    "the regular ray carries an extremal structure"
+                ),
+                witness={"profile": serialize_polynomial(profile.profile)},
+            )
         )
-    ]
+    return verdicts
 
 
 def _rule_einstein(spec: FiberJoinSpec) -> list[Verdict]:
@@ -351,8 +344,7 @@ _RULES: tuple[Callable[[FiberJoinSpec], list[Verdict]], ...] = (
     _rule_line_times_curve,
     _rule_curve_two_block,
     _rule_line_triple,
-    _rule_csc_profile,
-    _rule_extremal_profile,
+    _rule_profile,
     _rule_einstein,
 )
 

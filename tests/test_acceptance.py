@@ -49,6 +49,7 @@ from fiberjoin.topology import (
     p1,
     spin_status,
 )
+from oracles import back_solve_csc, curvature_equation, reference_solve_csc
 
 ONE_MINUS_Z2 = Polynomial.from_coeffs([1, 0, -1])
 
@@ -65,13 +66,6 @@ def poly(*coeffs):
 
 def base_entry(idx, s, r):
     return AdmissibleEntry(f"factor_{idx}", 1, F(s), F(r))
-
-
-def curvature_equation(s_own, r_own, r_other, s):
-    return (
-        r_own * (s_own * (r_own - r_other) - 2 + (1 - s) * r_own * r_other)
-        + 3 * (s - 1) * r_other
-    )
 
 
 # --- criterion 1 -------------------------------------------------------------
@@ -260,12 +254,7 @@ def consistent_csc_data(rng):
         if r1 and r2 and r1 != r2:
             break
     s1 = F(rng.randint(-20, 20), rng.randint(1, 3))
-    s = (2 * r1 + 3 * r2 - r1 * r1 * r2 - r1 * s1 * (r1 - r2)) / (
-        r2 * (3 - r1 * r1)
-    )
-    s2 = (2 * r2 - r1 * r2 * r2 * (1 - s) - 3 * (s - 1) * r1) / (
-        r2 * (r2 - r1)
-    )
+    _, s2 = back_solve_csc(r1, r2, s1)
     return AdmissibleData((base_entry(0, s1, r1), base_entry(1, s2, r2)))
 
 
@@ -279,6 +268,7 @@ def test_criterion_07_profile_equals_csc_certificate():
     for data in cases:
         result = solve_csc(data)
         assert result.s is not None, "construction guarantees consistency"
+        assert result == reference_solve_csc(data)
         (e1, e2) = data.base_entries
         assert curvature_equation(e1.s, e1.r, e2.r, result.s) == 0
         assert curvature_equation(e2.s, e2.r, e1.r, result.s) == 0

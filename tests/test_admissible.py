@@ -14,18 +14,15 @@ from fiberjoin.admissible import (
     POSITIVITY_FAILS,
     AdmissibleData,
     AdmissibleEntry,
-    AnsatzError,
+    CscResult,
     DegenerateFactorError,
     EqualParameterError,
     NotAdmissibleError,
     RepeatedNodeError,
     RepeatedParameterError,
     admissible_data,
-    characteristic_product,
-    csc_ansatz,
     extremal_profile,
     genus_threshold,
-    quotient_class_parameters,
     solve_csc,
 )
 from fiberjoin.exactalg import (
@@ -34,6 +31,14 @@ from fiberjoin.exactalg import (
     strictly_positive_on,
 )
 from fiberjoin.model import BaseFactor, make_spec
+from oracles import (
+    AnsatzError,
+    back_solve_csc,
+    characteristic_product,
+    csc_ansatz,
+    curvature_equation,
+    reference_solve_csc,
+)
 
 
 def surface_pair(g1, g2, rows=((2, 1), (1, 3))):
@@ -46,14 +51,6 @@ def surface_pair(g1, g2, rows=((2, 1), (1, 3))):
 
 def base_entry(idx, s, r):
     return AdmissibleEntry(f"factor_{idx}", 1, Fraction(s), Fraction(r))
-
-
-# equations (17) and (18) written out directly, as an oracle
-def curvature_equation(s_own, r_own, r_other, s):
-    return (
-        r_own * (s_own * (r_own - r_other) - 2 + (1 - s) * r_own * r_other)
-        + 3 * (s - 1) * r_other
-    )
 
 
 # --- admissible data -----------------------------------------------------
@@ -159,6 +156,7 @@ def test_characteristic_product():
     )
     assert p == expected
     assert p.coeffs == (Fraction(1), Fraction(-1, 6), Fraction(-1, 6))
+    assert extremal_profile(data).char_product == p
 
 
 # --- extremal profile -----------------------------------------------------
@@ -407,19 +405,21 @@ def test_csc_rejects_wrong_shape():
         solve_csc(lone)
 
 
+def test_csc_zero_parameter_is_inconsistent():
+    """The affine equations divide by each r; the extremal solve does not."""
+    data = AdmissibleData((base_entry(0, 2, Fraction(1, 2)), base_entry(1, 3, 0)))
+    with pytest.raises(ZeroDivisionError):
+        reference_solve_csc(data)
+    assert solve_csc(data) == CscResult(s=None, certificate=None, verdict=INCONSISTENT)
+
+
 @given(rational_r, rational_r, rational_s)
 @settings(max_examples=80, deadline=None)
 def test_csc_consistent_solutions_satisfy_oracle(r1, r2, s1):
     """Back-solve s2 so both equations share the root, then cross-check."""
     if r1 == r2:
         return
-    s = Fraction(
-        2 * r1 + 3 * r2 - r1 * r1 * r2 - r1 * s1 * (r1 - r2),
-        r2 * (3 - r1 * r1),
-    )
-    s2 = (2 * r2 - r1 * r2 * r2 * (1 - s) - 3 * (s - 1) * r1) / (
-        r2 * (r2 - r1)
-    )
+    s, s2 = back_solve_csc(r1, r2, s1)
     data = AdmissibleData((base_entry(0, s1, r1), base_entry(1, s2, r2)))
     result = solve_csc(data)
     assert result.s == s
@@ -432,6 +432,20 @@ def test_csc_consistent_solutions_satisfy_oracle(r1, r2, s1):
         assert result.verdict == CSC
     if result.verdict == CSC:
         assert strictly_positive_on(result.certificate, -1, 1)
+
+
+@given(rational_r, rational_r, rational_s, rational_s, st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_csc_matches_affine_oracle(r1, r2, s1, s2, consistent):
+    """Reading the extremal solve gives the affine derivation's verdict,
+    s and certificate; half the cases back-solve s2 so that both
+    equations share a root."""
+    if r1 == r2:
+        return
+    if consistent:
+        _, s2 = back_solve_csc(r1, r2, s1)
+    data = AdmissibleData((base_entry(0, s1, r1), base_entry(1, s2, r2)))
+    assert solve_csc(data) == reference_solve_csc(data)
 
 
 # --- ansatz and threshold ---------------------------------------------------
@@ -486,30 +500,3 @@ def test_threshold_separates_sign_of_s():
 def test_spot_value_genus_two():
     data = admissible_data(symmetric_family_spec(2, 2))
     assert solve_csc(data).s == Fraction(2, 37)
-
-
-# --- quotient class parameters ----------------------------------------------
-
-
-def test_quotient_parameters_non_colinear():
-    assert quotient_class_parameters(surface_pair(5, 3)) == [
-        Fraction(1, 3),
-        Fraction(-1, 2),
-    ]
-
-
-def test_quotient_parameters_colinear():
-    spec = make_spec(
-        [BaseFactor.surface(2), BaseFactor.surface(0)], [[3, 3], [1, 1]], (0, 0)
-    )
-    assert quotient_class_parameters(spec) == [Fraction(1, 2)]
-
-
-def test_quotient_parameters_need_two_summands():
-    spec = make_spec(
-        [BaseFactor.surface(0), BaseFactor.surface(0)],
-        [[1, 1], [1, 1], [1, 1]],
-        (1, 0),
-    )
-    with pytest.raises(Exception):
-        quotient_class_parameters(spec)

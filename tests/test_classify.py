@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiberjoin.admissible import admissible_data, characteristic_product
+from fiberjoin import admissible as adm
+from fiberjoin.admissible import admissible_data
 from fiberjoin.classify import (
     CSC_RAY_IN_CONE,
     CSC_REGULAR_RAY,
@@ -44,6 +45,7 @@ from fiberjoin.model import (
     canonical_split_spec,
     make_spec,
 )
+from oracles import characteristic_product, curvature_equation
 
 
 # The package exports a ``classify`` function under the module's name.
@@ -257,13 +259,6 @@ def test_fallback_absent_when_any_existence_rule_fires():
 # --- witness revalidation -----------------------------------------------------
 
 
-def curvature_equation(s_own, r_own, r_other, s):
-    return (
-        r_own * (s_own * (r_own - r_other) - 2 + (1 - s) * r_own * r_other)
-        + 3 * (s - 1) * r_other
-    )
-
-
 genus_st = st.integers(0, 6)
 entry_st = st.integers(1, 5)
 
@@ -297,6 +292,22 @@ def test_witnesses_revalidate(g1, g2, a, b, c, d):
 def test_classify_deterministic(g1, g2, a, b, c, d):
     spec = curve_pair(g1, g2, [[a, b], [c, d]])
     assert classify(spec) == classify(spec)
+
+
+def test_classify_solves_each_profile_once(monkeypatch):
+    """The CSC and extremal verdicts come from one admissible data and
+    one extremal solve."""
+    calls = Counter()
+    for name in ("admissible_data", "extremal_profile"):
+        original = getattr(adm, name)
+
+        def counted(data, name=name, original=original):
+            calls[name] += 1
+            return original(data)
+
+        monkeypatch.setattr(adm, name, counted)
+    assert "csc-profile-certificate" in rules(curve_pair(5, 3, [[2, 1], [1, 3]]))
+    assert calls == {"admissible_data": 1, "extremal_profile": 1}
 
 
 # --- reports and serialization ------------------------------------------------

@@ -1,5 +1,6 @@
 """The studies under ``scripts/`` run from the repository and print."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -17,20 +18,33 @@ RUNS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "script, args", RUNS, ids=[" ".join([script, *args]) for script, args in RUNS]
-)
-def test_script_runs(script, args):
+def run_script(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
     )
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(REPO_ROOT / "scripts" / script), *args],
         capture_output=True,
-        text=True,
         env=env,
         cwd=REPO_ROOT,
     )
-    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "script, args", RUNS, ids=[" ".join([script, *args]) for script, args in RUNS]
+)
+def test_script_runs(script, args):
+    result = run_script(script, args)
+    assert result.returncode == 0, result.stderr.decode()
     assert result.stdout.strip()
+
+
+def test_genus_family_scan_bytes():
+    """The default scan prints the CSC solve's s and certificate over
+    genera 2 to 8; its bytes are pinned."""
+    result = run_script("genus_family_scan.py", [])
+    assert result.returncode == 0, result.stderr.decode()
+    assert hashlib.sha256(result.stdout).hexdigest() == (
+        "fbf939fa2aaf8f0586a55d0d6d01cfd28da97cfc19b5cdacbe2d6df0a445aca6"
+    )
