@@ -4,15 +4,21 @@ A split join whose two classes differ on at least one base factor
 carries admissible data: per retained factor a normalized curvature
 value s_a and a class parameter r_a in (-1, 1), plus one entry for
 each nontrivial fiber block with r = +1 / -1.  From that data the
-extremal profile polynomial is determined by a closed-form source
+extremal profile polynomial F is determined by a closed-form source
 polynomial, a Lagrange-form sum over the entries plus an affine
-multiple of the product of the (1 + r_a z), whose two coefficients
-solve a symmetric 2x2 exact moment system (Apostolov, Calderbank,
+multiple alpha + beta*z of the product of the (1 + r_a z), and four
+boundary conditions.  The boundary conditions force
+F = (1 + z)^(d0 + 1) (1 - z)^(dinf + 1) * H with H of low degree, the
+Theta * p_c form of admissible metrics (Apostolov, Calderbank,
 Gauduchon and Tønnesen-Friedman, "Hamiltonian 2-forms in Kähler
-geometry III"); its positivity is decided by Descartes' rule after a
-Möbius map, bisecting on mixed signs.  Constant scalar curvature is
-the extremal case whose affine function alpha + beta*z is constant,
-so for two retained factors it is read off the same solve.
+geometry III"), so the profile is solved for H directly: a triangular
+integer system from the top coefficient down, and a 2x2 system for
+alpha and beta from the values of H at +-1.  Positivity of F on
+(-1, 1) is positivity of H, decided by Descartes' rule after a Möbius
+map, bisecting on mixed signs; F itself is expanded only to be
+returned.  Constant scalar curvature is the extremal case whose
+affine function is constant, so for two retained factors it is read
+off the same solve, with H as its certificate.
 """
 
 from __future__ import annotations
@@ -159,6 +165,10 @@ class ExtremalProfile:
     char_product:  the characteristic product of the data
     positive:      whether F > 0 strictly inside (-1, 1)
     alpha, beta:   the extremal affine function alpha + beta*z in P
+    factor:        H, with F = (1 + z)^(u + 1) * (1 - z)^(v + 1) * H,
+                   where u and v are the dims of the entries at r = 1
+                   and r = -1 (0 if absent): d0 and dinf for data
+                   from ``admissible_data``
     """
 
     profile: Polynomial
@@ -167,28 +177,93 @@ class ExtremalProfile:
     positive: bool
     alpha: Fraction
     beta: Fraction
+    factor: Polynomial
 
 
-def _moment(poly: Polynomial, k: int) -> Fraction:
-    """The integral of z^k * poly(z) over [-1, 1]: the sum of
-    2 * nums[j] / (j + k + 1) over even j + k, taken over one common
-    denominator."""
-    terms = [(n, j + k + 1) for j, n in enumerate(poly.nums) if (j + k) % 2 == 0]
-    scale = math.lcm(*(d for _, d in terms))
-    return Fraction(2 * sum(n * (scale // d) for n, d in terms), scale * poly.den)
-
-
-def _ends(poly: Polynomial) -> tuple[int, int]:
-    """poly(1) and poly(-1) times poly.den: the sums of the even and odd
-    numerators, added and subtracted."""
-    even, odd = sum(poly.nums[::2]), sum(poly.nums[1::2])
+def _ends(nums) -> tuple[int, int]:
+    """The values at 1 and -1 of the polynomial with these coefficients:
+    the sums of the even and odd ones, added and subtracted."""
+    even, odd = sum(nums[::2]), sum(nums[1::2])
     return even + odd, even - odd
 
 
-def _antiderivative_from(poly: Polynomial, start) -> Polynomial:
-    """The antiderivative of poly that takes the value ``start`` at -1."""
-    anti = poly.antiderivative()
-    return anti + Polynomial.constant(start - anti(-1))
+def _times_linear(nums: list[int], c: int, e: int) -> list[int]:
+    """The coefficients of (c + e*z) * f, for f with coefficients nums."""
+    return [c * x + e * y for x, y in zip(nums + [0], [0] + nums)]
+
+
+def _source(l_nums, q_nums, scale, alpha, beta, den) -> Polynomial:
+    """L + (alpha + beta z) q, for L = l_nums / den and
+    q = q_nums * scale / den."""
+    an, ad = alpha.numerator, alpha.denominator
+    bn, bd = beta.numerator, beta.denominator
+    at, below, above = ad * bd, scale * an * bd, scale * ad * bn
+    nums = [x * at for x in l_nums] + [0] * (len(q_nums) + 1 - len(l_nums))
+    for k, x in enumerate(q_nums):
+        nums[k] += below * x
+        nums[k + 1] += above * x
+    return Polynomial.from_numerators(nums, den * at)
+
+
+def _times_binomial_pair(a: int, b: int, nums: list[int], den: int) -> Polynomial:
+    """(1 + z)^a (1 - z)^b times the polynomial nums / den.  The pair
+    comes from (1 - z^2) f' = (a - b - (a + b) z) f, that is
+    (k + 1) f_(k+1) = (a - b) f_k + (k - 1 - a - b) f_(k-1), an exact
+    integer division: O(a + b) steps, where powers and products of the
+    two factors take O((a + b)^2)."""
+    pair, before = [1], 0
+    for k in range(a + b):
+        pair.append(((a - b) * pair[k] + (k - 1 - a - b) * before) // (k + 1))
+        before = pair[k]
+    out = [0] * (len(pair) + len(nums) - 1)
+    for i, x in enumerate(nums):
+        if x:
+            for j, y in enumerate(pair, i):
+                out[j] += x * y
+    return Polynomial.from_numerators(out, den)
+
+
+def _operator_column(k: int, u: int, v: int) -> list[int]:
+    """The coefficients of z^(k-2), z^(k-1), ... in D(z^k), where
+
+        D(H) = (B H)'' / ((1 + z)^(u-1) (1 - z)^(v-1)),
+        B = (1 + z)^a (1 - z)^c,  a = u + 1,  c = v + 1,
+
+    an exponent u - 1 or v - 1 of -1 read as 0.  For u, v >= 1, with
+    s = a + c and d = a - c,
+
+        D(H) = (1 - z^2)^2 H'' + 2 (1 - z^2)(d - s z) H'
+               + (d^2 - s - 2 d (s - 1) z + s (s - 1) z^2) H;
+
+    for u = 0 or v = 0 that expression is divisible by 1 + z or 1 - z,
+    and D is the quotient.  D raises the degree by (u > 0) + (v > 0),
+    and its top coefficient is +-(k + a + c)(k + a + c - 1), not zero.
+    """
+    a, c = u + 1, v + 1
+    if u and v:
+        s, d = a + c, a - c
+        return [
+            k * (k - 1),
+            2 * k * d,
+            d * d - s - 2 * k * (k + s - 1),
+            -2 * d * (k + s - 1),
+            (k + s) * (k + s - 1),
+        ]
+    if v:
+        return [
+            k * (k - 1),
+            -k * (2 * c + k - 3),
+            c * c - 3 * c - k * (k + 3),
+            (k + c) * (k + c + 1),
+        ]
+    if u:
+        return [
+            k * (k - 1),
+            k * (2 * a + k - 3),
+            a * a - 3 * a - k * (k + 3),
+            -(k + a) * (k + a + 1),
+        ]
+    return [k * (k - 1), 0, -(k + 1) * (k + 2)]
 
 
 def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
@@ -196,74 +271,169 @@ def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
 
     F is determined by F'' = R * P with R the reduced characteristic
     product, the product of (1 + r_a z)^(dim_a - 1), and the boundary
-    conditions F(+-1) = 0, F'(+-1) = -+2 p(+-1) with p the
+    conditions F(+-1) = 0, F'(+-1) = -+2 p(+-1) with p = R * q the
     characteristic product.  The source P has the closed form
 
         P = L + (alpha + beta*z) * q,   q = prod_a (1 + r_a z),
         L = 2 * sum_a dim_a * s_a * r_a * prod_{b != a} (1 + r_b z),
 
-    so P(-1/r_a) = L(-1/r_a) is the value the data prescribes there,
-    and R*q = p.  F(+-1) = 0 fix the two integration constants and the
-    derivative conditions become the moment conditions
+    so P(-1/r_a) = L(-1/r_a) is the value the data prescribes there.
 
-        int_{-1}^{1} R*P = -2 (p(1) + p(-1)),
-        int_{-1}^{1} z*R*P = 2 (p(-1) - p(1)),
+    F is solved for in factored form, the Theta * p_c form of
+    admissible metrics (Apostolov, Calderbank, Gauduchon and
+    Tønnesen-Friedman, "Hamiltonian 2-forms in Kähler geometry III").
+    Let u and v be the dims of the entries at r = 1 and r = -1 (the
+    fiber blocks d0 and dinf; 0 if absent).  When u >= 1, R carries
+    (1 + z)^(u - 1) and F(-1) = F'(-1) = 0, so F has a root of order
+    u + 1 at -1; likewise at +1.  Hence F = B * H with
+    B = (1 + z)^(u + 1) (1 - z)^(v + 1), and H has degree at most one
+    more than the sum of the other dims.  F'' = R * P becomes
+    D(H) = R_base * P, with D the operator of ``_operator_column`` and
+    R_base the factors of R at r != +-1.  Its coefficients from
+    z^((u > 0) + (v > 0)) up fix H from the top down, as
+    H0 + alpha*H1 + beta*H2 over one integer denominator.  Two values
+    of H then pin alpha and beta:
 
-    a symmetric 2x2 system in alpha and beta.  By Cauchy-Schwarz its
-    determinant is positive whenever p keeps one sign on (-1, 1),
-    which holds when every |r| <= 1: then no root of p lies inside.
-    Data from ``admissible_data`` has |r| < 1 on base factors and
-    r = +-1 on fiber blocks, so only synthetic data with some |r| > 1
-    can raise SingularSystemError.  Repeated r values raise
-    RepeatedNodeError.
+    - at -1: if u >= 1, the value of D(H) = R_base * P there, which
+      reads 4 u (u + 1) H(-1) = 2^(v = 0) (R_base * L)(-1) because
+      q(-1) = 0; if u = 0, F'(-1) = 2 p(-1), which reads
+      2^v H(-1) = p(-1);
+    - at +1 likewise, with u and v swapped.
+
+    This 2x2 system is singular exactly when the boundary problem is,
+    which cannot happen when every |r| <= 1: then p keeps one sign on
+    (-1, 1), and the boundary problem is a symmetric moment system that
+    Cauchy-Schwarz makes definite.  Data from ``admissible_data`` has
+    |r| < 1 on base factors and r = +-1 on fiber blocks, so only
+    synthetic data with some |r| > 1 can raise SingularSystemError.
+    Repeated r values raise RepeatedNodeError.
+
+    B > 0 on (-1, 1), so F > 0 there exactly when H > 0, and positivity
+    is decided on H.  F = B * H and p = R * q are expanded only to be
+    returned, each as a power of 1 + z times a power of 1 - z, built by
+    ``_times_binomial_pair``, times a polynomial of low degree.
     """
     entries = data.entries
     m = len(entries)
     if m == 0:
         raise SpecError("empty admissible data")
-    if len({e.r for e in entries}) != m:
+    # Integer numerators: with r_a = e_a / c_a, s_a = n_a / m_a,
+    # C = prod c_a and M = lcm m_a,
+    #   q = prod (c_a + e_a z) / C,
+    #   L = sum_a 2 dim_a n_a (M / m_a) e_a prod_{b != a} (c_b + e_b z) / (C M),
+    #   R_base = prod_{r_a != +-1} ((c_a + e_a z) / c_a)^(dim_a - 1).
+    pairs = [(e.r.denominator, e.r.numerator) for e in entries]
+    if len(set(pairs)) != m:
         raise RepeatedNodeError("repeated class parameters")
+    scale = math.lcm(*(e.s.denominator for e in entries))
+    u = v = 0
+    q_nums, l_nums, q_den, reduced = [1], [0] * m, 1, []
+    for a, entry in enumerate(entries):
+        c, e = pairs[a]
+        if entry.dim < 1:
+            raise ValueError("every admissible entry needs dim >= 1")
+        if c != abs(e):
+            if entry.dim > 1:
+                reduced.append((c, e, entry.dim - 1))
+        elif e == 1:
+            u = entry.dim
+        else:
+            v = entry.dim
+        weight = 2 * entry.dim * entry.s.numerator * (scale // entry.s.denominator) * e
+        if weight:
+            term = [weight]
+            for b, (cb, eb) in enumerate(pairs):
+                if b != a:
+                    term = _times_linear(term, cb, eb)
+            for k, x in enumerate(term):
+                l_nums[k] += x
+        q_nums = _times_linear(q_nums, c, e)
+        q_den *= c
+    # R_base * q and R_base * L over den / M and den.
+    high, low, den = q_nums, l_nums, q_den * scale
+    for c, e, n in reduced:
+        for _ in range(n):
+            high, low = _times_linear(high, c, e), _times_linear(low, c, e)
+            den *= c
+    char = _times_binomial_pair(max(u - 1, 0), max(v - 1, 0), high, den // scale)
 
-    linears = [Polynomial.linear(1, e.r) for e in entries]
-    reduced = Polynomial.one()
-    q = Polynomial.one()
-    for e, linear in zip(entries, linears):
-        reduced = reduced * linear ** (e.dim - 1)
-        q = q * linear
-    char = reduced * q
-    interpolant = Polynomial.zero()
-    for a, e in enumerate(entries):
-        term = Polynomial.constant(2 * e.dim * e.s * e.r)
-        for b, linear in enumerate(linears):
-            if b != a:
-                term = term * linear
-        interpolant = interpolant + term
+    # D(H) = R_base * (L + alpha q + beta z q), coefficient by
+    # coefficient, with H = (x0 + alpha x1 + beta x2) / T.  Solved from
+    # the top: the coefficient of z^(k + shift) fixes H_k.  With
+    # T = den * lead, lead the product of the top coefficients of D,
+    # every x_k is an integer, so each division is exact.
+    shift = (u > 0) + (v > 0)
+    top = len(high) - shift
+    columns = [_operator_column(k, u, v) for k in range(top + 1)]
+    lead = math.prod(column[-1] for column in columns)
+    size = top + shift + 1
+    sides = (
+        [lead * n for n in low] + [0] * (size - len(low)),
+        [lead * scale * n for n in high] + [0],
+        [0] + [lead * scale * n for n in high],
+    )
+    x0, x1, x2 = ([0] * (top + 1) for _ in range(3))
+    for k in range(top, -1, -1):
+        n = k + shift
+        a0, a1, a2 = sides[0][n], sides[1][n], sides[2][n]
+        for i in range(1, min(shift + 2, top - k) + 1):
+            w = columns[k + i][shift + 2 - i]
+            a0 -= x0[k + i] * w
+            a1 -= x1[k + i] * w
+            a2 -= x2[k + i] * w
+        pivot = columns[k][-1]
+        x0[k], x1[k], x2[k] = a0 // pivot, a1 // pivot, a2 // pivot
+    total = den * lead
 
-    # p(1) and p(-1) are these numerators over char.den.
-    p_plus, p_minus = _ends(char)
-    fixed = reduced * interpolant
-    m0, m1, m2 = (_moment(char, k) for k in range(3))
-    rhs = [
-        Fraction(-2 * (p_plus + p_minus), char.den) - _moment(fixed, 0),
-        Fraction(2 * (p_minus - p_plus), char.den) - _moment(fixed, 1),
-    ]
+    # kappa * H(+-1) = value / value_den at each end, a row in alpha and
+    # beta: T * H(+-1) = x0 + alpha x1 + beta x2 there.
+    char_plus, char_minus = _ends(char.nums)
+    low_plus, low_minus = _ends(low)
+    ends = (
+        (4 * u * (u + 1), low_minus * (1 if v else 2), den)
+        if u
+        else (2**v, char_minus, char.den),
+        (4 * v * (v + 1), low_plus * (1 if u else 2), den)
+        if v
+        else (2**u, char_plus, char.den),
+    )
+    (p0, m0), (p1, m1), (p2, m2) = _ends(x0), _ends(x1), _ends(x2)
+    matrix, rhs = [], []
+    for (y0, y1, y2), (kappa, value, value_den) in zip(
+        ((m0, m1, m2), (p0, p1, p2)), ends
+    ):
+        row_scale = kappa * value_den
+        matrix.append([row_scale * y1, row_scale * y2])
+        rhs.append(total * value - row_scale * y0)
     try:
-        alpha, beta = solve_linear([[m0, m1], [m1, m2]], rhs)
+        alpha, beta = solve_linear(matrix, rhs)
     except SingularMatrixError as exc:
         raise SingularSystemError(str(exc)) from exc
 
-    source = interpolant + Polynomial.linear(alpha, beta) * q
-    # F' and F are the antiderivatives of R * P fixed by F'(-1) = 2 p(-1)
-    # and F(-1) = 0; the moment conditions give the values at +1.
-    first = _antiderivative_from(reduced * source, Fraction(2 * p_minus, char.den))
-    profile = _antiderivative_from(first, 0)
+    an, ad = alpha.numerator, alpha.denominator
+    bn, bd = beta.numerator, beta.denominator
+    w0, w1, w2 = ad * bd, an * bd, ad * bn
+    h_nums = [y0 * w0 + y1 * w1 + y2 * w2 for y0, y1, y2 in zip(x0, x1, x2)]
+    factor = Polynomial.from_numerators(h_nums, total * w0)
+    profile = _times_binomial_pair(u + 1, v + 1, h_nums, total * w0)
+    source = _source(l_nums, q_nums, scale, alpha, beta, q_den * scale)
 
-    # F(+-1) = 0 and F'(+-1) = -+2 p(+-1), compared on numerators.
-    assert _ends(profile) == (0, 0)
-    first_plus, first_minus = _ends(first)
-    assert first_plus * char.den == -2 * p_plus * first.den
-    assert first_minus * char.den == 2 * p_minus * first.den
-    positive = (not profile.is_zero) and strictly_positive_on(profile, -1, 1)
+    # F'' = R * P, as D(H) = R_base * P.
+    image = [0] * (len(factor.nums) + shift)
+    for k, x in enumerate(factor.nums):
+        for n, c in enumerate(columns[k], k - 2):
+            if n >= 0:
+                image[n] += x * c
+    assert Polynomial.from_numerators(image, factor.den) == (
+        source if high is q_nums else _source(low, high, scale, alpha, beta, den)
+    )
+    # F(+-1) = 0 by the factor B.  F'(-1) = 2 p(-1) and F'(1) = -2 p(1),
+    # compared on numerators: F'(-1) is 2^(v+1) H(-1) when u = 0 and 0
+    # otherwise, and F'(1) is -2^(u+1) H(1) when v = 0 and 0 otherwise.
+    h_plus, h_minus = _ends(factor.nums)
+    assert (0 if u else h_minus * 2**v) * char.den == char_minus * factor.den
+    assert (0 if v else h_plus * 2**u) * char.den == char_plus * factor.den
+    positive = (not factor.is_zero) and strictly_positive_on(factor, -1, 1)
     return ExtremalProfile(
         profile=profile,
         source=source,
@@ -271,6 +441,7 @@ def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
         positive=positive,
         alpha=alpha,
         beta=beta,
+        factor=factor,
     )
 
 
@@ -312,14 +483,15 @@ def csc_from_profile(extremal: ExtremalProfile) -> CscResult:
     The structure has constant scalar curvature exactly when the
     extremal affine function is constant, beta = 0; then s = -alpha/6
     and F = (1 - z^2) * Q with Q the certificate quadratic, positive on
-    (-1, 1) exactly when F is.  Otherwise the data are inconsistent.
+    (-1, 1) exactly when F is.  On a trivial split Q is the solve's
+    factor H.  Otherwise the data are inconsistent.
     """
     if extremal.beta != 0:
         return CscResult(s=None, certificate=None, verdict=INCONSISTENT)
-    certificate, rest = extremal.profile.divmod(Polynomial.from_coeffs([1, 0, -1]))
-    assert rest.is_zero
     verdict = CSC if extremal.positive else POSITIVITY_FAILS
-    return CscResult(s=-extremal.alpha / 6, certificate=certificate, verdict=verdict)
+    return CscResult(
+        s=-extremal.alpha / 6, certificate=extremal.factor, verdict=verdict
+    )
 
 
 def genus_threshold(genus: int) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -89,7 +90,14 @@ def serialize_rational(value: Fraction) -> str:
 
 
 def serialize_polynomial(poly: Polynomial) -> list[str]:
-    return [serialize_rational(c) for c in poly.coeffs]
+    """Each coefficient as "n/d" in lowest terms, from the numerators
+    and the one denominator: one gcd per coefficient."""
+    den = poly.den
+    out = []
+    for num in poly.nums:
+        g = math.gcd(num, den)
+        out.append(f"{num // g}/{den // g}")
+    return out
 
 
 def _base_scalar_sign(base: BaseProduct, class_vector) -> int:

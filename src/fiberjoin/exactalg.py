@@ -84,6 +84,11 @@ class Polynomial:
         return _canonical(*_over_common_denominator(coeffs))
 
     @staticmethod
+    def from_numerators(nums: Iterable[int], den: int) -> "Polynomial":
+        """The polynomial with coefficients nums[k] / den, den != 0."""
+        return _canonical(list(nums), den)
+
+    @staticmethod
     def zero() -> "Polynomial":
         return _ZERO
 

@@ -3,9 +3,11 @@
 Each is an independent derivation of a fact the package computes
 another way: the two affine curvature equations of the two-factor CSC
 problem and the solve built on them, the balanced closed form of its
-root, and the characteristic product of admissible data.
+root, the characteristic product of admissible data, and the extremal
+profile by two antiderivatives and a moment system.
 """
 
+import math
 from fractions import Fraction
 
 from fiberjoin.admissible import (
@@ -14,8 +16,16 @@ from fiberjoin.admissible import (
     POSITIVITY_FAILS,
     AdmissibleData,
     CscResult,
+    ExtremalProfile,
+    RepeatedNodeError,
+    SingularSystemError,
 )
-from fiberjoin.exactalg import Polynomial, strictly_positive_on
+from fiberjoin.exactalg import (
+    Polynomial,
+    SingularMatrixError,
+    solve_linear,
+    strictly_positive_on,
+)
 from fiberjoin.model import SpecError
 
 
@@ -86,3 +96,118 @@ def characteristic_product(data: AdmissibleData) -> Polynomial:
     for e in data.entries:
         result = result * Polynomial.linear(1, e.r) ** e.dim
     return result
+
+
+def _moment(poly: Polynomial, k: int) -> Fraction:
+    """The integral of z^k * poly(z) over [-1, 1]: the sum of
+    2 * nums[j] / (j + k + 1) over even j + k, taken over one common
+    denominator."""
+    terms = [(n, j + k + 1) for j, n in enumerate(poly.nums) if (j + k) % 2 == 0]
+    scale = math.lcm(*(d for _, d in terms))
+    return Fraction(2 * sum(n * (scale // d) for n, d in terms), scale * poly.den)
+
+
+def _ends(poly: Polynomial) -> tuple[int, int]:
+    """poly(1) and poly(-1) times poly.den: the sums of the even and odd
+    numerators, added and subtracted."""
+    even, odd = sum(poly.nums[::2]), sum(poly.nums[1::2])
+    return even + odd, even - odd
+
+
+def _antiderivative_from(poly: Polynomial, start) -> Polynomial:
+    """The antiderivative of poly that takes the value ``start`` at -1."""
+    anti = poly.antiderivative()
+    return anti + Polynomial.constant(start - anti(-1))
+
+
+def reference_extremal_profile(data: AdmissibleData) -> ExtremalProfile:
+    """The extremal profile by the moment route: two antiderivatives of
+    R * P fixed at -1, with alpha and beta from the 2x2 moment system.
+    The factor is F divided by (1 + z)^(u + 1) (1 - z)^(v + 1), with u
+    and v the dims at r = 1 and r = -1; the division is exact.
+
+    F is determined by F'' = R * P with R the reduced characteristic
+    product, the product of (1 + r_a z)^(dim_a - 1), and the boundary
+    conditions F(+-1) = 0, F'(+-1) = -+2 p(+-1) with p the
+    characteristic product.  The source P has the closed form
+
+        P = L + (alpha + beta*z) * q,   q = prod_a (1 + r_a z),
+        L = 2 * sum_a dim_a * s_a * r_a * prod_{b != a} (1 + r_b z),
+
+    so P(-1/r_a) = L(-1/r_a) is the value the data prescribes there,
+    and R*q = p.  F(+-1) = 0 fix the two integration constants and the
+    derivative conditions become the moment conditions
+
+        int_{-1}^{1} R*P = -2 (p(1) + p(-1)),
+        int_{-1}^{1} z*R*P = 2 (p(-1) - p(1)),
+
+    a symmetric 2x2 system in alpha and beta.  By Cauchy-Schwarz its
+    determinant is positive whenever p keeps one sign on (-1, 1),
+    which holds when every |r| <= 1: then no root of p lies inside.
+    Data from ``admissible_data`` has |r| < 1 on base factors and
+    r = +-1 on fiber blocks, so only synthetic data with some |r| > 1
+    can raise SingularSystemError.  Repeated r values raise
+    RepeatedNodeError.
+    """
+    entries = data.entries
+    m = len(entries)
+    if m == 0:
+        raise SpecError("empty admissible data")
+    if len({e.r for e in entries}) != m:
+        raise RepeatedNodeError("repeated class parameters")
+
+    linears = [Polynomial.linear(1, e.r) for e in entries]
+    reduced = Polynomial.one()
+    q = Polynomial.one()
+    for e, linear in zip(entries, linears):
+        reduced = reduced * linear ** (e.dim - 1)
+        q = q * linear
+    char = reduced * q
+    interpolant = Polynomial.zero()
+    for a, e in enumerate(entries):
+        term = Polynomial.constant(2 * e.dim * e.s * e.r)
+        for b, linear in enumerate(linears):
+            if b != a:
+                term = term * linear
+        interpolant = interpolant + term
+
+    # p(1) and p(-1) are these numerators over char.den.
+    p_plus, p_minus = _ends(char)
+    fixed = reduced * interpolant
+    m0, m1, m2 = (_moment(char, k) for k in range(3))
+    rhs = [
+        Fraction(-2 * (p_plus + p_minus), char.den) - _moment(fixed, 0),
+        Fraction(2 * (p_minus - p_plus), char.den) - _moment(fixed, 1),
+    ]
+    try:
+        alpha, beta = solve_linear([[m0, m1], [m1, m2]], rhs)
+    except SingularMatrixError as exc:
+        raise SingularSystemError(str(exc)) from exc
+
+    source = interpolant + Polynomial.linear(alpha, beta) * q
+    # F' and F are the antiderivatives of R * P fixed by F'(-1) = 2 p(-1)
+    # and F(-1) = 0; the moment conditions give the values at +1.
+    first = _antiderivative_from(reduced * source, Fraction(2 * p_minus, char.den))
+    profile = _antiderivative_from(first, 0)
+
+    # F(+-1) = 0 and F'(+-1) = -+2 p(+-1), compared on numerators.
+    assert _ends(profile) == (0, 0)
+    first_plus, first_minus = _ends(first)
+    assert first_plus * char.den == -2 * p_plus * first.den
+    assert first_minus * char.den == 2 * p_minus * first.den
+    positive = (not profile.is_zero) and strictly_positive_on(profile, -1, 1)
+    u = next((e.dim for e in entries if e.r == 1), 0)
+    v = next((e.dim for e in entries if e.r == -1), 0)
+    factor, rest = profile.divmod(
+        Polynomial.linear(1, 1) ** (u + 1) * Polynomial.linear(1, -1) ** (v + 1)
+    )
+    assert rest.is_zero
+    return ExtremalProfile(
+        profile=profile,
+        source=source,
+        char_product=char,
+        positive=positive,
+        alpha=alpha,
+        beta=beta,
+        factor=factor,
+    )

@@ -20,6 +20,7 @@ from fiberjoin.admissible import (
     NotAdmissibleError,
     RepeatedNodeError,
     RepeatedParameterError,
+    _times_binomial_pair,
     admissible_data,
     extremal_profile,
     genus_threshold,
@@ -30,15 +31,18 @@ from fiberjoin.exactalg import (
     solve_linear,
     strictly_positive_on,
 )
-from fiberjoin.model import BaseFactor, make_spec
+from fiberjoin.model import BaseFactor, SpecError, make_spec
 from oracles import (
     AnsatzError,
     back_solve_csc,
     characteristic_product,
     csc_ansatz,
     curvature_equation,
+    reference_extremal_profile,
     reference_solve_csc,
 )
+
+ONE_MINUS_Z2 = Polynomial.from_coeffs([1, 0, -1])
 
 
 def surface_pair(g1, g2, rows=((2, 1), (1, 3))):
@@ -225,6 +229,13 @@ def test_profile_rejects_empty_data():
         extremal_profile(AdmissibleData(()))
 
 
+@pytest.mark.parametrize("label, r", [("factor_1", Fraction(1, 3)), (FIBER_ZERO, 1)])
+def test_profile_rejects_dimensionless_entries(label, r):
+    entries = (base_entry(0, 2, Fraction(-1, 2)), AdmissibleEntry(label, 0, 3, r))
+    with pytest.raises(ValueError):
+        extremal_profile(AdmissibleData(entries))
+
+
 rational_r = st.fractions(
     min_value=Fraction(-9, 10), max_value=Fraction(9, 10), max_denominator=12
 ).filter(lambda x: x != 0)
@@ -248,6 +259,22 @@ def test_profile_postconditions_random(params):
     p = result.char_product
     assert f(1) == 0 and f(-1) == 0
     assert fprime(1) == -2 * p(1) and fprime(-1) == 2 * p(-1)
+
+
+def data_with_fiber_blocks(params, d0, dinf):
+    """Base entries from (r, s, dim) triples, then the fiber blocks of
+    dimensions d0 and dinf (none for 0), as ``admissible_data`` adds them."""
+    entries = [
+        AdmissibleEntry(f"factor_{i}", dim, s, r)
+        for i, (r, s, dim) in enumerate(params)
+    ]
+    if d0:
+        entries.append(AdmissibleEntry(FIBER_ZERO, d0, Fraction(d0 + 1), Fraction(1)))
+    if dinf:
+        entries.append(
+            AdmissibleEntry(FIBER_INFINITY, dinf, Fraction(-(dinf + 1)), Fraction(-1))
+        )
+    return AdmissibleData(tuple(entries))
 
 
 def reference_extremal_solve(data):
@@ -326,21 +353,85 @@ def reference_extremal_solve(data):
 )
 @settings(max_examples=80, deadline=None)
 def test_profile_matches_square_system(params, d0, dinf):
-    """The 2x2 moment solve gives exactly the source and profile of the
+    """The factored solve gives exactly the source and profile of the
     square system, fiber blocks of dimension >= 2 included (R != 1)."""
-    entries = [
-        AdmissibleEntry(f"factor_{i}", dim, s, r)
-        for i, (r, s, dim) in enumerate(params)
-    ]
-    if d0:
-        entries.append(AdmissibleEntry(FIBER_ZERO, d0, Fraction(d0 + 1), Fraction(1)))
-    if dinf:
-        entries.append(
-            AdmissibleEntry(FIBER_INFINITY, dinf, Fraction(-(dinf + 1)), Fraction(-1))
-        )
-    data = AdmissibleData(tuple(entries))
+    data = data_with_fiber_blocks(params, d0, dinf)
     result = extremal_profile(data)
     assert (result.source, result.profile) == reference_extremal_solve(data)
+
+
+@given(
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=7),
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=12),
+)
+def test_times_binomial_pair_matches_powers(a, b, nums, den):
+    expected = (
+        Polynomial.linear(1, 1) ** a
+        * Polynomial.linear(1, -1) ** b
+        * Polynomial.from_numerators(nums, den)
+    )
+    assert _times_binomial_pair(a, b, nums, den) == expected
+
+
+unit_r = st.fractions(
+    min_value=Fraction(-19, 20), max_value=Fraction(19, 20), max_denominator=20
+)
+
+
+@given(
+    st.lists(
+        st.tuples(unit_r, rational_s, st.integers(min_value=1, max_value=3)),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda t: t[0],
+    ),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=4),
+)
+@settings(max_examples=120, deadline=None)
+def test_profile_matches_moment_oracle(params, d0, dinf):
+    """The factored solve gives every field of the moment route: base
+    entries of dims 1-3 with |r| < 1 (R_base != 1 when a dim exceeds
+    1) and fiber blocks of dims 0-4."""
+    data = data_with_fiber_blocks(params, d0, dinf)
+    assert extremal_profile(data) == reference_extremal_profile(data)
+
+
+split_spec_st = st.tuples(
+    st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=3),
+    st.lists(st.integers(min_value=1, max_value=9), min_size=6, max_size=6),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=4),
+)
+
+
+@given(split_spec_st)
+@settings(max_examples=120, deadline=None)
+def test_profile_factors_over_fiber_blocks(spec_params):
+    """On admissible data of split joins, F = (1 + z)^(d0 + 1)
+    (1 - z)^(dinf + 1) H with deg H <= w + 1 for w retained curves, and
+    H > 0 on (-1, 1) exactly when F is."""
+    genera, entries, d0, dinf = spec_params
+    width = len(genera)
+    w0, winf = entries[:width], entries[3 : 3 + width]
+    spec = make_spec(
+        [BaseFactor.surface(g) for g in genera],
+        [w0] * (d0 + 1) + [winf] * (dinf + 1),
+        (d0, dinf),
+    )
+    try:
+        data = admissible_data(spec)
+    except SpecError:
+        return
+    result = extremal_profile(data)
+    fibers = Polynomial.linear(1, 1) ** (d0 + 1) * Polynomial.linear(1, -1) ** (dinf + 1)
+    assert result.profile == fibers * result.factor
+    assert result.factor.degree <= len(data.base_entries) + 1
+    assert result.positive == (
+        not result.profile.is_zero and strictly_positive_on(result.profile, -1, 1)
+    )
 
 
 # --- csc solver -----------------------------------------------------------
@@ -445,7 +536,10 @@ def test_csc_matches_affine_oracle(r1, r2, s1, s2, consistent):
     if consistent:
         _, s2 = back_solve_csc(r1, r2, s1)
     data = AdmissibleData((base_entry(0, s1, r1), base_entry(1, s2, r2)))
-    assert solve_csc(data) == reference_solve_csc(data)
+    result = solve_csc(data)
+    assert result == reference_solve_csc(data)
+    if result.certificate is not None:
+        assert result.certificate * ONE_MINUS_Z2 == extremal_profile(data).profile
 
 
 # --- ansatz and threshold ---------------------------------------------------

@@ -296,18 +296,18 @@ def test_classify_deterministic(g1, g2, a, b, c, d):
 
 def test_classify_solves_each_profile_once(monkeypatch):
     """The CSC and extremal verdicts come from one admissible data and
-    one extremal solve."""
+    one extremal solve, which solves one linear system."""
     calls = Counter()
-    for name in ("admissible_data", "extremal_profile"):
+    for name in ("admissible_data", "extremal_profile", "solve_linear"):
         original = getattr(adm, name)
 
-        def counted(data, name=name, original=original):
+        def counted(*args, name=name, original=original):
             calls[name] += 1
-            return original(data)
+            return original(*args)
 
         monkeypatch.setattr(adm, name, counted)
     assert "csc-profile-certificate" in rules(curve_pair(5, 3, [[2, 1], [1, 3]]))
-    assert calls == {"admissible_data": 1, "extremal_profile": 1}
+    assert calls == {"admissible_data": 1, "extremal_profile": 1, "solve_linear": 1}
 
 
 # --- reports and serialization ------------------------------------------------
@@ -322,6 +322,14 @@ def test_serialize_rational():
 def test_serialize_polynomial():
     poly = Polynomial.from_coeffs([Fraction(3, 4), Fraction(-1, 6), Fraction(1, 12)])
     assert serialize_polynomial(poly) == ["3/4", "-1/6", "1/12"]
+
+
+@given(st.lists(st.fractions(max_denominator=10**6), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_serialize_polynomial_matches_coefficients(coeffs):
+    """The numerator form gives each coefficient's lowest terms."""
+    poly = Polynomial.from_coeffs(coeffs)
+    assert serialize_polynomial(poly) == [serialize_rational(c) for c in poly.coeffs]
 
 
 def test_invariant_report_reference():

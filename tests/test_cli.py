@@ -19,9 +19,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fiberjoin
-from fiberjoin.classify import _factor_document, parse_spec
+from fiberjoin.admissible import admissible_data
+from fiberjoin.classify import _factor_document, parse_spec, serialize_polynomial
 from fiberjoin.cli import main
 from fiberjoin.model import BaseFactor, make_spec
+from oracles import reference_extremal_profile
 
 # The package exports a ``classify`` function under the module's name.
 classify_module = importlib.import_module("fiberjoin.classify")
@@ -181,6 +183,28 @@ def test_extremal_large_document(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert json.loads(out)["positive"] is True
     assert elapsed < 1.5, f"took {elapsed:.2f}s"
+
+
+def test_extremal_large_document_matches_oracle(tmp_path, capsys):
+    """At d0 = 400 the output equals the moment route's, serialized the
+    same way: g2 x g3 with rows [3, 1] and [1, 2] each repeated d0 + 1
+    times, split (d0, d0)."""
+    d0 = 400
+    document = {
+        "base": [{"kind": "surface", "genus": 2}, {"kind": "surface", "genus": 3}],
+        "K": [[3, 1]] * (d0 + 1) + [[1, 2]] * (d0 + 1),
+        "split": [d0, d0],
+    }
+    code, out, err = run(capsys, ["extremal", write_doc(tmp_path, document)])
+    assert (code, err) == (0, "")
+    reference = reference_extremal_profile(admissible_data(parse_spec(document)))
+    expected = {
+        "profile": serialize_polynomial(reference.profile),
+        "source": serialize_polynomial(reference.source),
+        "char_product": serialize_polynomial(reference.char_product),
+        "positive": reference.positive,
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_se(tmp_path, capsys):

@@ -33,6 +33,16 @@ def test_construction_strips_leading_zeros():
     assert p.degree == 1
 
 
+@given(
+    st.lists(st.integers(min_value=-50, max_value=50), max_size=6),
+    st.integers(min_value=-30, max_value=30).filter(bool),
+)
+def test_from_numerators_is_canonical(nums, den):
+    assert Polynomial.from_numerators(nums, den) == Polynomial.from_coeffs(
+        [Fraction(n, den) for n in nums]
+    )
+
+
 def test_zero_polynomial():
     z = Polynomial.zero()
     assert z.is_zero
