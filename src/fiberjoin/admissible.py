@@ -180,6 +180,10 @@ class ExtremalProfile:
     factor: Polynomial
 
 
+# The ends of the profile's interval, built once rather than per solve.
+_MINUS_ONE, _ONE = Fraction(-1), Fraction(1)
+
+
 def _ends(nums) -> tuple[int, int]:
     """The values at 1 and -1 of the polynomial with these coefficients:
     the sums of the even and odd ones, added and subtracted."""
@@ -415,7 +419,7 @@ def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
     w0, w1, w2 = ad * bd, an * bd, ad * bn
     h_nums = [y0 * w0 + y1 * w1 + y2 * w2 for y0, y1, y2 in zip(x0, x1, x2)]
     factor = Polynomial.from_numerators(h_nums, total * w0)
-    profile = _times_binomial_pair(u + 1, v + 1, h_nums, total * w0)
+    profile = _times_binomial_pair(u + 1, v + 1, factor.nums, factor.den)
     source = _source(l_nums, q_nums, scale, alpha, beta, q_den * scale)
 
     # F'' = R * P, as D(H) = R_base * P.
@@ -433,7 +437,7 @@ def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
     h_plus, h_minus = _ends(factor.nums)
     assert (0 if u else h_minus * 2**v) * char.den == char_minus * factor.den
     assert (0 if v else h_plus * 2**u) * char.den == char_plus * factor.den
-    positive = (not factor.is_zero) and strictly_positive_on(factor, -1, 1)
+    positive = (not factor.is_zero) and strictly_positive_on(factor, _MINUS_ONE, _ONE)
     return ExtremalProfile(
         profile=profile,
         source=source,

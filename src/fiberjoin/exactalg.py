@@ -322,8 +322,10 @@ def _mobius_coefficients(poly: Polynomial, lo: Fraction, hi: Fraction) -> list[i
     nums = poly.nums
     n = len(nums) - 1
     a, b = lo.numerator, lo.denominator
-    width = hi - lo
-    e, f = width.numerator, width.denominator
+    # hi - lo = e/f in lowest terms, on integers.
+    e, f = hi.numerator * b - a * hi.denominator, b * hi.denominator
+    g = gcd(e, f)
+    e, f = e // g, f // g
     # b^n * poly((y + a) / b), then y = b*(hi - lo)*x with f^n cleared.
     shifted = _taylor_shift([c * b ** (n - k) for k, c in enumerate(nums)], a)
     scaled = [c * (b * e) ** k * f ** (n - k) for k, c in enumerate(shifted)]
