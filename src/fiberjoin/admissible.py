@@ -12,13 +12,14 @@ F = (1 + z)^(d0 + 1) (1 - z)^(dinf + 1) * H with H of low degree, the
 Theta * p_c form of admissible metrics (Apostolov, Calderbank,
 Gauduchon and Tønnesen-Friedman, "Hamiltonian 2-forms in Kähler
 geometry III"), so the profile is solved for H directly: a triangular
-integer system from the top coefficient down, and a 2x2 system for
-alpha and beta from the values of H at +-1.  Positivity of F on
-(-1, 1) is positivity of H, decided by Descartes' rule after a Möbius
-map, bisecting on mixed signs; F itself is expanded only to be
-returned.  Constant scalar curvature is the extremal case whose
-affine function is constant, so for two retained factors it is read
-off the same solve, with H as its certificate.
+integer system from the top coefficient down, and a 2x2 integer
+system for alpha and beta from the values of H at +-1, solved by
+Cramer's rule.  Positivity of F on (-1, 1) is positivity of H,
+decided by Descartes' rule after a Möbius map, bisecting on mixed
+signs; F itself is expanded only to be returned.  Constant scalar
+curvature is the extremal case whose affine function is constant, so
+for two retained factors it is read off the same solve, with H as its
+certificate.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactalg import (
-    Polynomial,
-    SingularMatrixError,
-    solve_linear,
-    strictly_positive_on,
-)
+from .exactalg import Polynomial, SingularMatrixError, strictly_positive_on
 from .model import (
     FiberJoinSpec,
     SpecError,
@@ -196,17 +192,15 @@ def _times_linear(nums: list[int], c: int, e: int) -> list[int]:
     return [c * x + e * y for x, y in zip(nums + [0], [0] + nums)]
 
 
-def _source(l_nums, q_nums, scale, alpha, beta, den) -> Polynomial:
-    """L + (alpha + beta z) q, for L = l_nums / den and
-    q = q_nums * scale / den."""
-    an, ad = alpha.numerator, alpha.denominator
-    bn, bd = beta.numerator, beta.denominator
-    at, below, above = ad * bd, scale * an * bd, scale * ad * bn
-    nums = [x * at for x in l_nums] + [0] * (len(q_nums) + 1 - len(l_nums))
+def _source(l_nums, q_nums, scale, an, bn, det, den) -> Polynomial:
+    """L + (alpha + beta z) q for L = l_nums / den, q = q_nums * scale / den,
+    alpha = an / det and beta = bn / det, every argument an integer."""
+    below, above = scale * an, scale * bn
+    nums = [x * det for x in l_nums] + [0] * (len(q_nums) + 1 - len(l_nums))
     for k, x in enumerate(q_nums):
         nums[k] += below * x
         nums[k + 1] += above * x
-    return Polynomial.from_numerators(nums, den * at)
+    return Polynomial.from_numerators(nums, den * det)
 
 
 def _times_binomial_pair(a: int, b: int, nums: list[int], den: int) -> Polynomial:
@@ -230,44 +224,36 @@ def _times_binomial_pair(a: int, b: int, nums: list[int], den: int) -> Polynomia
 def _operator_column(k: int, u: int, v: int) -> list[int]:
     """The coefficients of z^(k-2), z^(k-1), ... in D(z^k), where
 
-        D(H) = (B H)'' / ((1 + z)^(u-1) (1 - z)^(v-1)),
-        B = (1 + z)^a (1 - z)^c,  a = u + 1,  c = v + 1,
+        D(H) = (B H)'' / ((1 + z)^max(u-1, 0) (1 - z)^max(v-1, 0)),
+        B = (1 + z)^(u+1) (1 - z)^(v+1).
 
-    an exponent u - 1 or v - 1 of -1 read as 0.  For u, v >= 1, with
-    s = a + c and d = a - c,
+    With s = u + v + 2 and d = u - v, one formula holds for all
+    u, v >= 0:
 
-        D(H) = (1 - z^2)^2 H'' + 2 (1 - z^2)(d - s z) H'
-               + (d^2 - s - 2 d (s - 1) z + s (s - 1) z^2) H;
+        (B H)'' / ((1 + z)^(u-1) (1 - z)^(v-1)) = (1 - z^2)^2 H''
+            + 2 (1 - z^2)(d - s z) H'
+            + (d^2 - s - 2 d (s - 1) z + s (s - 1) z^2) H.
 
-    for u = 0 or v = 0 that expression is divisible by 1 + z or 1 - z,
-    and D is the quotient.  D raises the degree by (u > 0) + (v > 0),
-    and its top coefficient is +-(k + a + c)(k + a + c - 1), not zero.
+    For u = 0 its exponent -1 makes it D(H) times 1 + z, and for v = 0
+    D(H) times 1 - z, so D is its exact quotient by each.  D raises the
+    degree by (u > 0) + (v > 0), and its top coefficient is
+    +-(k + s)(k + s - 1), not zero.
     """
-    a, c = u + 1, v + 1
-    if u and v:
-        s, d = a + c, a - c
-        return [
-            k * (k - 1),
-            2 * k * d,
-            d * d - s - 2 * k * (k + s - 1),
-            -2 * d * (k + s - 1),
-            (k + s) * (k + s - 1),
-        ]
-    if v:
-        return [
-            k * (k - 1),
-            -k * (2 * c + k - 3),
-            c * c - 3 * c - k * (k + 3),
-            (k + c) * (k + c + 1),
-        ]
-    if u:
-        return [
-            k * (k - 1),
-            k * (2 * a + k - 3),
-            a * a - 3 * a - k * (k + 3),
-            -(k + a) * (k + a + 1),
-        ]
-    return [k * (k - 1), 0, -(k + 1) * (k + 2)]
+    s, d = u + v + 2, u - v
+    column = [
+        k * (k - 1),
+        2 * k * d,
+        d * d - s - 2 * k * (k + s - 1),
+        -2 * d * (k + s - 1),
+        (k + s) * (k + s - 1),
+    ]
+    for exponent, sign in ((u, 1), (v, -1)):
+        if not exponent:
+            # Divide by 1 + sign * z; the last entry is the remainder, 0.
+            for i in range(1, len(column)):
+                column[i] -= sign * column[i - 1]
+            column.pop()
+    return column
 
 
 def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
@@ -389,38 +375,34 @@ def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
         x0[k], x1[k], x2[k] = a0 // pivot, a1 // pivot, a2 // pivot
     total = den * lead
 
-    # kappa * H(+-1) = value / value_den at each end, a row in alpha and
-    # beta: T * H(+-1) = x0 + alpha x1 + beta x2 there.
+    # kappa * H(+-1) = value / value_den at each end, where
+    # T * H(+-1) = x0 + alpha x1 + beta x2.  Times kappa * value_den, a
+    # row (a0, a1, a2) at -1 and (b0, b1, b2) at +1 of
+    # alpha * row[0] + beta * row[1] = row[2], solved by Cramer's rule.
     char_plus, char_minus = _ends(char.nums)
     low_plus, low_minus = _ends(low)
     ends = (
-        (4 * u * (u + 1), low_minus * (1 if v else 2), den)
+        (4 * u * (u + 1) * den, low_minus * (1 if v else 2))
         if u
-        else (2**v, char_minus, char.den),
-        (4 * v * (v + 1), low_plus * (1 if u else 2), den)
+        else (2**v * char.den, char_minus),
+        (4 * v * (v + 1) * den, low_plus * (1 if u else 2))
         if v
-        else (2**u, char_plus, char.den),
+        else (2**u * char.den, char_plus),
     )
     (p0, m0), (p1, m1), (p2, m2) = _ends(x0), _ends(x1), _ends(x2)
-    matrix, rhs = [], []
-    for (y0, y1, y2), (kappa, value, value_den) in zip(
-        ((m0, m1, m2), (p0, p1, p2)), ends
-    ):
-        row_scale = kappa * value_den
-        matrix.append([row_scale * y1, row_scale * y2])
-        rhs.append(total * value - row_scale * y0)
-    try:
-        alpha, beta = solve_linear(matrix, rhs)
-    except SingularMatrixError as exc:
-        raise SingularSystemError(str(exc)) from exc
-
-    an, ad = alpha.numerator, alpha.denominator
-    bn, bd = beta.numerator, beta.denominator
-    w0, w1, w2 = ad * bd, an * bd, ad * bn
-    h_nums = [y0 * w0 + y1 * w1 + y2 * w2 for y0, y1, y2 in zip(x0, x1, x2)]
-    factor = Polynomial.from_numerators(h_nums, total * w0)
+    (a0, a1, a2), (b0, b1, b2) = (
+        (w * y1, w * y2, total * value - w * y0)
+        for (y0, y1, y2), (w, value) in zip(((m0, m1, m2), (p0, p1, p2)), ends)
+    )
+    det = a0 * b1 - a1 * b0
+    if not det:
+        raise SingularSystemError("matrix is singular")
+    an, bn = a2 * b1 - a1 * b2, a0 * b2 - a2 * b0
+    alpha, beta = Fraction(an, det), Fraction(bn, det)
+    h_nums = [det * y0 + an * y1 + bn * y2 for y0, y1, y2 in zip(x0, x1, x2)]
+    factor = Polynomial.from_numerators(h_nums, total * det)
     profile = _times_binomial_pair(u + 1, v + 1, factor.nums, factor.den)
-    source = _source(l_nums, q_nums, scale, alpha, beta, q_den * scale)
+    source = _source(l_nums, q_nums, scale, an, bn, det, q_den * scale)
 
     # F'' = R * P, as D(H) = R_base * P.
     image = [0] * (len(factor.nums) + shift)
@@ -429,7 +411,7 @@ def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
             if n >= 0:
                 image[n] += x * c
     assert Polynomial.from_numerators(image, factor.den) == (
-        source if high is q_nums else _source(low, high, scale, alpha, beta, den)
+        source if high is q_nums else _source(low, high, scale, an, bn, det, den)
     )
     # F(+-1) = 0 by the factor B.  F'(-1) = 2 p(-1) and F'(1) = -2 p(1),
     # compared on numerators: F'(-1) is 2^(v+1) H(-1) when u = 0 and 0

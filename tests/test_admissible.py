@@ -20,6 +20,8 @@ from fiberjoin.admissible import (
     NotAdmissibleError,
     RepeatedNodeError,
     RepeatedParameterError,
+    SingularSystemError,
+    _operator_column,
     _times_binomial_pair,
     admissible_data,
     extremal_profile,
@@ -229,6 +231,21 @@ def test_profile_rejects_empty_data():
         extremal_profile(AdmissibleData(()))
 
 
+def test_profile_singular_system_raises():
+    """A base entry with |r| > 1 can make the 2x2 for alpha and beta
+    singular; both solves refuse it with the same message."""
+    data = AdmissibleData(
+        (
+            AdmissibleEntry("f0", 1, Fraction(0), Fraction(-3)),
+            AdmissibleEntry(FIBER_ZERO, 3, Fraction(2), Fraction(1)),
+            AdmissibleEntry(FIBER_INFINITY, 3, Fraction(-2), Fraction(-1)),
+        )
+    )
+    for solve in (extremal_profile, reference_extremal_profile):
+        with pytest.raises(SingularSystemError, match="matrix is singular"):
+            solve(data)
+
+
 @pytest.mark.parametrize("label, r", [("factor_1", Fraction(1, 3)), (FIBER_ZERO, 1)])
 def test_profile_rejects_dimensionless_entries(label, r):
     entries = (base_entry(0, 2, Fraction(-1, 2)), AdmissibleEntry(label, 0, 3, r))
@@ -373,6 +390,27 @@ def test_times_binomial_pair_matches_powers(a, b, nums, den):
         * Polynomial.from_numerators(nums, den)
     )
     assert _times_binomial_pair(a, b, nums, den) == expected
+
+
+@pytest.mark.parametrize("u", range(6))
+@pytest.mark.parametrize("v", range(6))
+def test_operator_column_matches_expansion(u, v):
+    """The column of z^k is (B z^k)'' with B = (1 + z)^(u+1) (1 - z)^(v+1),
+    divided exactly by (1 + z)^max(u-1, 0) (1 - z)^max(v-1, 0), from
+    z^(k-2) up, with zeros below z^0 and a nonzero top entry."""
+    plus, minus = Polynomial.linear(1, 1), Polynomial.linear(1, -1)
+    fibers = plus ** (u + 1) * minus ** (v + 1)
+    divisor = plus ** max(u - 1, 0) * minus ** max(v - 1, 0)
+    for k in range(11):
+        first = (fibers * Polynomial.from_numerators([0] * k + [1], 1)).derivative()
+        quotient, remainder = first.derivative().divmod(divisor)
+        assert remainder.is_zero
+        column = _operator_column(k, u, v)
+        below = max(2 - k, 0)
+        assert column[:below] == [0] * below
+        assert column[-1] != 0
+        padded = [0] * (k - 2 + below) + column[below:]
+        assert Polynomial.from_numerators(padded, 1) == quotient
 
 
 unit_r = st.fractions(
