@@ -50,10 +50,6 @@ class RepeatedParameterError(SpecError):
     """Two retained factors share the same class parameter r."""
 
 
-class EqualParameterError(SpecError):
-    """The two-factor solver needs distinct class parameters."""
-
-
 class SingularSystemError(SingularMatrixError):
     """The profile linear system is degenerate."""
 
@@ -195,12 +191,9 @@ def _times_linear(nums: list[int], c: int, e: int) -> list[int]:
 def _source(l_nums, q_nums, scale, an, bn, det, den) -> Polynomial:
     """L + (alpha + beta z) q for L = l_nums / den, q = q_nums * scale / den,
     alpha = an / det and beta = bn / det, every argument an integer."""
-    below, above = scale * an, scale * bn
-    nums = [x * det for x in l_nums] + [0] * (len(q_nums) + 1 - len(l_nums))
-    for k, x in enumerate(q_nums):
-        nums[k] += below * x
-        nums[k + 1] += above * x
-    return Polynomial.from_numerators(nums, den * det)
+    affine = _times_linear(q_nums, scale * an, scale * bn)
+    nums = [det * x for x in l_nums] + [0] * (len(affine) - len(l_nums))
+    return Polynomial.from_numerators([x + y for x, y in zip(nums, affine)], den * det)
 
 
 def _times_binomial_pair(a: int, b: int, nums: list[int], den: int) -> Polynomial:
@@ -317,9 +310,8 @@ def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
         raise RepeatedNodeError("repeated class parameters")
     scale = math.lcm(*(e.s.denominator for e in entries))
     u = v = 0
-    q_nums, l_nums, q_den, reduced = [1], [0] * m, 1, []
-    for a, entry in enumerate(entries):
-        c, e = pairs[a]
+    q_nums, l_nums, q_den, reduced = [1], [], 1, []
+    for (c, e), entry in zip(pairs, entries):
         if entry.dim < 1:
             raise ValueError("every admissible entry needs dim >= 1")
         if c != abs(e):
@@ -329,14 +321,10 @@ def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
             u = entry.dim
         else:
             v = entry.dim
+        # The product rule: L times (c + e z), plus this entry's term,
+        # its weight times the product of the entries before it.
         weight = 2 * entry.dim * entry.s.numerator * (scale // entry.s.denominator) * e
-        if weight:
-            term = [weight]
-            for b, (cb, eb) in enumerate(pairs):
-                if b != a:
-                    term = _times_linear(term, cb, eb)
-            for k, x in enumerate(term):
-                l_nums[k] += x
+        l_nums = [x + weight * y for x, y in zip(_times_linear(l_nums, c, e), q_nums)]
         q_nums = _times_linear(q_nums, c, e)
         q_den *= c
     # R_base * q and R_base * L over den / M and den.
@@ -457,8 +445,6 @@ def solve_csc(data: AdmissibleData) -> CscResult:
     base = data.base_entries
     if len(base) != 2 or data.d0 != 0 or data.dinf != 0:
         raise SpecError("two retained factors and a trivial split required")
-    if base[0].r == base[1].r:
-        raise EqualParameterError("class parameters must differ")
     return csc_from_profile(extremal_profile(data))
 
 

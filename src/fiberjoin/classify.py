@@ -332,7 +332,7 @@ def _rule_einstein(spec: FiberJoinSpec) -> list[Verdict]:
                 citation=verdict.reason,
             )
         ]
-    if verdict.reason == "necessary conditions pass":
+    if verdict.reason == einstein.NECESSARY_CONDITIONS_PASS:
         return []
     witness = {"count": verdict.count} if verdict.count is not None else None
     return [

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
-    PROJECTIVE_SPACE,
     BaseProduct,
     FiberJoinSpec,
     SpecError,
@@ -24,6 +23,9 @@ from .model import (
     regular_join_data,
 )
 from .topology import c1_contact
+
+
+NECESSARY_CONDITIONS_PASS = "necessary conditions pass"
 
 
 class NotFanoError(SpecError):
@@ -110,36 +112,32 @@ def se_check(spec: FiberJoinSpec) -> SEVerdict:
         total = sum(join.multiples)
         # Arithmetic chain for colinear joins with vanishing c1: the
         # multiples sum to the index, which the weight sum divides and
-        # which is pinched between d+1 and n+1.
+        # which is pinched between d+1 and n+1.  The upper end always
+        # holds: the index divides every anticanonical coefficient,
+        # n_a + 1 on CP^(n_a) or 2 on a genus-zero curve, each <= n + 1.
         assert total == index
         assert join.b * sum(join.w) == index
-        assert d + 1 <= index
-        if index > n + 1:
-            return SEVerdict(
-                possible=False,
-                reason=f"index {index} exceeds base dimension bound {n + 1}",
-            )
+        assert d + 1 <= index <= n + 1
         if n == d:
             assert join.w == (1,) * (d + 1)
+        # Vanishing c1 leaves a lone factor only CP^n or a genus-zero curve.
         if d == 1 and len(spec.base.factors) == 1:
-            factor = spec.base.factors[0]
-            if factor.kind == PROJECTIVE_SPACE or factor.effective_genus == 0:
-                return SEVerdict(
-                    possible=True,
-                    reason=(
-                        "two-summand join over a projective space with "
-                        "multiples summing to the index"
-                    ),
-                    count=partitions(index, 2),
-                )
+            return SEVerdict(
+                possible=True,
+                reason=(
+                    "two-summand join over a projective space with "
+                    "multiples summing to the index"
+                ),
+                count=partitions(index, 2),
+            )
         if all(row == (1,) * len(spec.base.factors) for row in spec.matrix.rows):
             return SEVerdict(
                 possible=True,
                 reason="homogeneous join of unit-class summands",
             )
-        return SEVerdict(possible=True, reason="necessary conditions pass")
+        return SEVerdict(possible=True, reason=NECESSARY_CONDITIONS_PASS)
 
     # Vanishing c1 forces every column to sum to the factor's
     # anticanonical coefficient, which already caps d by n.
     assert n >= d
-    return SEVerdict(possible=True, reason="necessary conditions pass")
+    return SEVerdict(possible=True, reason=NECESSARY_CONDITIONS_PASS)

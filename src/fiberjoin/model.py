@@ -225,7 +225,7 @@ def make_spec(
     return FiberJoinSpec(
         base=BaseProduct(tuple(base)),
         matrix=KahlerMatrix.from_rows(rows),
-        split=tuple(split) if split is not None else None,
+        split=tuple(split) if isinstance(split, (list, tuple)) else split,
     )
 
 

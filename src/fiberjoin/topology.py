@@ -187,40 +187,28 @@ def _curve_product_betti(g1: int, g2: int) -> list[int]:
 
 
 def cohomology_table(spec: FiberJoinSpec) -> CohomologyTable:
-    """Integral cohomology of the join over a product of two curves.
-
-    For d=1 the only torsion is a cyclic group in degree 4 of order
-    the Euler class (omitted when that order is 1); for d > 1 the
-    join is a curve-product times an odd sphere and the table is
-    torsion free.
+    """Integral cohomology of the join over a product N of two curves,
+    from the Gysin sequence of the S^(2d+1) bundle: degree k holds
+    H^k(N) plus H^(k-2d-1)(N), except where the Euler class e in
+    H^(2d+2)(N) acts.  That happens only for d = 1, where cup with
+    e != 0 maps H^0(N) onto e H^4(N): one free summand leaves degrees
+    3 and 4, and degree 4 gains Z/e (omitted when e = 1).
     """
     f1, f2 = _two_curve_base(spec)
-    g1, g2 = f1.effective_genus, f2.effective_genus
-    betti = _curve_product_betti(g1, g2)
-    if spec.d == 1:
-        e = euler_class(spec)
-        groups = [
-            (0, 1, ()),
-            (1, betti[1], ()),
-            (2, betti[2], ()),
-            (3, betti[1], ()),
-            (4, betti[1], (e,) if e > 1 else ()),
-            (5, betti[2], ()),
-            (6, betti[1], ()),
-            (7, 1, ()),
-        ]
-        return CohomologyTable(tuple(groups))
+    betti = _curve_product_betti(f1.effective_genus, f2.effective_genus)
+    e = euler_class(spec)
     shift = 2 * spec.d + 1
-    top = shift + 4
-    groups = []
-    for deg in range(top + 1):
-        rank = 0
-        if 0 <= deg <= 4:
-            rank += betti[deg]
-        if 0 <= deg - shift <= 4:
-            rank += betti[deg - shift]
-        groups.append((deg, rank, ()))
-    return CohomologyTable(tuple(groups))
+    ranks = [0] * (shift + 5)
+    for k, b in enumerate(betti):
+        ranks[k] += b
+        ranks[k + shift] += b
+    if e:
+        ranks[shift] -= 1
+        ranks[shift + 1] -= 1
+    torsion = {shift + 1: (e,)} if e > 1 else {}
+    return CohomologyTable(
+        tuple((deg, rank, torsion.get(deg, ())) for deg, rank in enumerate(ranks))
+    )
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from fiberjoin.admissible import (
     AdmissibleEntry,
     CscResult,
     DegenerateFactorError,
-    EqualParameterError,
     NotAdmissibleError,
     RepeatedNodeError,
     RepeatedParameterError,
@@ -524,7 +523,7 @@ def test_csc_rejects_equal_parameters():
     data = AdmissibleData(
         (base_entry(0, 1, Fraction(1, 2)), base_entry(1, 2, Fraction(1, 2)))
     )
-    with pytest.raises(EqualParameterError):
+    with pytest.raises(RepeatedNodeError):
         solve_csc(data)
 
 

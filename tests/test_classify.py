@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiberjoin import admissible as adm
-from fiberjoin import exactalg
+from fiberjoin import einstein, exactalg
 from fiberjoin.admissible import admissible_data
 from fiberjoin.classify import (
     CSC_RAY_IN_CONE,
@@ -105,6 +105,17 @@ def test_second_reference_join():
         "-1/6",
         "1/2",
     ]
+
+
+def test_einstein_necessary_conditions_alone_are_inconclusive():
+    """c1 = 0 on CP^2 x CP^1 with rows that are not colinear: no
+    obstruction fires and no existence rule applies."""
+    spec = make_spec(
+        [BaseFactor.projective_space(2), BaseFactor.projective_space(1)],
+        [[1, 1], [2, 1]],
+    )
+    assert einstein.se_check(spec).reason == einstein.NECESSARY_CONDITIONS_PASS
+    assert [v.kind for v in classify(spec)] == [INCONCLUSIVE]
 
 
 def test_high_genus_pair_is_inconclusive():

@@ -459,13 +459,31 @@ MISSING_OR_MISTYPED = [
         _replaced(("base",), 5),
         "error: invalid join document: 'int' object is not iterable\n",
     ),
+    # Only a list is read as the split: no error from iterating it, and
+    # no string or object read as its characters or keys.
+    *(
+        (
+            "classify",
+            _replaced(("split",), split),
+            "error: invalid join document: split must be a pair of integers\n",
+        )
+        for split in (5, True, "ab", {"a": 0, "b": 0})
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "command, document, message",
     MISSING_OR_MISTYPED,
-    ids=["survey-without-max_entry", "join-without-K", "base-integer"],
+    ids=[
+        "survey-without-max_entry",
+        "join-without-K",
+        "base-integer",
+        "split-integer",
+        "split-boolean",
+        "split-string",
+        "split-object",
+    ],
 )
 def test_error_names_the_document_kind_once(
     tmp_path, capsys, command, document, message

@@ -142,6 +142,18 @@ def test_split_must_be_a_pair_of_integers(split):
         two_surface_spec([[2, 1], [1, 3]], split=split)
 
 
+@pytest.mark.parametrize(
+    "split",
+    [5, True, "ab", {"a": 0, "b": 0}],
+    ids=["integer", "boolean", "string", "object"],
+)
+def test_split_other_than_a_list_or_tuple_is_not_coerced(split):
+    # An integer or boolean is not iterable, and a string or an object
+    # would be read as its characters or keys; all are refused alike.
+    with pytest.raises(SpecError, match="^split must be a pair of integers$"):
+        two_surface_spec([[2, 1], [1, 3]], split=split)
+
+
 def test_spec_validates_on_construction():
     base = BaseProduct((BaseFactor.surface(2),))
     with pytest.raises(SpecError, match="two line bundle summands"):
