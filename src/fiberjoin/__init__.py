@@ -44,7 +44,6 @@ from .model import (
     FiberJoinSpec,
     KahlerMatrix,
     RegularJoinData,
-    admissible_split_check,
     is_colinear,
     make_spec,
     regular_join_data,

@@ -38,14 +38,15 @@ from .model import (
     BaseProduct,
     FiberJoinSpec,
     KahlerMatrix,
+    RegularJoinData,
     SpecError,
-    admissible_split_check,
     canonical_columns,
     identical_factor_groups,
     integer,
     is_colinear,
     make_spec,
     regular_join_data,
+    retained_factors,
 )
 
 CSC_REGULAR_RAY = "csc_regular_ray"
@@ -110,42 +111,48 @@ def _base_scalar_sign(base: BaseProduct, class_vector) -> int:
     return (total > 0) - (total < 0)
 
 
-def _rule_colinear_subcone(spec: FiberJoinSpec) -> list[Verdict]:
-    """Two-summand colinear joins over a CSC base."""
-    if spec.d != 1 or not is_colinear(spec):
+@dataclass(frozen=True)
+class _JoinFacts:
+    """What the rules read about one join, derived once per ``classify``."""
+
+    spec: FiberJoinSpec
+    join: Optional[RegularJoinData]  # None when K is not colinear
+    genera: tuple[Optional[int], ...]  # each factor's effective genus
+    retained: tuple[int, ...]  # () when the join is unsplit
+
+
+def _rule_colinear(facts: _JoinFacts) -> list[Verdict]:
+    """Colinear joins: with two summands over a CSC base, a CSC ray in
+    the sphere subcone; over an extremal base, an open set of rays."""
+    join = facts.join
+    if join is None:
         return []
-    join = regular_join_data(spec)
-    verdicts = [
-        Verdict(
-            kind=CSC_RAY_IN_CONE,
-            rule="colinear-subcone-csc",
-            citation=(
-                "a two-summand colinear join over a constant-scalar-curvature "
-                "base carries a CSC ray in its sphere subcone"
-            ),
-            witness={"b": join.b, "w": list(join.w)},
-        )
-    ]
-    if _base_scalar_sign(spec.base, join.primitive) >= 0:
+    verdicts = []
+    if facts.spec.d == 1:
         verdicts.append(
             Verdict(
-                kind=EXTREMAL_REGULAR_RAY,
-                rule="colinear-subcone-exhausted",
+                kind=CSC_RAY_IN_CONE,
+                rule="colinear-subcone-csc",
                 citation=(
-                    "with nonnegative base scalar curvature the sphere subcone "
-                    "of a two-summand colinear join is exhausted by extremal "
-                    "structures; in particular the regular ray is extremal"
+                    "a two-summand colinear join over a constant-scalar-curvature "
+                    "base carries a CSC ray in its sphere subcone"
                 ),
+                witness={"b": join.b, "w": list(join.w)},
             )
         )
-    return verdicts
-
-
-def _rule_colinear_open_set(spec: FiberJoinSpec) -> list[Verdict]:
-    """Colinear joins over an extremal base."""
-    if not is_colinear(spec):
-        return []
-    return [
+        if _base_scalar_sign(facts.spec.base, join.primitive) >= 0:
+            verdicts.append(
+                Verdict(
+                    kind=EXTREMAL_REGULAR_RAY,
+                    rule="colinear-subcone-exhausted",
+                    citation=(
+                        "with nonnegative base scalar curvature the sphere subcone "
+                        "of a two-summand colinear join is exhausted by extremal "
+                        "structures; in particular the regular ray is extremal"
+                    ),
+                )
+            )
+    verdicts.append(
         Verdict(
             kind=EXTREMAL_OPEN_SET,
             rule="colinear-extremal-base",
@@ -154,20 +161,16 @@ def _rule_colinear_open_set(spec: FiberJoinSpec) -> list[Verdict]:
                 "open set of extremal rays in its sphere subcone"
             ),
         )
-    ]
+    )
+    return verdicts
 
 
-def _rule_super_admissible(spec: FiberJoinSpec) -> list[Verdict]:
-    """Super admissible joins over nonnegative local products."""
-    if spec.split is None or not admissible_split_check(spec):
+def _rule_super_admissible(facts: _JoinFacts) -> list[Verdict]:
+    """Super admissible joins over nonnegative local products: no curve
+    of genus above one, and at most one of genus one."""
+    genera = [g for g in facts.genera if g is not None]
+    if not facts.retained or max(genera, default=0) > 1 or genera.count(1) > 1:
         return []
-    lively = [f for f in spec.base.factors if f.b1 != 0]
-    if len(lively) > 1:
-        return []
-    for f in spec.base.factors:
-        genus = f.effective_genus
-        if genus is not None and genus > 1:
-            return []
     return [
         Verdict(
             kind=EXTREMAL_OPEN_SET,
@@ -181,19 +184,12 @@ def _rule_super_admissible(spec: FiberJoinSpec) -> list[Verdict]:
     ]
 
 
-def _rule_line_times_curve(spec: FiberJoinSpec) -> list[Verdict]:
+def _rule_line_times_curve(facts: _JoinFacts) -> list[Verdict]:
     """Joins over (projective line) x (curve)."""
-    if spec.split is None or len(spec.base.factors) != 2:
+    genera = facts.genera
+    if not facts.retained or len(genera) != 2 or None in genera or 0 not in genera:
         return []
-    if not admissible_split_check(spec):
-        return []
-    genera = [f.effective_genus for f in spec.base.factors]
-    if any(g is None for g in genera):
-        return []
-    try:
-        line_idx = genera.index(0)
-    except ValueError:
-        return []
+    line_idx = genera.index(0)
     other_idx = 1 - line_idx
     g = genera[other_idx]
     verdict = Verdict(
@@ -207,8 +203,8 @@ def _rule_line_times_curve(spec: FiberJoinSpec) -> list[Verdict]:
     )
     if g <= 1:
         return [verdict]
-    d0, dinf = spec.split
-    if d0 != 1 or dinf != 1:
+    spec = facts.spec
+    if spec.split != (1, 1):
         return []
     w0 = spec.omega_zero()
     winf = spec.omega_infinity()
@@ -222,12 +218,11 @@ def _rule_line_times_curve(spec: FiberJoinSpec) -> list[Verdict]:
     return [verdict]
 
 
-def _rule_curve_two_block(spec: FiberJoinSpec) -> list[Verdict]:
-    """Two-block joins over a single curve."""
-    if spec.split is None or len(spec.base.factors) != 1:
-        return []
-    genus = spec.base.factors[0].effective_genus
-    if genus is None:
+def _rule_curve_two_block(facts: _JoinFacts) -> list[Verdict]:
+    """Two-block joins over a single curve, split with or without a
+    retained factor."""
+    spec, genus = facts.spec, facts.genera[0]
+    if spec.split is None or len(facts.genera) != 1 or genus is None:
         return []
     d0, dinf = spec.split
     b1 = spec.omega_zero()[0]
@@ -251,11 +246,9 @@ def _rule_curve_two_block(spec: FiberJoinSpec) -> list[Verdict]:
     return []
 
 
-def _rule_line_triple(spec: FiberJoinSpec) -> list[Verdict]:
+def _rule_line_triple(facts: _JoinFacts) -> list[Verdict]:
     """Three-summand joins over the projective line."""
-    if spec.d != 2 or len(spec.base.factors) != 1:
-        return []
-    if spec.base.factors[0].effective_genus != 0:
+    if facts.spec.d != 2 or facts.genera != (0,):
         return []
     return [
         Verdict(
@@ -278,13 +271,13 @@ def _or_none(fn: Callable[[FiberJoinSpec], object], spec: FiberJoinSpec):
         return None
 
 
-def _rule_profile(spec: FiberJoinSpec) -> list[Verdict]:
+def _rule_profile(facts: _JoinFacts) -> list[Verdict]:
     """Exact extremal solve on a d=1 split, where the regular quotient
     class is pinned by the join data; with two retained factors the
     same solve decides constant scalar curvature."""
-    if spec.split != (0, 0):
+    if facts.spec.split != (0, 0):
         return []
-    data = _or_none(adm.admissible_data, spec)
+    data = _or_none(adm.admissible_data, facts.spec)
     if data is None:
         return []
     profile = adm.extremal_profile(data)
@@ -322,8 +315,8 @@ def _rule_profile(spec: FiberJoinSpec) -> list[Verdict]:
     return verdicts
 
 
-def _rule_einstein(spec: FiberJoinSpec) -> list[Verdict]:
-    verdict = einstein.se_check(spec)
+def _rule_einstein(facts: _JoinFacts) -> list[Verdict]:
+    verdict = einstein.se_check(facts.spec)
     if not verdict.possible:
         return [
             Verdict(
@@ -345,9 +338,8 @@ def _rule_einstein(spec: FiberJoinSpec) -> list[Verdict]:
     ]
 
 
-_RULES: tuple[Callable[[FiberJoinSpec], list[Verdict]], ...] = (
-    _rule_colinear_subcone,
-    _rule_colinear_open_set,
+_RULES: tuple[Callable[[_JoinFacts], list[Verdict]], ...] = (
+    _rule_colinear,
     _rule_super_admissible,
     _rule_line_times_curve,
     _rule_curve_two_block,
@@ -358,11 +350,18 @@ _RULES: tuple[Callable[[FiberJoinSpec], list[Verdict]], ...] = (
 
 
 def classify(spec: FiberJoinSpec) -> list[Verdict]:
-    """Fire every applicable rule, in a fixed order; append a single
-    inconclusive verdict when no existence conclusion was reached."""
+    """Fire every applicable rule, in a fixed order, on the facts
+    derived once here; append a single inconclusive verdict when no
+    existence conclusion was reached."""
+    facts = _JoinFacts(
+        spec=spec,
+        join=regular_join_data(spec) if is_colinear(spec) else None,
+        genera=tuple(f.effective_genus for f in spec.base.factors),
+        retained=retained_factors(spec) if spec.split is not None else (),
+    )
     verdicts: list[Verdict] = []
     for rule in _RULES:
-        verdicts.extend(rule(spec))
+        verdicts.extend(rule(facts))
     if not any(v.kind in _EXISTENCE_KINDS for v in verdicts):
         verdicts.append(
             Verdict(
@@ -642,6 +641,8 @@ def _document(doc, allowed: tuple[str, ...], what: str):
         raise SpecError(f"{what} must be an object")
     _refuse_unknown_keys(doc, allowed, what)
     try:
+        if not isinstance(doc["base"], list):
+            raise SpecError("base must be a list of factors")
         yield [parse_factor(f) for f in doc["base"]]
     except KeyError as exc:
         raise SpecError(f"missing key {exc}") from exc

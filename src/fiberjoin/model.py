@@ -99,12 +99,6 @@ class BaseFactor:
         return 2 - 2 * self.genus
 
     @property
-    def b1(self) -> int:
-        if self.kind in (SURFACE, TORUS):
-            return 2 * self.genus
-        return 0
-
-    @property
     def effective_genus(self) -> Optional[int]:
         """Genus when the factor is a curve (surface, torus, or CP^1);
         None for higher-dimensional projective spaces."""
@@ -222,6 +216,11 @@ def make_spec(
     rows: Sequence[Sequence[int]],
     split: Optional[tuple[int, int]] = None,
 ) -> FiberJoinSpec:
+    """Only a list or tuple is read as K, a row or the split."""
+    if not isinstance(rows, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in rows
+    ):
+        raise SpecError("K must be a list of rows, each a list of integers")
     return FiberJoinSpec(
         base=BaseProduct(tuple(base)),
         matrix=KahlerMatrix.from_rows(rows),
@@ -260,15 +259,16 @@ class RegularJoinData:
 
 
 def regular_join_data(spec: FiberJoinSpec) -> RegularJoinData:
-    if not is_colinear(spec):
-        raise NotColinearError("rows are not proportional")
+    """Each row as m_j times the first row's primitive vector; a row of
+    positive integers that is no such multiple is not proportional."""
     rows = spec.matrix.rows
     g = math.gcd(*rows[0])
     primitive = tuple(e // g for e in rows[0])
     multiples = []
     for row in rows:
         m = row[0] // primitive[0]
-        assert all(e == m * p for e, p in zip(row, primitive))
+        if any(e != m * p for e, p in zip(row, primitive)):
+            raise NotColinearError("rows are not proportional")
         multiples.append(m)
     b = math.gcd(*multiples)
     w = tuple(m // b for m in multiples)
@@ -343,14 +343,3 @@ def retained_factors(spec: FiberJoinSpec) -> tuple[int, ...]:
         raise SpecError("split required")
     pairs = zip(spec.omega_zero(), spec.omega_infinity())
     return tuple(a for a, (w0, winf) in enumerate(pairs) if w0 != winf)
-
-
-def admissible_split_check(spec: FiberJoinSpec) -> bool:
-    """Whether the split join carries an admissible structure.
-
-    After rescaling each retained factor's reference form by its
-    (nonzero, integral) class difference, the two split classes fit
-    the admissible normal form; factors with equal classes drop out.
-    So the check is: at least one factor sees different classes.
-    """
-    return bool(retained_factors(spec))

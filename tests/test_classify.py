@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -252,6 +253,84 @@ def test_line_triple_needs_three_summands_and_genus_zero():
     )
 
 
+TORUS, LINE, PLANE = (
+    BaseFactor.torus(),
+    BaseFactor.projective_space(1),
+    BaseFactor.projective_space(2),
+)
+GENUS_TWO = BaseFactor.surface(2)
+
+RULES_FIRED = {
+    "torus-x-torus": (
+        [TORUS, TORUS],
+        [[2, 1], [1, 3]],
+        (0, 0),
+        ["extremal-profile-certificate", "einstein-obstruction-chain"],
+    ),
+    "torus-x-line": (
+        [TORUS, LINE],
+        [[2, 1], [1, 3]],
+        (0, 0),
+        [
+            "super-admissible-nonneg-product",
+            "line-times-curve-regular-ray",
+            "extremal-profile-certificate",
+            "einstein-obstruction-chain",
+        ],
+    ),
+    "plane-x-torus": (
+        [PLANE, TORUS],
+        [[2, 1], [1, 3]],
+        (0, 0),
+        ["super-admissible-nonneg-product", "einstein-obstruction-chain"],
+    ),
+    "g2-x-line": (
+        [GENUS_TWO, LINE],
+        [[2, 1], [1, 3]],
+        (0, 0),
+        ["extremal-profile-certificate", "einstein-obstruction-chain"],
+    ),
+    "line-x-g2-colinear": (
+        [LINE, GENUS_TWO],
+        [[2, 2]] * 2 + [[1, 1]] * 2,
+        (1, 1),
+        [
+            "colinear-extremal-base",
+            "line-times-curve-regular-ray",
+            "einstein-obstruction-chain",
+        ],
+    ),
+    "line-x-g2-unmarked": (
+        [LINE, GENUS_TWO],
+        [[2, 3]] * 2 + [[1, 1]] * 2,
+        (1, 1),
+        ["einstein-obstruction-chain", "none"],
+    ),
+    "torus-equal-blocks": (
+        [TORUS],
+        [[2]] * 4,
+        (1, 1),
+        [
+            "colinear-extremal-base",
+            "curve-two-block-window",
+            "einstein-obstruction-chain",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "factors, rows, split, fired", RULES_FIRED.values(), ids=RULES_FIRED.keys()
+)
+def test_rules_fired_by_name(factors, rows, split, fired):
+    # Two genus-one curves are not a nonnegative local product; one
+    # genus-one curve beside a line or a plane is.  A genus-two curve
+    # lets the line-times-curve rule fire only on the marked matrix.
+    # The two-block rule needs a split but no retained factor.
+    spec = make_spec(factors, rows, split)
+    assert [v.rule for v in classify(spec)] == fired
+
+
 # --- fallback ----------------------------------------------------------------
 
 
@@ -328,6 +407,30 @@ def test_classify_solves_each_profile_once(monkeypatch):
     assert "csc-profile-certificate" in rules(curve_pair(5, 3, [[2, 1], [1, 3]]))
     counts = (calls["admissible_data"], calls["extremal_profile"], calls["solve_linear"])
     assert counts == (1, 1, 0)
+
+
+def test_classify_derives_each_rule_fact_once(monkeypatch):
+    """Every rule reads one record of the join's facts, so one call
+    decides colinearity; the second ``retained_factors`` call is made
+    inside ``admissible_data``."""
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("fiberjoin.")]
+    for name in ("is_colinear", "regular_join_data", "retained_factors"):
+        original = getattr(sys.modules["fiberjoin.model"], name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    # Colinear, d = 1, split (0, 0), and c1 != 0, so se_check stops early.
+    spec = curve_pair(2, 3, [[2, 2], [1, 1]])
+    verdicts = sys.modules["fiberjoin.classify"].classify(spec)
+    assert "colinear-subcone-csc" in {v.rule for v in verdicts}
+    assert calls == {"is_colinear": 1, "regular_join_data": 1, "retained_factors": 2}
 
 
 # --- reports and serialization ------------------------------------------------

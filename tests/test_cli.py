@@ -457,7 +457,7 @@ MISSING_OR_MISTYPED = [
     (
         "classify",
         _replaced(("base",), 5),
-        "error: invalid join document: 'int' object is not iterable\n",
+        "error: invalid join document: base must be a list of factors\n",
     ),
     # Only a list is read as the split: no error from iterating it, and
     # no string or object read as its characters or keys.
@@ -468,6 +468,26 @@ MISSING_OR_MISTYPED = [
             "error: invalid join document: split must be a pair of integers\n",
         )
         for split in (5, True, "ab", {"a": 0, "b": 0})
+    ),
+    # Nor is K, a row of K, or the base read unless it is a list.
+    *(
+        (
+            "classify",
+            _replaced(("K",), rows),
+            "error: invalid join document: "
+            "K must be a list of rows, each a list of integers\n",
+        )
+        for rows in (5, "ab", {"a": 1}, ["ab", "cd"])
+    ),
+    (
+        "classify",
+        _replaced(("base",), "ab"),
+        "error: invalid join document: base must be a list of factors\n",
+    ),
+    (
+        "survey",
+        dict(SURVEY_REQUEST, base=5),
+        "error: invalid survey request: base must be a list of factors\n",
     ),
 ]
 
@@ -483,6 +503,12 @@ MISSING_OR_MISTYPED = [
         "split-boolean",
         "split-string",
         "split-object",
+        "K-integer",
+        "K-string",
+        "K-object",
+        "K-string-rows",
+        "base-string",
+        "survey-base-integer",
     ],
 )
 def test_error_names_the_document_kind_once(

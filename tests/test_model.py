@@ -17,7 +17,6 @@ from fiberjoin.model import (
     NotColinearError,
     SpecError,
     SplitMismatchError,
-    admissible_split_check,
     canonical_split_spec,
     is_colinear,
     make_spec,
@@ -154,6 +153,20 @@ def test_split_other_than_a_list_or_tuple_is_not_coerced(split):
         two_surface_spec([[2, 1], [1, 3]], split=split)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [5, "ab", {"a": 1, "b": 2}, [5, 6], ["ab", "cd"], [[2, 1], 3]],
+    ids=["integer", "string", "object", "integer-rows", "string-rows", "mixed-rows"],
+)
+def test_matrix_other_than_a_list_of_lists_is_not_coerced(rows):
+    # Neither K nor a row is iterated unless it is a list or tuple, so a
+    # string or an object is not read as its characters or keys.
+    with pytest.raises(
+        SpecError, match="^K must be a list of rows, each a list of integers$"
+    ):
+        two_surface_spec(rows, split=None)
+
+
 def test_spec_validates_on_construction():
     base = BaseProduct((BaseFactor.surface(2),))
     with pytest.raises(SpecError, match="two line bundle summands"):
@@ -225,6 +238,23 @@ def test_colinear_matches_rank_oracle(rows):
         for a, b in itertools.combinations(range(len(rows[0])), 2)
     )
     assert is_colinear(spec) == rank_one
+
+
+@settings(max_examples=300)
+@given(near_rank_one())
+def test_regular_join_data_decides_colinearity(rows):
+    # Its own row loop refuses exactly the joins is_colinear refuses.
+    spec = make_spec([BaseFactor.surface(2)] * len(rows[0]), rows, None)
+    try:
+        join = regular_join_data(spec)
+    except NotColinearError:
+        join = None
+    assert (join is not None) == is_colinear(spec)
+    if join is not None:
+        assert all(
+            row == tuple(m * p for p in join.primitive)
+            for row, m in zip(spec.matrix.rows, join.multiples)
+        )
 
 
 @given(
@@ -345,16 +375,13 @@ def test_canonical_split_spec_swaps_equal_blocks_only():
 def test_column_differences_and_retained():
     spec = two_surface_spec([[2, 1], [1, 3]])
     assert retained_factors(spec) == (0, 1)
-    assert admissible_split_check(spec)
 
 
 def test_retained_drops_equal_columns():
     spec = make_spec(TWO_LINES, [[2, 1], [2, 3]], (0, 0))
     assert retained_factors(spec) == (1,)
-    assert admissible_split_check(spec)
 
 
 def test_no_retained_factor_fails_check():
     spec = make_spec(TWO_LINES, [[2, 3], [2, 3]], (0, 0))
     assert retained_factors(spec) == ()
-    assert not admissible_split_check(spec)
