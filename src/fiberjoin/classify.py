@@ -14,19 +14,23 @@ the extremal profile itself) as a witness.  Verdict kinds:
   inconclusive          no rule applies
 
 A survey classifies an orbit only when its entry is read, and
-``survey_chunks`` writes one entry at a time.
+``survey_chunks`` writes one entry at a time.  Every JSON answer is
+the text ``json.dumps(document, indent=2)`` would write, from one
+direct writer: the standard encoder falls back to pure Python when
+asked to indent, and spends more time than the writer does.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
+import sys
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -73,6 +77,18 @@ class BoundsTooLargeError(SpecError):
     """Survey enumeration would exceed the configured cap."""
 
 
+class DigitLimitError(ValueError):
+    """An integer of the answer is longer than the interpreter will
+    write as text."""
+
+    def __init__(self):
+        super().__init__(
+            "an integer of the answer has more than "
+            f"{sys.get_int_max_str_digits()} digits, the interpreter's limit "
+            "for integer string conversion"
+        )
+
+
 @dataclass(frozen=True)
 class Verdict:
     kind: str
@@ -95,9 +111,12 @@ def serialize_polynomial(poly: Polynomial) -> list[str]:
     and the one denominator: one gcd per coefficient."""
     den = poly.den
     out = []
-    for num in poly.nums:
-        g = math.gcd(num, den)
-        out.append(f"{num // g}/{den // g}")
+    try:
+        for num in poly.nums:
+            g = math.gcd(num, den)
+            out.append(f"{num // g}/{den // g}")
+    except ValueError as exc:  # only the digit limit raises here
+        raise DigitLimitError() from exc
     return out
 
 
@@ -559,9 +578,8 @@ def survey_chunks(report: SurveyReport, fmt: str = "json") -> Iterator[str]:
 def _json_chunks(report: SurveyReport) -> Iterator[str]:
     base = [_factor_document(f) for f in report.base.factors]
     head = {"base": base, "split": list(report.split), "max_entry": report.max_entry}
-    # The head ends at '"entries": [': an entry sits two levels deep,
-    # and JSON escapes newlines in strings, so re-indenting it is safe.
-    yield json.dumps({**head, "entries": []}, indent=2)[: -len("]\n}")]
+    # The head ends at '"entries": [', and an entry starts two levels deep.
+    yield _json_text({**head, "entries": []})[: -len("]\n}")]
     separator, tail = "\n    ", "]\n}"
     for entry in report.entries:
         document = {
@@ -569,9 +587,80 @@ def _json_chunks(report: SurveyReport) -> Iterator[str]:
             "invariants": entry.invariants.as_dict(),
             "verdicts": [v.as_dict() for v in entry.verdicts],
         }
-        yield separator + json.dumps(document, indent=2).replace("\n", "\n    ")
+        yield separator + _json_text(document, "\n    ")
         separator, tail = ",\n    ", "\n  ]\n}"
     yield tail
+
+
+# The text json.dumps writes for each scalar type, by exact type; a
+# subclass of str or int takes the isinstance path of _append_json.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, with ``newline`` in place of
+    each newline: the text of ``value`` nested at that indent."""
+    out: list[str] = []
+    try:
+        _append_json(value, out, newline)
+    except ValueError as exc:  # only the digit limit raises here
+        raise DigitLimitError() from exc
+    return "".join(out)
+
+
+def _append_json(value, out: list[str], newline: str) -> None:
+    """Append the text of ``value`` to ``out``: str, int, bool, None,
+    and dicts (str or int keys), lists and tuples of them."""
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        out.append(text(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if isinstance(key, str):
+                key = encode_basestring_ascii(key)
+            elif isinstance(key, int) and not isinstance(key, bool):
+                key = '"' + int.__repr__(key) + '"'
+            else:
+                raise TypeError(f"keys must be str or int, not {type(key).__name__}")
+            text = _SCALAR_TEXT.get(type(item))
+            if text is None:
+                out.append(separator + key + ": ")
+                _append_json(item, out, inner)
+            else:
+                out.append(separator + key + ": " + text(item))
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            text = _SCALAR_TEXT.get(type(item))
+            if text is None:
+                out.append(separator)
+                _append_json(item, out, inner)
+            else:
+                out.append(separator + text(item))
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _csv_chunks(report: SurveyReport) -> Iterator[str]:
@@ -671,5 +760,5 @@ def emit(report, fmt: str = "json") -> str:
     if isinstance(report, SurveyReport):
         return "".join(survey_chunks(report, fmt))
     if fmt == "json":
-        return json.dumps(report, indent=2)
+        return _json_text(report)
     raise SpecError(f"unsupported format: {fmt}")

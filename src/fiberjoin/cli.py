@@ -19,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 from . import admissible as adm
 from . import einstein
 from .classify import (
+    DigitLimitError,
     emit,
     invariant_report,
     parse_spec,
@@ -166,11 +167,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             output = _run_extremal(spec)
         else:
             output = _run_se(spec)
+        text = emit(output, args.format)
+    except DigitLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (SpecError, SingularMatrixError) as exc:
         print(f"error: degenerate data: {exc}", file=sys.stderr)
         return 2
 
-    return _write([emit(output, args.format)])
+    return _write([text])
 
 
 if __name__ == "__main__":
