@@ -29,6 +29,7 @@ from fiberjoin.classify import (
     SurveyEntry,
     SurveyReport,
     _factor_document,
+    _json_text,
     classify,
     emit,
     invariant_report,
@@ -866,3 +867,38 @@ def test_survey_writer_on_a_report_without_entries():
     assert emit(empty, "csv") == reference_csv(empty)
     with pytest.raises(SpecError, match="unsupported format"):
         emit(empty, "xml")
+    document = reference_document(empty)
+    assert emit(document) == json.dumps(document, indent=2)
+
+
+JSON_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\n\t\x7f\u00e9\u2028\U0001f600') | st.characters()
+)
+JSON_SCALARS = (
+    JSON_TEXT
+    | st.integers()
+    | st.integers(-(10**60), 10**60)
+    | st.booleans()
+    | st.none()
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT | st.integers(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES, st.integers(0, 8))
+def test_json_writer_matches_the_standard_encoder(value, indent):
+    """The writer gives the bytes of ``json.dumps(indent=2)``, and at a
+    nesting prefix the same text with that prefix after each newline."""
+    text = json.dumps(value, indent=2)
+    assert emit(value) == text
+    prefix = "\n" + " " * indent
+    assert _json_text(value, prefix) == text.replace("\n", prefix)
+    for foreign in (1.5, Fraction(1, 2), {1}):
+        with pytest.raises(TypeError):
+            _json_text({"value": [value, foreign]})

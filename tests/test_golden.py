@@ -121,24 +121,28 @@ def join_documents(seed: int = 10, count: int = 300) -> list[dict]:
     return docs
 
 
-def run(monkeypatch, argv, text):
+def run(monkeypatch, argv, text) -> tuple[int, str, str]:
     stdout, stderr = io.StringIO(), io.StringIO()
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     monkeypatch.setattr(sys, "stdout", stdout)
     monkeypatch.setattr(sys, "stderr", stderr)
     code = main(argv)
-    return f"{code}\0{stdout.getvalue()}\0{stderr.getvalue()}\0".encode("utf-8")
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 def digest(monkeypatch, command: str) -> str:
     h = hashlib.sha256()
     if command == "survey":
-        for request in SURVEYS:
-            for fmt in ("json", "csv"):
-                h.update(run(monkeypatch, ["survey", "-", "--format", fmt], json.dumps(request)))
+        calls = [
+            (["survey", "-", "--format", fmt], request)
+            for request in SURVEYS
+            for fmt in ("json", "csv")
+        ]
     else:
-        for doc in join_documents():
-            h.update(run(monkeypatch, [command, "-"], json.dumps(doc)))
+        calls = [([command, "-"], doc) for doc in join_documents()]
+    for argv, doc in calls:
+        code, out, err = run(monkeypatch, argv, json.dumps(doc))
+        h.update(f"{code}\0{out}\0{err}\0".encode("utf-8"))
     return h.hexdigest()
 
 
@@ -155,3 +159,21 @@ GOLDEN = {
 @pytest.mark.parametrize("command", list(GOLDEN))
 def test_output_is_byte_identical(monkeypatch, command):
     assert digest(monkeypatch, command) == GOLDEN[command]
+
+
+@pytest.mark.parametrize(
+    "argv, documents",
+    [
+        (["survey", "-", "--format", "json"], SURVEYS[1:2]),
+        (["classify", "-"], join_documents()),
+    ],
+    ids=["survey-g2xg3", "classify-corpus"],
+)
+def test_json_answers_are_the_standard_encoding(monkeypatch, argv, documents):
+    """Every JSON answer is ``json.dumps(answer, indent=2)`` and a
+    newline; a mismatch shows as a diff, where a digest shows a hash."""
+    answers = [run(monkeypatch, argv, json.dumps(doc)) for doc in documents]
+    outs = [out for code, out, _ in answers if code == 0]
+    assert outs
+    for out in outs:
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -1,10 +1,17 @@
 """Library calls that refuse their input, each with its exact answer:
-the exception and its message, or the empty value it stands on."""
+the exception and its message, or the empty value it stands on; and
+command-line refusals, each with its exit code and its one line."""
 
+import io
+import json
+import random
 import re
+import sys
 
 import pytest
 
+from fiberjoin.classify import DigitLimitError, _json_text
+from fiberjoin.cli import main
 from fiberjoin.exactalg import (
     Polynomial,
     ZeroPolynomialError,
@@ -77,6 +84,7 @@ REFUSALS = {
         lambda: solve_linear([[1, 2]], [1]),
         ValueError("system is not square"),
     ),
+    "writer-digit-limit": (lambda: _json_text({"K": [[10**4999]]}), DigitLimitError()),
 }
 
 
@@ -87,3 +95,24 @@ def test_refusal(call, answer):
             call()
     else:
         assert call() == answer
+
+
+# A 1,500-digit K entry is within the reader's digit limit, but the
+# extremal profile's coefficients are longer than it.
+LONG_ENTRY_JOIN = {
+    "base": [{"kind": "surface", "genus": 2}, {"kind": "surface", "genus": 3}],
+    "K": [[random.Random(1).randrange(10**1499, 10**1500), 1], [1, 3]],
+    "split": [0, 0],
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "extremal"])
+def test_answer_past_the_digit_limit(monkeypatch, capsys, command):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(LONG_ENTRY_JOIN)))
+    assert main([command, "-"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: an integer of the answer has more than {sys.get_int_max_str_digits()} "
+        "digits, the interpreter's limit for integer string conversion\n"
+    )
