@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import sys
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -40,6 +39,7 @@ from .exactalg import Polynomial
 from .model import (
     BaseFactor,
     BaseProduct,
+    DigitLimitError,
     FiberJoinSpec,
     KahlerMatrix,
     RegularJoinData,
@@ -77,18 +77,6 @@ class BoundsTooLargeError(SpecError):
     """Survey enumeration would exceed the configured cap."""
 
 
-class DigitLimitError(ValueError):
-    """An integer of the answer is longer than the interpreter will
-    write as text."""
-
-    def __init__(self):
-        super().__init__(
-            "an integer of the answer has more than "
-            f"{sys.get_int_max_str_digits()} digits, the interpreter's limit "
-            "for integer string conversion"
-        )
-
-
 @dataclass(frozen=True)
 class Verdict:
     kind: str
@@ -103,7 +91,10 @@ class Verdict:
 
 
 def serialize_rational(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:  # only the digit limit raises here
+        raise DigitLimitError() from exc
 
 
 def serialize_polynomial(poly: Polynomial) -> list[str]:
@@ -560,8 +551,12 @@ def _check_work(kinds: int, groups, d: int, cap: int) -> None:
         for k in range(1, len(group) + 1):
             multisets = multisets * (kinds + k - 1) // k
             if count * multisets > cap:
+                try:
+                    times_d = f"times d = {d}"
+                except ValueError:  # d is past the digit limit
+                    times_d = "times d"
                 raise BoundsTooLargeError(
-                    f"the survey's column-pair multisets times d = {d} "
+                    f"the survey's column-pair multisets {times_d} "
                     f"would be more than {cap}, which exceeds the cap"
                 )
         count *= multisets
@@ -671,19 +666,23 @@ def _csv_chunks(report: SurveyReport) -> Iterator[str]:
     )
     for entry in report.entries:
         inv = entry.invariants
-        yield writer.writerow(
-            [
-                ";".join(",".join(str(e) for e in row) for row in entry.matrix.rows),
-                inv.d,
-                inv.n,
-                inv.colinear,
-                ",".join(str(c) for c in inv.c1),
-                inv.euler if inv.euler is not None else "",
-                inv.p1 if inv.p1 is not None else "",
-                inv.spin if inv.spin is not None else "",
-                ";".join(sorted({v.kind for v in entry.verdicts})),
-            ]
-        )
+        try:
+            text = writer.writerow(
+                [
+                    ";".join(",".join(str(e) for e in row) for row in entry.matrix.rows),
+                    inv.d,
+                    inv.n,
+                    inv.colinear,
+                    ",".join(str(c) for c in inv.c1),
+                    inv.euler if inv.euler is not None else "",
+                    inv.p1 if inv.p1 is not None else "",
+                    inv.spin if inv.spin is not None else "",
+                    ";".join(sorted({v.kind for v in entry.verdicts})),
+                ]
+            )
+        except ValueError as exc:  # only the digit limit raises here
+            raise DigitLimitError() from exc
+        yield text
 
 
 # ---------------------------------------------------------------------------

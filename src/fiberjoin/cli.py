@@ -2,10 +2,10 @@
 
 Every subcommand reads one JSON document from a file path (or ``-``
 for stdin) and writes a JSON document to stdout; ``survey`` writes
-JSON or csv one entry at a time.  Exit codes: 0 on success, 1 for an
-invalid input document or an answer holding an integer too long to
-write, 2 when a valid join hits degenerate data for the requested
-computation.
+JSON or, with ``--format csv``, csv one entry at a time.  Exit codes:
+0 on success, 1 for an invalid input document or an answer holding an
+integer too long to write, 2 when a valid join hits degenerate data
+for the requested computation.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ import functools
 import json
 import os
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import admissible as adm
 from . import einstein
 from .classify import (
-    DigitLimitError,
     emit,
     invariant_report,
     parse_spec,
@@ -32,7 +31,7 @@ from .classify import (
     survey_chunks,
 )
 from .exactalg import SingularMatrixError
-from .model import FiberJoinSpec, SpecError
+from .model import DigitLimitError, FiberJoinSpec, SpecError
 
 
 class _UsageError(Exception):
@@ -42,34 +41,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep 2 for data errors
         raise _UsageError(message)
-
-
-@functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="fiberjoin",
-        description="Exact invariants and canonical-metric verdicts for fiber joins.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("invariants", "topological invariants of one join"),
-        ("classify", "invariants plus every applicable metric verdict"),
-        ("csc", "constant scalar curvature solve on the regular ray"),
-        ("extremal", "extremal profile polynomial on the regular ray"),
-        ("se", "Sasaki-Einstein obstruction and existence check"),
-        ("survey", "enumerate and classify a family of joins"),
-    ]:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument(
-            "document",
-            help="path of the JSON input document, or - for stdin",
-        )
-        cmd.add_argument(
-            "--format",
-            choices=["json", "csv"] if name == "survey" else ["json"],
-            default="json",
-        )
-    return parser
 
 
 def _read_document(path: str) -> dict:
@@ -106,17 +77,49 @@ def _run_extremal(spec: FiberJoinSpec) -> dict:
 
 def _run_se(spec: FiberJoinSpec) -> dict:
     verdict = einstein.se_check(spec)
-    return {
-        "possible": verdict.possible,
-        "reason": verdict.reason,
-        "count": verdict.count,
-    }
+    return {"possible": verdict.possible, "reason": verdict.reason, "count": verdict.count}
 
 
-def _write(chunks: Iterable[str]) -> int:
-    """Print the chunks and a newline; 0, or 1 once the reader has closed stdout."""
+# Each single-document subcommand: its help text, and the answer it
+# builds from a join.
+_ANSWERS: dict[str, tuple[str, Callable[[FiberJoinSpec], dict]]] = {
+    "invariants": (
+        "topological invariants of one join",
+        lambda spec: invariant_report(spec).as_dict(),
+    ),
+    "classify": ("invariants plus every applicable metric verdict", spec_report),
+    "csc": ("constant scalar curvature solve on the regular ray", _run_csc),
+    "extremal": ("extremal profile polynomial on the regular ray", _run_extremal),
+    "se": ("Sasaki-Einstein obstruction and existence check", _run_se),
+}
+
+
+@functools.cache
+def _build_parser() -> _Parser:
+    parser = _Parser(
+        prog="fiberjoin",
+        description="Exact invariants and canonical-metric verdicts for fiber joins.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = [
+        sub.add_parser(name, help=help_text, description=help_text)
+        for name, (help_text, _) in _ANSWERS.items()
+    ]
+    survey_help = "enumerate and classify a family of joins"
+    commands.append(sub.add_parser("survey", help=survey_help, description=survey_help))
+    for cmd in commands:
+        cmd.add_argument("document", help="path of the JSON input document, or - for stdin")
+    commands[-1].add_argument("--format", choices=["json", "csv"], default="json")
+    return parser
+
+
+def _write(answer: Callable[[], Iterable[str]]) -> int:
+    """Print the answer's chunks, built as they are written, and a
+    newline: 0.  An integer too long to write (1) or degenerate data
+    (2) stops the answer with one ``error:`` line, and what was written
+    before it stays.  1 once the reader has closed stdout."""
     try:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(answer())
         sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
@@ -125,6 +128,12 @@ def _write(chunks: Iterable[str]) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
+    except DigitLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (SpecError, SingularMatrixError) as exc:
+        print(f"error: degenerate data: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -149,34 +158,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except SpecError as exc:  # includes the enumeration cap
             print(f"error: invalid survey request: {exc}", file=sys.stderr)
             return 1
-        return _write(survey_chunks(report, args.format))
+        return _write(lambda: survey_chunks(report, args.format))
 
     try:
         spec = parse_spec(document)
     except SpecError as exc:
         print(f"error: invalid join document: {exc}", file=sys.stderr)
         return 1
-
-    try:
-        if args.command == "invariants":
-            output = invariant_report(spec).as_dict()
-        elif args.command == "classify":
-            output = spec_report(spec)
-        elif args.command == "csc":
-            output = _run_csc(spec)
-        elif args.command == "extremal":
-            output = _run_extremal(spec)
-        else:
-            output = _run_se(spec)
-        text = emit(output, args.format)
-    except DigitLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SpecError, SingularMatrixError) as exc:
-        print(f"error: degenerate data: {exc}", file=sys.stderr)
-        return 2
-
-    return _write([text])
+    _, build = _ANSWERS[args.command]
+    return _write(lambda: [emit(build(spec))])
 
 
 if __name__ == "__main__":

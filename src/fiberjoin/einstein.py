@@ -17,6 +17,7 @@ from typing import Optional
 
 from .model import (
     BaseProduct,
+    DigitLimitError,
     FiberJoinSpec,
     SpecError,
     is_colinear,
@@ -98,10 +99,11 @@ def se_check(spec: FiberJoinSpec) -> SEVerdict:
 
     c1 = c1_contact(spec)
     if any(c != 0 for c in c1):
-        return SEVerdict(
-            possible=False,
-            reason=f"contact bundle has nonzero first Chern class {list(c1)}",
-        )
+        try:
+            reason = f"contact bundle has nonzero first Chern class {list(c1)}"
+        except ValueError as exc:  # only the digit limit raises here
+            raise DigitLimitError() from exc
+        return SEVerdict(possible=False, reason=reason)
 
     # With c1 = 0 the anticanonical class equals the (positive) column
     # sum, so the base is automatically Fano.

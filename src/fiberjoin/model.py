@@ -12,6 +12,7 @@ agree, which is the structure all curvature computations consume.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -19,6 +20,18 @@ from typing import Optional, Sequence
 
 class SpecError(ValueError):
     """Invalid join description."""
+
+
+class DigitLimitError(ValueError):
+    """An integer of the answer is longer than the interpreter will
+    write as text."""
+
+    def __init__(self):
+        super().__init__(
+            "an integer of the answer has more than "
+            f"{sys.get_int_max_str_digits()} digits, the interpreter's limit "
+            "for integer string conversion"
+        )
 
 
 class EmptyBaseError(SpecError):

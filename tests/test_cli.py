@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import fiberjoin
 from fiberjoin.admissible import admissible_data
 from fiberjoin.classify import _factor_document, parse_spec, serialize_polynomial
+from fiberjoin import cli
 from fiberjoin.cli import main
 from fiberjoin.model import BaseFactor, make_spec
 from oracles import reference_extremal_profile
@@ -340,10 +341,56 @@ def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
     assert built == []
 
 
-def test_csv_rejected_outside_survey(tmp_path, capsys):
+HELP = {
+    **{name: help_text for name, (help_text, _) in cli._ANSWERS.items()},
+    "survey": "enumerate and classify a family of joins",
+}
+
+
+def help_text(capsys, argv):
+    """What ``--help`` prints, on one line, after checking it exits 0."""
+    with pytest.raises(SystemExit) as exit:
+        main(argv)
+    assert exit.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_subcommands_are_the_table_and_survey(capsys):
+    assert list(cli._ANSWERS) == JOIN_COMMANDS
+    out = help_text(capsys, ["--help"])
+    assert "{" + ",".join([*JOIN_COMMANDS, "survey"]) + "}" in out
+    for name, text in HELP.items():
+        assert f"{name} {text}" in out
+
+
+@pytest.mark.parametrize("command", [*JOIN_COMMANDS, "survey"])
+def test_subcommand_help(capsys, command):
+    out = help_text(capsys, [command, "--help"])
+    assert out.startswith(f"usage: fiberjoin {command} ")
+    assert HELP[command] in out
+    assert ("--format" in out) == (command == "survey")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", JOIN_COMMANDS)
+def test_format_refused_outside_survey(tmp_path, capsys, command, fmt):
     path = write_doc(tmp_path, REFERENCE)
-    code, _, _ = run(capsys, ["csc", path, "--format", "csv"])
-    assert code == 1
+    code, out, err = run(capsys, [command, path, "--format", fmt])
+    assert (code, out) == (1, "")
+    assert err == f"error: unrecognized arguments: --format {fmt}\n"
+
+
+def test_survey_format(tmp_path, capsys):
+    path = write_doc(tmp_path, SURVEY_REQUEST)
+    default = run(capsys, ["survey", path])
+    assert default[0] == 0
+    assert run(capsys, ["survey", path, "--format", "json"]) == default
+    code, out, err = run(capsys, ["survey", path, "--format", "csv"])
+    assert (code, err) == (0, "")
+    assert out.startswith("K,d,n,colinear,c1,euler,p1,spin,verdicts\r\n")
+    code, out, err = run(capsys, ["survey", path, "--format", "xml"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: argument --format: invalid choice: 'xml'")
 
 
 def test_degenerate_data_exit_two(tmp_path, capsys):

@@ -2,16 +2,19 @@
 the exception and its message, or the empty value it stands on; and
 command-line refusals, each with its exit code and its one line."""
 
+import importlib
 import io
 import json
 import random
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 
-from fiberjoin.classify import DigitLimitError, _json_text
+from fiberjoin.classify import BoundsTooLargeError, _json_text, serialize_rational, survey
 from fiberjoin.cli import main
+from fiberjoin.einstein import se_check
 from fiberjoin.exactalg import (
     Polynomial,
     ZeroPolynomialError,
@@ -21,6 +24,8 @@ from fiberjoin.exactalg import (
 )
 from fiberjoin.model import (
     BaseFactor,
+    BaseProduct,
+    DigitLimitError,
     SpecError,
     canonical_split_spec,
     make_spec,
@@ -32,6 +37,12 @@ from fiberjoin.topology import (
     cohomology_table,
     homeo_key,
 )
+
+# The package exports a ``classify`` function under the module's name.
+classify_module = importlib.import_module("fiberjoin.classify")
+
+# The longest integer the reader takes: 4,300 digits at the default limit.
+NINES = int("9" * 4300)
 
 UNSPLIT = make_spec([BaseFactor.surface(2), BaseFactor.surface(3)], [[2, 1], [1, 3]])
 PLANE_THREE_ROWS = make_spec([BaseFactor.projective_space(2)], [[1], [1], [1]])
@@ -85,6 +96,21 @@ REFUSALS = {
         ValueError("system is not square"),
     ),
     "writer-digit-limit": (lambda: _json_text({"K": [[10**4999]]}), DigitLimitError()),
+    "rational-digit-limit": (
+        lambda: serialize_rational(Fraction(10**4300, 3)),
+        DigitLimitError(),
+    ),
+    "se-reason-digit-limit": (
+        lambda: se_check(make_spec([BaseFactor.surface(NINES)], [[1], [2]], (0, 0))),
+        DigitLimitError(),
+    ),
+    "survey-cap-d-past-digit-limit": (
+        lambda: survey(BaseProduct((BaseFactor.surface(2),)), (NINES, NINES), 1),
+        BoundsTooLargeError(
+            "the survey's column-pair multisets times d would be more than "
+            "200000, which exceeds the cap"
+        ),
+    ),
 }
 
 
@@ -106,13 +132,110 @@ LONG_ENTRY_JOIN = {
 }
 
 
-@pytest.mark.parametrize("command", ["classify", "extremal"])
-def test_answer_past_the_digit_limit(monkeypatch, capsys, command):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(LONG_ENTRY_JOIN)))
-    assert main([command, "-"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == (
-        f"error: an integer of the answer has more than {sys.get_int_max_str_digits()} "
-        "digits, the interpreter's limit for integer string conversion\n"
-    )
+def surfaces(*genera):
+    return [{"kind": "surface", "genus": g} for g in genera]
+
+
+DIGIT_LIMIT_LINE = (
+    f"error: an integer of the answer has more than {sys.get_int_max_str_digits()} "
+    "digits, the interpreter's limit for integer string conversion\n"
+)
+
+# (argv, document, the one stderr line, the survey entries written
+# before the refusal or None where stdout stays empty).
+PAST_THE_DIGIT_LIMIT = {
+    "classify": (["classify", "-"], LONG_ENTRY_JOIN, DIGIT_LIMIT_LINE, None),
+    "extremal": (["extremal", "-"], LONG_ENTRY_JOIN, DIGIT_LIMIT_LINE, None),
+    # c1 = -2g - 1 has 4,301 digits, and the Sasaki-Einstein reason names it.
+    **{
+        f"{command}-c1": (
+            [command, "-"],
+            {"base": surfaces(NINES), "K": [[1], [2]], "split": [0, 0]},
+            DIGIT_LIMIT_LINE,
+            None,
+        )
+        for command in ("classify", "se")
+    },
+    # The constant scalar curvature s has a 4,301-digit numerator.
+    "csc-s": (
+        ["csc", "-"],
+        {"base": surfaces(NINES, NINES), "K": [[2, 1], [1, 2]], "split": [0, 0]},
+        DIGIT_LIMIT_LINE,
+        None,
+    ),
+    # Equal blocks obstruct Sasaki-Einstein before c1 is written, so the
+    # csv row's c1 is the first over-long integer, after the header.
+    "survey-csv-c1": (
+        ["survey", "-", "--format", "csv"],
+        {"base": surfaces(NINES), "split": [1, 1], "max_entry": 1},
+        DIGIT_LIMIT_LINE,
+        0,
+    ),
+    # d = d0 + dinf + 1 has 4,301 digits: the cap's refusal leaves it out.
+    "survey-cap-d": (
+        ["survey", "-"],
+        {"base": surfaces(2), "split": [NINES, NINES], "max_entry": 1},
+        "error: invalid survey request: the survey's column-pair multisets "
+        "times d would be more than 200000, which exceeds the cap\n",
+        None,
+    ),
+    # A Betti number of every entry, 4 g1 g2 + 2, has 8,581 digits.
+    "survey-json-betti": (
+        ["survey", "-"],
+        {"base": surfaces(10**4290, 10**4290 + 1), "split": [0, 0], "max_entry": 2},
+        DIGIT_LIMIT_LINE,
+        0,
+    ),
+    # 2g - 2 = 10**4300 - 4, so c1 = 2 - 2g - (column sum) fits in the
+    # first two of the three orbits, with column sums 2 and 3, not the third.
+    "survey-json-third-entry": (
+        ["survey", "-"],
+        {"base": surfaces(5 * 10**4299 - 1), "split": [0, 0], "max_entry": 2},
+        DIGIT_LIMIT_LINE,
+        2,
+    ),
+}
+
+
+def call_main(monkeypatch, capsys, argv, document):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(document)))
+    code = main(argv)
+    return (code, *capsys.readouterr())
+
+
+def first_entries(answer, argv, count):
+    """A survey's answer up to the end of its first ``count`` entries."""
+    if "csv" in argv:
+        return "".join(answer.splitlines(keepends=True)[: count + 1])
+    # Each entry starts at indent 4, after "[" or after the one before.
+    entries = re.compile(r",?\n    \{")
+    head = answer.index('"entries": [')
+    starts = [match.start() for match in entries.finditer(answer, head)]
+    return answer[: starts[count]]
+
+
+@pytest.mark.parametrize(
+    "argv, document, line, entries",
+    PAST_THE_DIGIT_LIMIT.values(),
+    ids=PAST_THE_DIGIT_LIMIT.keys(),
+)
+def test_answer_past_the_digit_limit(monkeypatch, capsys, argv, document, line, entries):
+    """Exit 1 with one line and no traceback; a survey keeps the whole
+    entries it wrote before, byte for byte as without the limit."""
+    code, out, err = call_main(monkeypatch, capsys, argv, document)
+    assert (code, err) == (1, line)
+    if entries is None:
+        assert out == ""
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, answer, err = call_main(monkeypatch, capsys, argv, document)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    assert out == first_entries(answer, argv, entries)
+
+
+def test_one_digit_limit_error():
+    assert classify_module.DigitLimitError is DigitLimitError
