@@ -32,6 +32,7 @@ from typing import Optional
 
 from .exactalg import Polynomial, SingularMatrixError, strictly_positive_on
 from .model import (
+    DigitLimitError,
     FiberJoinSpec,
     SpecError,
     retained_factors,
@@ -132,9 +133,11 @@ def admissible_data(spec: FiberJoinSpec) -> AdmissibleData:
     seen = {}
     for e in entries:
         if e.r in seen:
-            raise RepeatedParameterError(
-                f"{seen[e.r]} and {e.label} share r = {e.r}"
-            )
+            try:
+                message = f"{seen[e.r]} and {e.label} share r = {e.r}"
+            except ValueError as exc:  # only the digit limit raises here
+                raise DigitLimitError() from exc
+            raise RepeatedParameterError(message)
         seen[e.r] = e.label
     d0, dinf = spec.split
     if d0 > 0:

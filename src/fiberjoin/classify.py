@@ -25,6 +25,9 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
+import signal
+import threading
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -533,7 +536,11 @@ def survey(
             for i, pair in zip(positions, chosen):
                 columns[i] = pair
         omegas = (tuple(a for a, _ in columns), tuple(b for _, b in columns))
-        if d0 == dinf and canonical_columns(columns, groups, True) != omegas:
+        # The columns are in canonical order: only swapping the poles
+        # can give a larger representative.
+        if d0 == dinf and canonical_columns(
+            [(b, a) for a, b in columns], groups, False
+        ) > omegas:
             continue
         keys.append(omegas)
     keys.sort()  # (omega_zero, omega_infinity) sorts as the matrix rows do
@@ -564,27 +571,132 @@ def _check_work(kinds: int, groups, d: int, cap: int) -> None:
 
 def survey_chunks(report: SurveyReport, fmt: str = "json") -> Iterator[str]:
     """A survey's text, a chunk per entry: JSON as ``json.dumps(document,
-    indent=2)`` writes it, or csv rows of invariants and verdict kinds."""
+    indent=2)`` writes it, or csv rows of invariants and verdict kinds.
+    A large survey's helper process is reaped when the generator is
+    exhausted or closed."""
     if fmt not in ("json", "csv"):
         raise SpecError(f"unsupported format: {fmt}")
-    return _json_chunks(report) if fmt == "json" else _csv_chunks(report)
+    return _chunks(report, _json_writer if fmt == "json" else _csv_writer)
 
 
-def _json_chunks(report: SurveyReport) -> Iterator[str]:
+# A survey of at least this many entries forks a helper.  What the
+# helper saves is the cost of the entries, which the count only stands
+# for: in 9 alternating runs per survey on 2 vCPUs, the median time
+# fell in 9 of 9 at 378 entries (genus 2 x 3 x 4, max_entry 3) and at
+# 637 and more, but not at 405 cheap ones (genus 2 x 2 x 3, split
+# (1, 0), max_entry 3: 35 ms in one process).  Any value from 406 to
+# 637 fits those runs; the sizes between were not run.
+_HELPER_MIN_ENTRIES = 500
+
+
+def _chunks(report: SurveyReport, writer) -> Iterator[str]:
+    """The writer's head, each entry's text in order, and its tail.
+
+    A survey of at least ``_HELPER_MIN_ENTRIES`` entries forks a helper
+    that renders the odd entries while this process renders the even
+    ones.  This process never waits for the helper: an odd entry whose
+    frame has not come (the helper is behind, failed, ended or was
+    killed) it renders itself, so the text and any refusal are those of
+    one process, and a starved helper cannot hold a survey up."""
+    head, render, tail = writer(report)
+    yield head
+    entries = report.entries
+    helper = _fork_helper(entries, render) if len(entries) >= _HELPER_MIN_ENTRIES else None
+    try:
+        for i in range(len(entries)):
+            text = helper.take(i) if helper and i % 2 else None
+            # Reading entries[i] classifies it: only here, where it is rendered.
+            yield render(i, entries[i]) if text is None else text
+    finally:
+        if helper:
+            helper.close()
+    yield tail
+
+
+def _fork_helper(entries: Sequence, render) -> Optional[_Helper]:
+    """A forked helper that writes each odd entry's text on a pipe;
+    None where no helper can start."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    # A forked child of a process with other threads may find their
+    # locks held forever.
+    if not hasattr(os, "fork") or cpus < 2 or threading.active_count() > 1:
+        return None
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        # The helper leaves only by _exit: it never flushes the stdout
+        # buffer it inherited, and never returns into the caller.
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                for i in range(1, len(entries), 2):
+                    text = render(i, entries[i]).encode("ascii")
+                    pipe.write(b"%d\n%b" % (len(text), text))
+                    pipe.flush()
+        finally:
+            os._exit(0)
+    os.close(write)
+    os.set_blocking(read, False)
+    return _Helper(pid, read)
+
+
+class _Helper:
+    """A forked helper and the read end of its pipe, on which it writes
+    each odd entry's text in order as a frame: its length, a newline
+    and its ASCII bytes."""
+
+    def __init__(self, pid: int, fd: int):
+        self.pid, self.fd = pid, fd
+        self.data, self.next = b"", 1  # bytes read, the entry of their first frame
+
+    def take(self, i: int) -> Optional[str]:
+        """Entry i's text if its whole frame is on the pipe, else None.
+        The frames of entries before i, rendered here, are dropped."""
+        try:
+            self.data += os.read(self.fd, 1 << 16)
+        except BlockingIOError:  # nothing new yet
+            pass
+        while True:
+            size, newline, rest = self.data.partition(b"\n")
+            if not newline or len(rest) < int(size):
+                return None
+            text, self.data = rest[: int(size)], rest[int(size) :]
+            self.next += 2
+            if self.next > i:
+                return text.decode("ascii")
+
+    def close(self) -> None:
+        """Stop the helper, done or not, and reap it."""
+        os.close(self.fd)
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+def _json_writer(report: SurveyReport):
+    """The head up to '"entries": [', the text of an entry with the
+    separator before it, and the tail."""
     base = [_factor_document(f) for f in report.base.factors]
     head = {"base": base, "split": list(report.split), "max_entry": report.max_entry}
-    # The head ends at '"entries": [', and an entry starts two levels deep.
-    yield _json_text({**head, "entries": []})[: -len("]\n}")]
-    separator, tail = "\n    ", "]\n}"
-    for entry in report.entries:
+
+    def render(i: int, entry: SurveyEntry) -> str:
         document = {
             "K": [list(row) for row in entry.matrix.rows],
             "invariants": entry.invariants.as_dict(),
             "verdicts": [v.as_dict() for v in entry.verdicts],
         }
-        yield separator + _json_text(document, "\n    ")
-        separator, tail = ",\n    ", "\n  ]\n}"
-    yield tail
+        # An entry starts two levels deep.
+        return (",\n    " if i else "\n    ") + _json_text(document, "\n    ")
+
+    tail = "\n  ]\n}" if report.entries else "]\n}"
+    return _json_text({**head, "entries": []})[: -len("]\n}")], render, tail
 
 
 # The text json.dumps writes for each scalar type, by exact type; a
@@ -658,16 +770,15 @@ def _append_json(value, out: list[str], newline: str) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _csv_chunks(report: SurveyReport) -> Iterator[str]:
+def _csv_writer(report: SurveyReport):
+    """The header row, an entry's row, and no tail."""
     # writerow returns what its file's write returns: here, the row.
     writer = csv.writer(SimpleNamespace(write=str))
-    yield writer.writerow(
-        ["K", "d", "n", "colinear", "c1", "euler", "p1", "spin", "verdicts"]
-    )
-    for entry in report.entries:
+
+    def render(i: int, entry: SurveyEntry) -> str:
         inv = entry.invariants
         try:
-            text = writer.writerow(
+            return writer.writerow(
                 [
                     ";".join(",".join(str(e) for e in row) for row in entry.matrix.rows),
                     inv.d,
@@ -682,7 +793,9 @@ def _csv_chunks(report: SurveyReport) -> Iterator[str]:
             )
         except ValueError as exc:  # only the digit limit raises here
             raise DigitLimitError() from exc
-        yield text
+
+    header = ["K", "d", "n", "colinear", "c1", "euler", "p1", "spin", "verdicts"]
+    return writer.writerow(header), render, ""
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ for the requested computation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import sys
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 from . import admissible as adm
 from . import einstein
@@ -113,15 +114,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write(answer: Callable[[], Iterable[str]]) -> int:
+def _write(chunks: Generator[str, None, None]) -> int:
     """Print the answer's chunks, built as they are written, and a
     newline: 0.  An integer too long to write (1) or degenerate data
     (2) stops the answer with one ``error:`` line, and what was written
-    before it stays.  1 once the reader has closed stdout."""
+    before it stays.  1 once the reader has closed stdout.  The chunks
+    are closed on every path, so a survey's helper is reaped here."""
     try:
-        sys.stdout.writelines(answer())
-        sys.stdout.write("\n")
-        sys.stdout.flush()
+        with contextlib.closing(chunks):
+            sys.stdout.writelines(chunks)
+            sys.stdout.write("\n")
+            sys.stdout.flush()
     except BrokenPipeError:
         # Python flushes stdout again at exit: let that flush reach
         # devnull ("Note on SIGPIPE" in the signal module's docs).
@@ -158,7 +161,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except SpecError as exc:  # includes the enumeration cap
             print(f"error: invalid survey request: {exc}", file=sys.stderr)
             return 1
-        return _write(lambda: survey_chunks(report, args.format))
+        return _write(survey_chunks(report, args.format))
 
     try:
         spec = parse_spec(document)
@@ -166,7 +169,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: invalid join document: {exc}", file=sys.stderr)
         return 1
     _, build = _ANSWERS[args.command]
-    return _write(lambda: [emit(build(spec))])
+    # A generator, so the answer is built inside the guarded write.
+    return _write(emit(build(s)) for s in [spec])
 
 
 if __name__ == "__main__":

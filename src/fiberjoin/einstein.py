@@ -39,7 +39,11 @@ def fano_index(base: BaseProduct) -> int:
     coefficient is positive."""
     coefficients = base.c1_vector()
     if any(c <= 0 for c in coefficients):
-        raise NotFanoError(f"anticanonical coefficients {coefficients} not positive")
+        try:
+            message = f"anticanonical coefficients {coefficients} not positive"
+        except ValueError as exc:  # only the digit limit raises here
+            raise DigitLimitError() from exc
+        raise NotFanoError(message)
     return math.gcd(*coefficients)
 
 

@@ -123,7 +123,10 @@ class BaseFactor:
 
     def describe(self) -> str:
         if self.kind == SURFACE:
-            return f"surface(genus={self.genus})"
+            try:
+                return f"surface(genus={self.genus})"
+            except ValueError as exc:  # only the digit limit raises here
+                raise DigitLimitError() from exc
         if self.kind == PROJECTIVE_SPACE:
             return f"projective_space(n={self.n})"
         return "torus"

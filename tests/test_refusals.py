@@ -12,9 +12,10 @@ from fractions import Fraction
 
 import pytest
 
+from fiberjoin.admissible import admissible_data
 from fiberjoin.classify import BoundsTooLargeError, _json_text, serialize_rational, survey
 from fiberjoin.cli import main
-from fiberjoin.einstein import se_check
+from fiberjoin.einstein import fano_index, se_check
 from fiberjoin.exactalg import (
     Polynomial,
     ZeroPolynomialError,
@@ -102,6 +103,24 @@ REFUSALS = {
     ),
     "se-reason-digit-limit": (
         lambda: se_check(make_spec([BaseFactor.surface(NINES)], [[1], [2]], (0, 0))),
+        DigitLimitError(),
+    ),
+    # The messages of NotFanoError, a factor's description and
+    # RepeatedParameterError each name an integer past the limit.
+    "fano-index-digit-limit": (
+        lambda: fano_index(BaseProduct((BaseFactor.surface(NINES),))),
+        DigitLimitError(),
+    ),
+    "describe-digit-limit": (lambda: BaseFactor.surface(10**4300).describe(), DigitLimitError()),
+    # Columns (2a, 2) and (a, 1) share r = (a - 1)/(a + 1), with a = 10**4301.
+    "repeated-r-digit-limit": (
+        lambda: admissible_data(
+            make_spec(
+                [BaseFactor.surface(2), BaseFactor.surface(3)],
+                [[2 * 10**4301, 10**4301], [2, 1]],
+                (0, 0),
+            )
+        ),
         DigitLimitError(),
     ),
     "survey-cap-d-past-digit-limit": (
@@ -193,6 +212,14 @@ PAST_THE_DIGIT_LIMIT = {
         {"base": surfaces(5 * 10**4299 - 1), "split": [0, 0], "max_entry": 2},
         DIGIT_LIMIT_LINE,
         2,
+    ),
+    # 2g - 2 = 10**4300 - 6: the sixth of six orbits, column sum 6, is
+    # the first whose c1 is too long, and a survey helper renders it.
+    "survey-json-sixth-entry": (
+        ["survey", "-"],
+        {"base": surfaces(5 * 10**4299 - 2), "split": [0, 0], "max_entry": 3},
+        DIGIT_LIMIT_LINE,
+        5,
     ),
 }
 

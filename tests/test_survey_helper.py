@@ -1,0 +1,234 @@
+"""A large survey's helper process: the same bytes and refusals as one
+process, and no child left behind on any path."""
+
+import errno
+import importlib
+import io
+import json
+import os
+import select
+import signal
+import subprocess
+import sys
+import threading
+import time
+
+import pytest
+
+from fiberjoin import cli
+from fiberjoin.cli import main
+from test_cli import DISTINCT_SURVEY, ClosedAfterFirstChunk, child_env
+from test_golden import GOLDEN, SURVEYS, digest, run
+from test_refusals import PAST_THE_DIGIT_LIMIT, call_main
+
+classify_module = importlib.import_module("fiberjoin.classify")
+
+SURVEY_CASES = {name: case for name, case in PAST_THE_DIGIT_LIMIT.items() if case[3] is not None}
+
+
+@pytest.fixture(autouse=True)
+def no_child_remains():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Start the helper on every survey, on any number of CPUs; the list
+    of helper pids."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(classify_module, "_HELPER_MIN_ENTRIES", 0)
+    return pids
+
+
+@pytest.fixture
+def waits_for_frames(monkeypatch):
+    """This process waits for each odd entry's frame until the helper
+    has ended, so the helper's share does not hang on timing."""
+    take = classify_module._Helper.take
+
+    def waits(helper, i):
+        deadline = time.monotonic() + 60
+        while (text := take(helper, i)) is None:
+            ended = os.waitid(os.P_PID, helper.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+            if ended:  # its last frames are on the pipe
+                return take(helper, i)
+            assert time.monotonic() < deadline, f"no frame for entry {i}"
+            select.select([helper.fd], [], [], 0.01)
+        return text
+
+    monkeypatch.setattr(classify_module._Helper, "take", waits)
+
+
+@pytest.fixture
+def parent_classified(monkeypatch):
+    """The joins this process classifies; the helper's are not seen."""
+    classified = []
+    original = classify_module.classify
+    monkeypatch.setattr(
+        classify_module, "classify", lambda spec: classified.append(spec) or original(spec)
+    )
+    return classified
+
+
+def test_golden_surveys_with_the_helper(
+    monkeypatch, forks, waits_for_frames, parent_classified
+):
+    assert digest(monkeypatch, "survey") == GOLDEN["survey"]
+    assert len(forks) == 2 * len(SURVEYS)
+    # The helper renders every odd entry, so this process classifies
+    # the even ones: ceil(n / 2) of each survey's n orbits, per format.
+    orbits = [
+        len(classify_module.survey(*classify_module.parse_survey(s)).entries) for s in SURVEYS
+    ]
+    assert len(parent_classified) == 2 * sum((n + 1) // 2 for n in orbits)
+
+
+@pytest.mark.parametrize(
+    "argv, document, line, entries", SURVEY_CASES.values(), ids=SURVEY_CASES.keys()
+)
+def test_refusal_with_the_helper(
+    monkeypatch, capsys, argv, document, line, entries, waits_for_frames, parent_classified
+):
+    """The same exit, stderr line and partial stdout: the first entry
+    too long to write is found by this process, or by the helper and
+    then again by this process, which renders it and stops there."""
+    alone = call_main(monkeypatch, capsys, argv, document)
+    assert alone[0] == 1
+    del parent_classified[:]
+    monkeypatch.setattr(classify_module, "_HELPER_MIN_ENTRIES", 0)
+    assert call_main(monkeypatch, capsys, argv, document) == alone
+    assert len(parent_classified) == entries // 2 + 1 + entries % 2
+
+
+def test_a_failed_fork_writes_the_same_bytes(monkeypatch):
+    def refused():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(classify_module, "_HELPER_MIN_ENTRIES", 0)
+    assert digest(monkeypatch, "survey") == GOLDEN["survey"]
+
+
+@pytest.mark.parametrize("alone", ["one-cpu", "thread"])
+def test_no_helper_on_one_cpu_or_beside_a_thread(monkeypatch, forks, alone):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if alone == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        thread.start()
+    try:
+        assert digest(monkeypatch, "survey") == GOLDEN["survey"]
+    finally:
+        stop.set()
+        if thread.ident is not None:
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+
+
+def test_a_killed_helper_leaves_its_entries_to_this_process(monkeypatch, forks):
+    """Each helper dies at its second orbit, after one whole frame."""
+    parent = os.getpid()
+    original = classify_module.classify
+    calls = {}
+
+    def dies_in_the_helper(spec):
+        pid = os.getpid()
+        calls[pid] = calls.get(pid, 0) + 1
+        if pid != parent and calls[pid] == 2:
+            os.kill(pid, signal.SIGKILL)
+        return original(spec)
+
+    monkeypatch.setattr(classify_module, "classify", dies_in_the_helper)
+    assert digest(monkeypatch, "survey") == GOLDEN["survey"]
+    assert len(forks) == 2 * len(SURVEYS)
+
+
+def test_a_stalled_helper_does_not_hold_the_survey_up(monkeypatch, forks):
+    """Each helper stops at its first orbit until it is killed: this
+    process renders every entry itself."""
+    parent = os.getpid()
+    original = classify_module.classify
+
+    def stalls_in_the_helper(spec):
+        if os.getpid() != parent:
+            signal.pause()
+        return original(spec)
+
+    monkeypatch.setattr(classify_module, "classify", stalls_in_the_helper)
+    assert digest(monkeypatch, "survey") == GOLDEN["survey"]
+    assert len(forks) == 2 * len(SURVEYS)
+
+
+def test_late_and_cut_frames_are_not_taken():
+    """Frames of entries 1, 3 and 5, then a frame cut short."""
+    read, write = os.pipe()
+    os.write(write, b"3\nabc4\nde\n11\nf12\nghi")
+    os.close(write)
+    os.set_blocking(read, False)
+    helper = classify_module._Helper(0, read)
+    try:
+        assert helper.take(1) == "abc"
+        assert helper.take(5) == "f"  # entry 3 was rendered here
+        assert (helper.take(7), helper.take(9)) == (None, None)
+    finally:
+        os.close(read)
+
+
+def test_a_closed_reader_reaps_the_helper(tmp_path, monkeypatch, forks):
+    # Held here, the answer is not collected when main returns: only
+    # closing it reaps the helper.
+    answers = []
+
+    def held(*args):
+        answers.append(classify_module.survey_chunks(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(cli, "survey_chunks", held)
+    # The closed-pipe handler points the stdout descriptor at devnull.
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        stdout, stderr = ClosedAfterFirstChunk(fd), io.StringIO()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(DISTINCT_SURVEY)))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "stderr", stderr)
+        code = main(["survey", "-"])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    finally:
+        os.close(fd)
+    assert (code, stderr.getvalue(), stdout.chunks) == (1, "", 2)
+    assert len(forks) == 1
+
+
+def test_survey_through_a_pipe_prints_each_byte_once(monkeypatch):
+    """The helper inherits the head in this process's stdout buffer and
+    must never flush it: the child's stdout is the in-process answer."""
+    request = dict(DISTINCT_SURVEY, max_entry=6)
+    text = json.dumps(request)
+    code, answer, err = run(monkeypatch, ["survey", "-"], text)
+    assert (code, err) == (0, "")
+    assert len(json.loads(answer)["entries"]) >= classify_module._HELPER_MIN_ENTRIES
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)  # so the head waits in the buffer
+    child = subprocess.run(
+        [sys.executable, "-m", "fiberjoin", "survey", "-"],
+        input=text.encode(),
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert child.stdout == answer.encode()
