@@ -24,6 +24,7 @@ certificate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -252,6 +253,19 @@ def _operator_column(k: int, u: int, v: int) -> list[int]:
     return column
 
 
+@functools.lru_cache(maxsize=256)
+def _shared_column(k: int, u: int, v: int) -> tuple[int, ...]:
+    return tuple(_operator_column(k, u, v))
+
+
+@functools.lru_cache(maxsize=64)
+def _operator_columns(top: int, u: int, v: int) -> tuple[tuple, int]:
+    """The columns of z^0 .. z^top as tuples, and the product of their
+    top entries, built once per shape: a survey's solves share few."""
+    columns = tuple(_shared_column(k, u, v) for k in range(top + 1))
+    return columns, math.prod(column[-1] for column in columns)
+
+
 def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
     """Solve for the extremal profile polynomial of the data.
 
@@ -345,8 +359,7 @@ def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
     # every x_k is an integer, so each division is exact.
     shift = (u > 0) + (v > 0)
     top = len(high) - shift
-    columns = [_operator_column(k, u, v) for k in range(top + 1)]
-    lead = math.prod(column[-1] for column in columns)
+    columns, lead = _operator_columns(top, u, v)
     size = top + shift + 1
     sides = (
         [lead * n for n in low] + [0] * (size - len(low)),

@@ -23,8 +23,10 @@ asked to indent, and spends more time than the writer does.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
+import operator
 import os
 import signal
 import threading
@@ -47,7 +49,6 @@ from .model import (
     KahlerMatrix,
     RegularJoinData,
     SpecError,
-    canonical_columns,
     identical_factor_groups,
     integer,
     is_colinear,
@@ -369,7 +370,7 @@ def classify(spec: FiberJoinSpec) -> list[Verdict]:
     facts = _JoinFacts(
         spec=spec,
         join=regular_join_data(spec) if is_colinear(spec) else None,
-        genera=tuple(f.effective_genus for f in spec.base.factors),
+        genera=spec.base.facts.genera,
         retained=retained_factors(spec) if spec.split is not None else (),
     )
     verdicts: list[Verdict] = []
@@ -402,9 +403,11 @@ class InvariantReport:
     euler: Optional[int]
     p1: Optional[int]
     spin: Optional[str]
-    cohomology: Optional[dict]
+    cohomology: Optional[topology.CohomologyTable]
 
-    def as_dict(self) -> dict:
+    def as_dict(self, cohomology=topology.CohomologyTable.as_dict) -> dict:
+        """The report as a document, each table as ``cohomology`` writes it."""
+        table = self.cohomology
         return {
             "base": self.base,
             "d": self.d,
@@ -417,7 +420,7 @@ class InvariantReport:
             "euler": self.euler,
             "p1": self.p1,
             "spin": self.spin,
-            "cohomology": self.cohomology,
+            "cohomology": cohomology(table) if table is not None else None,
         }
 
 
@@ -427,9 +430,8 @@ def invariant_report(spec: FiberJoinSpec) -> InvariantReport:
     if colinear:
         join = regular_join_data(spec)
         join_b, join_w = join.b, join.w
-    cohomology = _or_none(topology.cohomology_table, spec)
     return InvariantReport(
-        base=spec.base.describe(),
+        base=spec.base.description,
         d=spec.d,
         n=spec.n,
         split=spec.split,
@@ -440,7 +442,7 @@ def invariant_report(spec: FiberJoinSpec) -> InvariantReport:
         euler=_or_none(topology.euler_class, spec),
         p1=_or_none(topology.p1, spec),
         spin=_or_none(topology.spin_status, spec),
-        cohomology=cohomology.as_dict() if cohomology is not None else None,
+        cohomology=_or_none(topology.cohomology_table, spec),
     )
 
 
@@ -464,10 +466,10 @@ class SurveyEntry:
 
 
 class _OrbitEntries(Sequence):
-    """A survey's entries, each classified from its key when it is read."""
+    """A survey's entries, classified when read, sharing its base's facts."""
 
-    def __init__(self, factors, split: tuple[int, int], keys: list):
-        self.factors, self.split, self.keys = factors, split, keys
+    def __init__(self, base: BaseProduct, split: tuple[int, int], keys: list):
+        self.base, self.split, self.keys = base, split, keys
 
     def __eq__(self, other) -> bool:
         return isinstance(other, _OrbitEntries) and vars(self) == vars(other)
@@ -479,7 +481,7 @@ class _OrbitEntries(Sequence):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
         (w0, winf), (d0, dinf) = self.keys[index], self.split
-        spec = make_spec(self.factors, [w0] * (d0 + 1) + [winf] * (dinf + 1), self.split)
+        spec = make_spec(self.base, [w0] * (d0 + 1) + [winf] * (dinf + 1), self.split)
         return SurveyEntry(spec.matrix, invariant_report(spec), tuple(classify(spec)))
 
 
@@ -527,24 +529,36 @@ def survey(
     _check_work(max_entry**2, groups, d0 + dinf + 1, cap)
     values = range(max_entry, 0, -1)
     pairs = list(itertools.product(values, repeat=2))  # descending
-    columns: list = [None] * len(base.factors)
+    # Each group's multisets as its part of the rows (omega_zero,
+    # omega_infinity), then of those rows with the poles swapped.
+    options = [
+        [
+            (*zip(*chosen), *zip(*sorted([(b, a) for a, b in chosen], reverse=True)))
+            for chosen in itertools.combinations_with_replacement(pairs, len(g))
+        ]
+        for g in groups
+    ]
+    # The parts join in group order; ``place`` puts them in factor order.
+    joined = [i for g in groups for i in g]
+    inverse = sorted(range(len(joined)), key=joined.__getitem__)
+    place = operator.itemgetter(*inverse) if inverse != sorted(inverse) else None
     keys = []
-    for choice in itertools.product(
-        *(itertools.combinations_with_replacement(pairs, len(g)) for g in groups)
-    ):
-        for positions, chosen in zip(groups, choice):
-            for i, pair in zip(positions, chosen):
-                columns[i] = pair
-        omegas = (tuple(a for a, _ in columns), tuple(b for _, b in columns))
-        # The columns are in canonical order: only swapping the poles
-        # can give a larger representative.
-        if d0 == dinf and canonical_columns(
-            [(b, a) for a, b in columns], groups, False
-        ) > omegas:
+    for choice in itertools.product(*options):
+        zero = inf = swap_zero = swap_inf = ()
+        for z, i, sz, si in choice:
+            zero += z
+            inf += i
+            swap_zero += sz
+            swap_inf += si
+        if place:
+            zero, inf, swap_zero, swap_inf = map(place, (zero, inf, swap_zero, swap_inf))
+        # Each part is in canonical order: only swapping the poles can
+        # give a larger representative.
+        if d0 == dinf and (swap_zero, swap_inf) > (zero, inf):
             continue
-        keys.append(omegas)
+        keys.append((zero, inf))
     keys.sort()  # (omega_zero, omega_infinity) sorts as the matrix rows do
-    return SurveyReport(base, split, max_entry, _OrbitEntries(base.factors, split, keys))
+    return SurveyReport(base, split, max_entry, _OrbitEntries(base, split, keys))
 
 
 def _check_work(kinds: int, groups, d: int, cap: int) -> None:
@@ -686,10 +700,15 @@ def _json_writer(report: SurveyReport):
     base = [_factor_document(f) for f in report.base.factors]
     head = {"base": base, "split": list(report.split), "max_entry": report.max_entry}
 
+    @functools.cache  # a survey has few distinct tables and many entries
+    def cohomology(table) -> _Text:
+        """The table's text, at its depth in an entry."""
+        return _Text(_json_text(table.as_dict(), "\n        "))
+
     def render(i: int, entry: SurveyEntry) -> str:
         document = {
             "K": [list(row) for row in entry.matrix.rows],
-            "invariants": entry.invariants.as_dict(),
+            "invariants": entry.invariants.as_dict(cohomology),
             "verdicts": [v.as_dict() for v in entry.verdicts],
         }
         # An entry starts two levels deep.
@@ -699,9 +718,14 @@ def _json_writer(report: SurveyReport):
     return _json_text({**head, "entries": []})[: -len("]\n}")], render, tail
 
 
+class _Text(str):
+    """JSON text already written, which _append_json copies."""
+
+
 # The text json.dumps writes for each scalar type, by exact type; a
 # subclass of str or int takes the isinstance path of _append_json.
 _SCALAR_TEXT = {
+    _Text: str.__str__,
     str: encode_basestring_ascii,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,

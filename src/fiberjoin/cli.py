@@ -11,6 +11,7 @@ for the requested computation.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
 import json
@@ -50,7 +51,20 @@ def _read_document(path: str) -> dict:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    return _DECODER.decode(text)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refusing a repeated key: json.loads keeps its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = collections.Counter(key for key, _ in pairs)
+        raise ValueError(f"repeated key {max(counts, key=counts.get)!r}")
+    return obj
+
+
+# Built once: json.loads would build a decoder for each document.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def _run_csc(spec: FiberJoinSpec) -> dict:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -150,6 +151,18 @@ class BaseProduct:
     def describe(self) -> str:
         return " x ".join(f.describe() for f in self.factors)
 
+    @cached_property
+    def description(self) -> str:
+        """``describe()``, kept: the entries of a survey share its base."""
+        return self.describe()
+
+    @cached_property
+    def facts(self):
+        """This base's ``topology.BaseFacts``."""
+        from .topology import BaseFacts  # topology imports this module
+
+        return BaseFacts(self)
+
 
 @dataclass(frozen=True)
 class KahlerMatrix:
@@ -228,7 +241,7 @@ def validate(spec: FiberJoinSpec) -> FiberJoinSpec:
 
 
 def make_spec(
-    base: Sequence[BaseFactor],
+    base: Sequence[BaseFactor] | BaseProduct,
     rows: Sequence[Sequence[int]],
     split: Optional[tuple[int, int]] = None,
 ) -> FiberJoinSpec:
@@ -238,7 +251,7 @@ def make_spec(
     ):
         raise SpecError("K must be a list of rows, each a list of integers")
     return FiberJoinSpec(
-        base=BaseProduct(tuple(base)),
+        base=base if isinstance(base, BaseProduct) else BaseProduct(tuple(base)),
         matrix=KahlerMatrix.from_rows(rows),
         split=tuple(split) if isinstance(split, (list, tuple)) else split,
     )

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .model import (
-    PROJECTIVE_SPACE,
-    BaseFactor,
-    FiberJoinSpec,
-    SpecError,
-)
+from .model import BaseProduct, FiberJoinSpec, SpecError
 
 ClassVector = tuple[int, ...]
 
@@ -33,13 +28,30 @@ class OutOfValidityRangeError(SpecError):
     """Chern degree outside the window where the pullback is injective."""
 
 
+class BaseFacts:
+    """What the base alone decides, kept by ``BaseProduct.facts``: its
+    c1 vector, genera, and for a product of two curves their genera
+    and its Betti numbers (else None), each a tuple.  Not a dataclass,
+    whose generated methods cost about 1 ms of every import."""
+
+    __slots__ = ("c1", "genera", "curves", "betti")
+
+    def __init__(self, base: BaseProduct):
+        self.c1 = base.c1_vector()
+        self.genera = tuple(f.effective_genus for f in base.factors)
+        self.curves, self.betti = _two_curve_base(self.genera), None
+        if self.curves:
+            g1, g2 = self.curves
+            self.betti = (1, 2 * g1 + 2 * g2, 4 * g1 * g2 + 2, 2 * g1 + 2 * g2, 1)
+
+
 def c1_contact(spec: FiberJoinSpec) -> ClassVector:
     """First Chern class of the contact bundle, on the base generators.
 
     Componentwise: (anticanonical coefficient) minus (column sum of K).
     """
     sums = spec.matrix.column_sums()
-    return tuple(c - s for c, s in zip(spec.base.c1_vector(), sums))
+    return tuple(c - s for c, s in zip(spec.base.facts.c1, sums))
 
 
 def _require_curve_factors(spec: FiberJoinSpec) -> None:
@@ -84,24 +96,27 @@ def chern_k(spec: FiberJoinSpec, k: int) -> dict[tuple[int, ...], int]:
     # Chern class of the base, the product over factors of (1 + c1_a x_a):
     # prod c1_a on x_combo.  Squares of generators vanish on curve factors.
     negated = [[-e for e in row] for row in spec.matrix.rows]
-    c1s = spec.base.c1_vector()
+    c1s = spec.base.facts.c1
     rows = _degree_part(negated, len(c1s), k)
     return {combo: f + math.prod(c1s[a] for a in combo) for combo, f in rows.items()}
 
 
-def _two_curve_base(spec: FiberJoinSpec) -> tuple[BaseFactor, BaseFactor]:
-    if len(spec.base.factors) != 2:
+def _two_curve_base(genera: tuple[Optional[int], ...]) -> Optional[tuple[int, int]]:
+    """The genera of a product of two curves; None on any other base."""
+    return genera if len(genera) == 2 and None not in genera else None
+
+
+def _curves(spec: FiberJoinSpec) -> tuple[int, int]:
+    curves = spec.base.facts.curves
+    if curves is None:
         raise UnsupportedBaseError("this invariant needs a product of two curves")
-    f1, f2 = spec.base.factors
-    if f1.effective_genus is None or f2.effective_genus is None:
-        raise UnsupportedBaseError("this invariant needs a product of two curves")
-    return f1, f2
+    return curves
 
 
 def euler_class(spec: FiberJoinSpec) -> int:
     """Euler class of the join over a product of two curves, as a
     multiple of the orientation class; zero as soon as d > 1."""
-    _two_curve_base(spec)
+    _curves(spec)
     if spec.d > 1:
         return 0
     r0, r1 = spec.matrix.rows
@@ -114,13 +129,13 @@ def p1(spec: FiberJoinSpec) -> int:
     Closed forms: any d=1 join over a product of two curves; for
     d > 1 a split join over a product of two genus-zero curves.
     """
-    f1, f2 = _two_curve_base(spec)
+    curves = _curves(spec)
     if spec.d == 1:
         r0, r1 = spec.matrix.rows
         return 2 * (r0[0] - r1[0]) * (r0[1] - r1[1])
     if spec.split is None:
         raise UnsupportedBaseError("d > 1 needs a split join")
-    if f1.effective_genus != 0 or f2.effective_genus != 0:
+    if curves != (0, 0):
         raise UnsupportedBaseError(
             "d > 1 closed form holds over two genus-zero curves"
         )
@@ -142,7 +157,7 @@ NON_SPIN = "non_spin"
 def spin_status(spec: FiberJoinSpec) -> str:
     """Spin or not: the second Stiefel-Whitney class is the mod-2
     reduction of c1 of the contact bundle."""
-    _two_curve_base(spec)
+    _curves(spec)
     c1 = c1_contact(spec)
     return SPIN if all(c % 2 == 0 for c in c1) else NON_SPIN
 
@@ -182,10 +197,6 @@ class CohomologyTable:
         }
 
 
-def _curve_product_betti(g1: int, g2: int) -> list[int]:
-    return [1, 2 * g1 + 2 * g2, 4 * g1 * g2 + 2, 2 * g1 + 2 * g2, 1]
-
-
 def cohomology_table(spec: FiberJoinSpec) -> CohomologyTable:
     """Integral cohomology of the join over a product N of two curves,
     from the Gysin sequence of the S^(2d+1) bundle: degree k holds
@@ -194,9 +205,8 @@ def cohomology_table(spec: FiberJoinSpec) -> CohomologyTable:
     e != 0 maps H^0(N) onto e H^4(N): one free summand leaves degrees
     3 and 4, and degree 4 gains Z/e (omitted when e = 1).
     """
-    f1, f2 = _two_curve_base(spec)
-    betti = _curve_product_betti(f1.effective_genus, f2.effective_genus)
-    e = euler_class(spec)
+    e = euler_class(spec)  # refuses every other base
+    betti = spec.base.facts.betti
     shift = 2 * spec.d + 1
     ranks = [0] * (shift + 5)
     for k, b in enumerate(betti):
@@ -223,8 +233,7 @@ class HomeoKey:
 def homeo_key(spec: FiberJoinSpec) -> HomeoKey:
     """Homeomorphism-separating key for d=1 joins over a product of two
     genus-zero curves with matrix [[k, l], [l, k]], k > l."""
-    f1, f2 = _two_curve_base(spec)
-    if f1.effective_genus != 0 or f2.effective_genus != 0:
+    if _curves(spec) != (0, 0):
         raise UnsupportedBaseError("key defined over two genus-zero curves")
     if spec.d != 1:
         raise UnsupportedBaseError("key defined for d=1 joins")

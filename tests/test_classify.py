@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiberjoin import admissible as adm
-from fiberjoin import einstein, exactalg
+from fiberjoin import einstein, exactalg, topology
 from fiberjoin.admissible import admissible_data
 from fiberjoin.classify import (
     CSC_RAY_IN_CONE,
@@ -45,7 +45,9 @@ from fiberjoin.model import (
     BaseFactor,
     BaseProduct,
     SpecError,
+    canonical_columns,
     canonical_split_spec,
+    identical_factor_groups,
     make_spec,
 )
 from oracles import characteristic_product, curvature_equation
@@ -743,6 +745,83 @@ def test_survey_matches_candidate_deduplication(factors, split, max_entry):
     assert list(report.entries) == list(expected.entries)
     assert emit(report, "json") == emit(expected, "json")
     assert emit(report, "csv") == emit(expected, "csv")
+
+
+S0, S2, TORUS = BaseFactor.surface(0), BaseFactor.surface(2), BaseFactor.torus()
+
+
+@pytest.mark.parametrize("split", [(0, 0), (1, 1), (1, 0), (0, 2)])
+@pytest.mark.parametrize(
+    "factors, max_entry",
+    [
+        ((S2,), 4),
+        ((S0, S2), 3),
+        ((S0, S0), 3),
+        ((S0, S2, S0), 2),
+        ((TORUS, S0, TORUS, S0), 2),
+        ((S0, S0, S0), 2),
+        ((S2, S0, S0, S0), 2),
+    ],
+    ids=[
+        "one", "two-distinct", "pair", "pair-apart", "two-pairs-apart", "triple", "triple-after"
+    ],
+)
+def test_survey_keys_match_every_candidate_canonicalised(factors, max_entry, split):
+    """Every candidate through ``canonical_columns``, duplicates dropped
+    and sorted: groups of one, two and three identical factors, whole or
+    apart, on symmetric and asymmetric splits."""
+    groups = identical_factor_groups(factors)
+    d0, dinf = split
+    values = range(1, max_entry + 1)
+    keys = {
+        canonical_columns(list(zip(w0, winf)), groups, swap_poles=d0 == dinf)
+        for w0 in itertools.product(values, repeat=len(factors))
+        for winf in itertools.product(values, repeat=len(factors))
+    }
+    report = survey(BaseProduct(factors), split, max_entry)
+    assert report.entries.keys == sorted(keys)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of the calls to the base's and the solve's shared facts,
+    and of the operator columns by (k, u, v), from empty caches."""
+    calls = Counter()
+
+    def count(owner, name, key=None):
+        original = getattr(owner, name)
+
+        def counting(*args):
+            calls[key(*args) if key else name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(topology, "_two_curve_base")
+    count(BaseProduct, "describe")
+    count(adm, "_operator_column", key=lambda k, u, v: (k, u, v))
+    adm._shared_column.cache_clear()
+    adm._operator_columns.cache_clear()
+    yield calls
+    adm._shared_column.cache_clear()
+    adm._operator_columns.cache_clear()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_survey_derives_its_shared_facts_once(counted, fmt):
+    """A survey shaped like g2 x g3 at split (0, 0): the base's facts
+    are derived once per survey, not per entry, and each operator
+    column once per (k, u, v); the cached columns are tuples."""
+    report = survey(BaseProduct((BaseFactor.surface(2), BaseFactor.surface(3))), (0, 0), 4)
+    assert len(report.entries) > 100
+    emit(report, fmt)
+    assert (counted["_two_curve_base"], counted["describe"]) == (1, 1)
+    columns = {key: n for key, n in counted.items() if isinstance(key, tuple)}
+    assert columns and set(columns.values()) == {1}
+    for top, u, v in [(2, 0, 0), (3, 0, 0)]:
+        shared, lead = adm._operator_columns(top, u, v)
+        assert type(shared) is tuple and all(type(column) is tuple for column in shared)
+        assert lead == math.prod(column[-1] for column in shared)
 
 
 def test_survey_document_shape():

@@ -59,8 +59,9 @@ def run(capsys, argv, stdin_text=None, monkeypatch=None):
 
 
 def write_doc(tmp_path, doc, name="doc.json"):
+    """The document as a file: a str is its text, anything else is dumped."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -536,6 +537,33 @@ MISSING_OR_MISTYPED = [
         dict(SURVEY_REQUEST, base=5),
         "error: invalid survey request: base must be a list of factors\n",
     ),
+    # A repeated key is refused, not read as its last value, in a join
+    # document, a survey request and a factor object alike.
+    *(
+        (
+            command,
+            json.dumps(REFERENCE)[:-1] + ', "K": [[3, 3], [4, 4]]}',
+            "error: cannot read document: repeated key 'K'\n",
+        )
+        for command in JOIN_COMMANDS
+    ),
+    (
+        "survey",
+        json.dumps(SURVEY_REQUEST)[:-1] + ', "max_entry": 3}',
+        "error: cannot read document: repeated key 'max_entry'\n",
+    ),
+    (
+        "classify",
+        json.dumps(REFERENCE).replace('"genus": 5', '"genus": 5, "genus": 2'),
+        "error: cannot read document: repeated key 'genus'\n",
+    ),
+    (
+        "survey",
+        json.dumps(SURVEY_REQUEST).replace(
+            '"kind": "surface"', '"kind": "surface", "kind": "torus"', 1
+        ),
+        "error: cannot read document: repeated key 'kind'\n",
+    ),
 ]
 
 
@@ -556,6 +584,10 @@ MISSING_OR_MISTYPED = [
         "K-string-rows",
         "base-string",
         "survey-base-integer",
+        *(f"repeated-K-{command}" for command in JOIN_COMMANDS),
+        "survey-repeated-max_entry",
+        "factor-repeated-genus",
+        "survey-factor-repeated-kind",
     ],
 )
 def test_error_names_the_document_kind_once(

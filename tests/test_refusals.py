@@ -14,7 +14,7 @@ import pytest
 
 from fiberjoin.admissible import admissible_data
 from fiberjoin.classify import BoundsTooLargeError, _json_text, serialize_rational, survey
-from fiberjoin.cli import main
+from fiberjoin.cli import _unique_keys, main
 from fiberjoin.einstein import fano_index, se_check
 from fiberjoin.exactalg import (
     Polynomial,
@@ -122,6 +122,11 @@ REFUSALS = {
             )
         ),
         DigitLimitError(),
+    ),
+    # A JSON object's pairs: json.loads would keep the last value of K.
+    "repeated-key": (
+        lambda: _unique_keys([("K", [[1], [2]]), ("split", [0, 0]), ("K", [[3], [4]])]),
+        ValueError("repeated key 'K'"),
     ),
     "survey-cap-d-past-digit-limit": (
         lambda: survey(BaseProduct((BaseFactor.surface(2),)), (NINES, NINES), 1),

@@ -16,7 +16,9 @@ import time
 import pytest
 
 from fiberjoin import cli
+from fiberjoin.classify import spec_report
 from fiberjoin.cli import main
+from fiberjoin.model import BaseFactor, BaseProduct, make_spec
 from test_cli import DISTINCT_SURVEY, ClosedAfterFirstChunk, child_env
 from test_golden import GOLDEN, SURVEYS, digest, run
 from test_refusals import PAST_THE_DIGIT_LIMIT, call_main
@@ -109,6 +111,37 @@ def test_refusal_with_the_helper(
     monkeypatch.setattr(classify_module, "_HELPER_MIN_ENTRIES", 0)
     assert call_main(monkeypatch, capsys, argv, document) == alone
     assert len(parent_classified) == entries // 2 + 1 + entries % 2
+
+
+FACT_BASES = {
+    "g2-g3": (BaseFactor.surface(2), BaseFactor.surface(3)),
+    "three-lines": (BaseFactor.surface(0),) * 3,
+    "plane-curve": (BaseFactor.projective_space(2), BaseFactor.surface(2)),
+    "torus-line": (BaseFactor.torus(), BaseFactor.surface(0)),
+}
+
+
+@pytest.mark.parametrize("helper", [True, False], ids=["helper", "one-process"])
+@pytest.mark.parametrize("split", [(0, 0), (1, 0), (1, 1)])
+@pytest.mark.parametrize("factors", FACT_BASES.values(), ids=FACT_BASES.keys())
+def test_entries_read_the_facts_each_join_derives(request, factors, split, helper):
+    """Each entry's text, whichever process renders it from the facts
+    its survey shares, is the text of its join's own ``spec_report``,
+    written by json.dumps at an entry's depth."""
+    if helper:
+        forks = request.getfixturevalue("forks")
+        request.getfixturevalue("waits_for_frames")
+    report = classify_module.survey(BaseProduct(factors), split, 2)
+    head, *texts, tail = classify_module.survey_chunks(report)
+    assert len(texts) == len(report.entries) > 1
+    d0, dinf = split
+    for i, (text, (w0, winf)) in enumerate(zip(texts, report.entries.keys)):
+        rows = [list(w0)] * (d0 + 1) + [list(winf)] * (dinf + 1)
+        document = {"K": rows, **spec_report(make_spec(list(factors), rows, split))}
+        separator = ",\n    " if i else "\n    "
+        assert text == separator + json.dumps(document, indent=2).replace("\n", "\n    ")
+    if helper:
+        assert len(forks) == 1
 
 
 def test_a_failed_fork_writes_the_same_bytes(monkeypatch):
