@@ -599,7 +599,10 @@ def survey_chunks(report: SurveyReport, fmt: str = "json") -> Iterator[str]:
 # fell in 9 of 9 at 378 entries (genus 2 x 3 x 4, max_entry 3) and at
 # 637 and more, but not at 405 cheap ones (genus 2 x 2 x 3, split
 # (1, 0), max_entry 3: 35 ms in one process).  Any value from 406 to
-# 637 fits those runs; the sizes between were not run.
+# 637 fits those runs; the sizes between were not run.  That sweep ran
+# with an earlier reader that read the pipe on every take; the value is
+# kept so that a survey of a few hundred entries, such as genus 0 to the
+# 4th at max_entry 3 (267), stays in one process.
 _HELPER_MIN_ENTRIES = 500
 
 
@@ -638,7 +641,10 @@ def _fork_helper(entries: Sequence, render) -> Optional[_Helper]:
     # locks held forever.
     if not hasattr(os, "fork") or cpus < 2 or threading.active_count() > 1:
         return None
-    read, write = os.pipe()
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
     try:
         pid = os.fork()
     except OSError:
@@ -665,27 +671,40 @@ def _fork_helper(entries: Sequence, render) -> Optional[_Helper]:
 class _Helper:
     """A forked helper and the read end of its pipe, on which it writes
     each odd entry's text in order as a frame: its length, a newline
-    and its ASCII bytes."""
+    and its ASCII bytes.  The pipe is read only for a frame not yet
+    whole, so this process holds at most one read past the frame it
+    cuts, and a helper that is ahead waits on a full pipe."""
 
     def __init__(self, pid: int, fd: int):
         self.pid, self.fd = pid, fd
-        self.data, self.next = b"", 1  # bytes read, the entry of their first frame
+        # Bytes read, the offset of their first unread frame, its entry.
+        self.data, self.at, self.next = bytearray(), 0, 1
 
     def take(self, i: int) -> Optional[str]:
         """Entry i's text if its whole frame is on the pipe, else None.
-        The frames of entries before i, rendered here, are dropped."""
-        try:
-            self.data += os.read(self.fd, 1 << 16)
-        except BlockingIOError:  # nothing new yet
-            pass
+        The frames of entries before i, rendered here, are dropped.
+        Frames are cut in place, and the pipe is read only while entry
+        i's frame is not yet whole: the work per frame is its size."""
+        data = self.data
         while True:
-            size, newline, rest = self.data.partition(b"\n")
-            if not newline or len(rest) < int(size):
+            newline = data.find(b"\n", self.at)
+            if newline >= 0:
+                start = newline + 1
+                end = start + int(data[self.at : newline])
+                if end <= len(data):
+                    self.at, self.next = end, self.next + 2
+                    if self.next > i:
+                        return data[start:end].decode("ascii")
+                    continue
+            del data[: self.at]
+            self.at = 0
+            try:
+                more = os.read(self.fd, 1 << 16)
+            except BlockingIOError:
+                more = b""
+            if not more:  # nothing new yet, or the helper has ended
                 return None
-            text, self.data = rest[: int(size)], rest[int(size) :]
-            self.next += 2
-            if self.next > i:
-                return text.decode("ascii")
+            data.extend(more)
 
     def close(self) -> None:
         """Stop the helper, done or not, and reap it."""

@@ -144,11 +144,16 @@ def test_entries_read_the_facts_each_join_derives(request, factors, split, helpe
         assert len(forks) == 1
 
 
-def test_a_failed_fork_writes_the_same_bytes(monkeypatch):
+@pytest.mark.parametrize(
+    "call, error",
+    [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)],
+    ids=["fork", "pipe"],
+)
+def test_a_failed_fork_writes_the_same_bytes(monkeypatch, call, error):
     def refused():
-        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        raise OSError(error, os.strerror(error))
 
-    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(os, call, refused)
     monkeypatch.setattr(classify_module, "_HELPER_MIN_ENTRIES", 0)
     assert digest(monkeypatch, "survey") == GOLDEN["survey"]
 
@@ -218,6 +223,54 @@ def test_late_and_cut_frames_are_not_taken():
         assert (helper.take(7), helper.take(9)) == (None, None)
     finally:
         os.close(read)
+
+
+def test_the_reader_reads_only_for_a_missing_frame(monkeypatch):
+    """Sixty frames of about 1 KB, all on the pipe: one read takes them
+    all, and one more finds the end of the file."""
+    texts = [f"{i:04d}".encode() * 256 for i in range(1, 121, 2)]
+    read, write = os.pipe()
+    os.write(write, b"".join(b"%d\n%b" % (len(text), text) for text in texts))
+    os.close(write)
+    os.set_blocking(read, False)
+    reads = []
+    original = os.read
+    monkeypatch.setattr(os, "read", lambda fd, n: reads.append(n) or original(fd, n))
+    helper = classify_module._Helper(0, read)
+    try:
+        taken = [helper.take(i) for i in range(1, 123, 2)]
+    finally:
+        os.close(read)
+    assert taken == [text.decode() for text in texts] + [None]
+    assert len(reads) <= 2
+
+
+def test_the_same_bytes_when_the_helper_is_a_full_pipe_ahead(
+    monkeypatch, forks, waits_for_frames
+):
+    """This process stops at entry 0 while the helper fills the pipe:
+    666 orbits' frames are far more than a pipe holds."""
+    text = json.dumps(dict(DISTINCT_SURVEY, max_entry=6))
+    monkeypatch.setattr(classify_module, "_HELPER_MIN_ENTRIES", 10**9)
+    alone = run(monkeypatch, ["survey", "-"], text)
+    monkeypatch.setattr(classify_module, "_HELPER_MIN_ENTRIES", 0)
+    parent = os.getpid()
+    original = classify_module.classify
+    classified = []
+
+    def held_at_entry_0(spec):
+        if os.getpid() == parent:
+            if not classified:
+                time.sleep(0.2)
+            classified.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(classify_module, "classify", held_at_entry_0)
+    assert run(monkeypatch, ["survey", "-"], text) == alone
+    n = len(json.loads(alone[1])["entries"])
+    assert n == 666
+    assert len(classified) == (n + 1) // 2
+    assert len(forks) == 1
 
 
 def test_a_closed_reader_reaps_the_helper(tmp_path, monkeypatch, forks):
