@@ -32,12 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactalg import Polynomial, SingularMatrixError, strictly_positive_on
-from .model import (
-    DigitLimitError,
-    FiberJoinSpec,
-    SpecError,
-    retained_factors,
-)
+from .model import DigitLimitError, FiberJoinSpec, SpecError
 
 
 class NotAdmissibleError(SpecError):
@@ -111,7 +106,7 @@ def admissible_data(spec: FiberJoinSpec) -> AdmissibleData:
     """
     if spec.split is None:
         raise SpecError("admissible data needs a split join")
-    retained = retained_factors(spec)
+    retained = spec.facts.retained
     if not retained:
         raise NotAdmissibleError("both split classes agree on every factor")
     w0 = spec.omega_zero()

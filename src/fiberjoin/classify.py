@@ -29,6 +29,7 @@ import math
 import operator
 import os
 import signal
+import sys
 import threading
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
@@ -47,14 +48,10 @@ from .model import (
     DigitLimitError,
     FiberJoinSpec,
     KahlerMatrix,
-    RegularJoinData,
     SpecError,
     identical_factor_groups,
     integer,
-    is_colinear,
     make_spec,
-    regular_join_data,
-    retained_factors,
 )
 
 CSC_REGULAR_RAY = "csc_regular_ray"
@@ -125,24 +122,14 @@ def _base_scalar_sign(base: BaseProduct, class_vector) -> int:
     return (total > 0) - (total < 0)
 
 
-@dataclass(frozen=True)
-class _JoinFacts:
-    """What the rules read about one join, derived once per ``classify``."""
-
-    spec: FiberJoinSpec
-    join: Optional[RegularJoinData]  # None when K is not colinear
-    genera: tuple[Optional[int], ...]  # each factor's effective genus
-    retained: tuple[int, ...]  # () when the join is unsplit
-
-
-def _rule_colinear(facts: _JoinFacts) -> list[Verdict]:
+def _rule_colinear(spec: FiberJoinSpec) -> list[Verdict]:
     """Colinear joins: with two summands over a CSC base, a CSC ray in
     the sphere subcone; over an extremal base, an open set of rays."""
-    join = facts.join
+    join = spec.facts.join
     if join is None:
         return []
     verdicts = []
-    if facts.spec.d == 1:
+    if spec.d == 1:
         verdicts.append(
             Verdict(
                 kind=CSC_RAY_IN_CONE,
@@ -154,7 +141,7 @@ def _rule_colinear(facts: _JoinFacts) -> list[Verdict]:
                 witness={"b": join.b, "w": list(join.w)},
             )
         )
-        if _base_scalar_sign(facts.spec.base, join.primitive) >= 0:
+        if _base_scalar_sign(spec.base, join.primitive) >= 0:
             verdicts.append(
                 Verdict(
                     kind=EXTREMAL_REGULAR_RAY,
@@ -179,11 +166,11 @@ def _rule_colinear(facts: _JoinFacts) -> list[Verdict]:
     return verdicts
 
 
-def _rule_super_admissible(facts: _JoinFacts) -> list[Verdict]:
+def _rule_super_admissible(spec: FiberJoinSpec) -> list[Verdict]:
     """Super admissible joins over nonnegative local products: no curve
     of genus above one, and at most one of genus one."""
-    genera = [g for g in facts.genera if g is not None]
-    if not facts.retained or max(genera, default=0) > 1 or genera.count(1) > 1:
+    genera = [g for g in spec.base.facts.genera if g is not None]
+    if not spec.facts.retained or max(genera, default=0) > 1 or genera.count(1) > 1:
         return []
     return [
         Verdict(
@@ -198,10 +185,10 @@ def _rule_super_admissible(facts: _JoinFacts) -> list[Verdict]:
     ]
 
 
-def _rule_line_times_curve(facts: _JoinFacts) -> list[Verdict]:
+def _rule_line_times_curve(spec: FiberJoinSpec) -> list[Verdict]:
     """Joins over (projective line) x (curve)."""
-    genera = facts.genera
-    if not facts.retained or len(genera) != 2 or None in genera or 0 not in genera:
+    genera = spec.base.facts.genera
+    if not spec.facts.retained or len(genera) != 2 or None in genera or 0 not in genera:
         return []
     line_idx = genera.index(0)
     other_idx = 1 - line_idx
@@ -217,7 +204,6 @@ def _rule_line_times_curve(facts: _JoinFacts) -> list[Verdict]:
     )
     if g <= 1:
         return [verdict]
-    spec = facts.spec
     if spec.split != (1, 1):
         return []
     w0 = spec.omega_zero()
@@ -232,11 +218,11 @@ def _rule_line_times_curve(facts: _JoinFacts) -> list[Verdict]:
     return [verdict]
 
 
-def _rule_curve_two_block(facts: _JoinFacts) -> list[Verdict]:
+def _rule_curve_two_block(spec: FiberJoinSpec) -> list[Verdict]:
     """Two-block joins over a single curve, split with or without a
     retained factor."""
-    spec, genus = facts.spec, facts.genera[0]
-    if spec.split is None or len(facts.genera) != 1 or genus is None:
+    genus = spec.base.facts.genera[0]
+    if spec.split is None or len(spec.base.factors) != 1 or genus is None:
         return []
     d0, dinf = spec.split
     b1 = spec.omega_zero()[0]
@@ -260,9 +246,9 @@ def _rule_curve_two_block(facts: _JoinFacts) -> list[Verdict]:
     return []
 
 
-def _rule_line_triple(facts: _JoinFacts) -> list[Verdict]:
+def _rule_line_triple(spec: FiberJoinSpec) -> list[Verdict]:
     """Three-summand joins over the projective line."""
-    if facts.spec.d != 2 or facts.genera != (0,):
+    if spec.d != 2 or spec.base.facts.genera != (0,):
         return []
     return [
         Verdict(
@@ -285,13 +271,13 @@ def _or_none(fn: Callable[[FiberJoinSpec], object], spec: FiberJoinSpec):
         return None
 
 
-def _rule_profile(facts: _JoinFacts) -> list[Verdict]:
+def _rule_profile(spec: FiberJoinSpec) -> list[Verdict]:
     """Exact extremal solve on a d=1 split, where the regular quotient
     class is pinned by the join data; with two retained factors the
     same solve decides constant scalar curvature."""
-    if facts.spec.split != (0, 0):
+    if spec.split != (0, 0):
         return []
-    data = _or_none(adm.admissible_data, facts.spec)
+    data = _or_none(adm.admissible_data, spec)
     if data is None:
         return []
     profile = adm.extremal_profile(data)
@@ -329,8 +315,8 @@ def _rule_profile(facts: _JoinFacts) -> list[Verdict]:
     return verdicts
 
 
-def _rule_einstein(facts: _JoinFacts) -> list[Verdict]:
-    verdict = einstein.se_check(facts.spec)
+def _rule_einstein(spec: FiberJoinSpec) -> list[Verdict]:
+    verdict = einstein.se_check(spec)
     if not verdict.possible:
         return [
             Verdict(
@@ -352,7 +338,7 @@ def _rule_einstein(facts: _JoinFacts) -> list[Verdict]:
     ]
 
 
-_RULES: tuple[Callable[[_JoinFacts], list[Verdict]], ...] = (
+_RULES: tuple[Callable[[FiberJoinSpec], list[Verdict]], ...] = (
     _rule_colinear,
     _rule_super_admissible,
     _rule_line_times_curve,
@@ -364,18 +350,13 @@ _RULES: tuple[Callable[[_JoinFacts], list[Verdict]], ...] = (
 
 
 def classify(spec: FiberJoinSpec) -> list[Verdict]:
-    """Fire every applicable rule, in a fixed order, on the facts
-    derived once here; append a single inconclusive verdict when no
-    existence conclusion was reached."""
-    facts = _JoinFacts(
-        spec=spec,
-        join=regular_join_data(spec) if is_colinear(spec) else None,
-        genera=spec.base.facts.genera,
-        retained=retained_factors(spec) if spec.split is not None else (),
-    )
+    """Fire every applicable rule, in a fixed order, each reading the
+    join's facts (``spec.facts``, derived once per spec); append a
+    single inconclusive verdict when no existence conclusion was
+    reached."""
     verdicts: list[Verdict] = []
     for rule in _RULES:
-        verdicts.extend(rule(facts))
+        verdicts.extend(rule(spec))
     if not any(v.kind in _EXISTENCE_KINDS for v in verdicts):
         verdicts.append(
             Verdict(
@@ -425,20 +406,16 @@ class InvariantReport:
 
 
 def invariant_report(spec: FiberJoinSpec) -> InvariantReport:
-    colinear = is_colinear(spec)
-    join_b = join_w = None
-    if colinear:
-        join = regular_join_data(spec)
-        join_b, join_w = join.b, join.w
+    join = spec.facts.join
     return InvariantReport(
         base=spec.base.description,
         d=spec.d,
         n=spec.n,
         split=spec.split,
-        colinear=colinear,
-        join_b=join_b,
-        join_w=join_w,
-        c1=topology.c1_contact(spec),
+        colinear=join is not None,
+        join_b=join.b if join else None,
+        join_w=join.w if join else None,
+        c1=spec.facts.c1,
         euler=_or_none(topology.euler_class, spec),
         p1=_or_none(topology.p1, spec),
         spin=_or_none(topology.spin_status, spec),
@@ -512,8 +489,9 @@ def survey(
     poles gives no larger representative.  ``cap`` bounds the number
     of multisets enumerated, the product over groups of
     C(max_entry**2 + g - 1, g), times d = d0 + dinf + 1, since each
-    orbit's matrix has d + 1 rows.  The split is a list or tuple of
-    two nonnegative integers, and the bounds are integers.
+    orbit's matrix has d + 1 rows, which must fit in a list.  The split
+    is a list or tuple of two nonnegative integers, and the bounds are
+    integers.
     """
     if not isinstance(split, (list, tuple)) or len(split) != 2:
         raise SpecError("split must be a list of two integers")
@@ -527,6 +505,13 @@ def survey(
         raise SpecError("max_entry must be at least 1")
     groups = identical_factor_groups(base.factors)
     _check_work(max_entry**2, groups, d0 + dinf + 1, cap)
+    # No list holds more than sys.maxsize // 8 items on a 64-bit build
+    # (an 8-byte pointer each): refuse a longer matrix before trying it.
+    if d0 + dinf + 2 > sys.maxsize // 8:
+        raise SpecError(
+            f"the split asks for matrices of more than {sys.maxsize // 8} rows, "
+            "more than a list can hold"
+        )
     values = range(max_entry, 0, -1)
     pairs = list(itertools.product(values, repeat=2))  # descending
     # Each group's multisets as its part of the rows (omega_zero,

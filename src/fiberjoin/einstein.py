@@ -15,15 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import (
-    BaseProduct,
-    DigitLimitError,
-    FiberJoinSpec,
-    SpecError,
-    is_colinear,
-    regular_join_data,
-)
-from .topology import c1_contact
+from .model import BaseProduct, DigitLimitError, FiberJoinSpec, SpecError
 
 
 NECESSARY_CONDITIONS_PASS = "necessary conditions pass"
@@ -101,7 +93,7 @@ def se_check(spec: FiberJoinSpec) -> SEVerdict:
                 ),
             )
 
-    c1 = c1_contact(spec)
+    c1, join = spec.facts.c1, spec.facts.join
     if any(c != 0 for c in c1):
         try:
             reason = f"contact bundle has nonzero first Chern class {list(c1)}"
@@ -113,8 +105,7 @@ def se_check(spec: FiberJoinSpec) -> SEVerdict:
     # sum, so the base is automatically Fano.
     index = fano_index(spec.base)
 
-    if is_colinear(spec):
-        join = regular_join_data(spec)
+    if join is not None:
         total = sum(join.multiples)
         # Arithmetic chain for colinear joins with vanishing c1: the
         # multiples sum to the index, which the weight sum divides and

@@ -157,11 +157,31 @@ class BaseProduct:
         return self.describe()
 
     @cached_property
-    def facts(self):
-        """This base's ``topology.BaseFacts``."""
-        from .topology import BaseFacts  # topology imports this module
-
+    def facts(self) -> BaseFacts:
+        """This base's ``BaseFacts``, built on first use."""
         return BaseFacts(self)
+
+
+def _two_curve_base(genera: tuple[Optional[int], ...]) -> Optional[tuple[int, int]]:
+    """The genera of a product of two curves; None on any other base."""
+    return genera if len(genera) == 2 and None not in genera else None
+
+
+class BaseFacts:
+    """What the base alone decides, kept by ``BaseProduct.facts``: its
+    c1 vector, genera, and for a product of two curves their genera
+    and its Betti numbers (else None), each a tuple.  Not a dataclass,
+    whose generated methods cost about 1 ms of every import."""
+
+    __slots__ = ("c1", "genera", "curves", "betti")
+
+    def __init__(self, base: BaseProduct):
+        self.c1 = base.c1_vector()
+        self.genera = tuple(f.effective_genus for f in base.factors)
+        self.curves, self.betti = _two_curve_base(self.genera), None
+        if self.curves:
+            g1, g2 = self.curves
+            self.betti = (1, 2 * g1 + 2 * g2, 4 * g1 * g2 + 2, 2 * g1 + 2 * g2, 1)
 
 
 @dataclass(frozen=True)
@@ -207,6 +227,11 @@ class FiberJoinSpec:
     def omega_infinity(self) -> tuple[int, ...]:
         d0, _ = self.split
         return self.matrix.rows[d0 + 1]
+
+    @cached_property
+    def facts(self) -> JoinFacts:
+        """This join's ``JoinFacts``, built on first use."""
+        return JoinFacts(self)
 
 
 def validate(spec: FiberJoinSpec) -> FiberJoinSpec:
@@ -372,3 +397,20 @@ def retained_factors(spec: FiberJoinSpec) -> tuple[int, ...]:
         raise SpecError("split required")
     pairs = zip(spec.omega_zero(), spec.omega_infinity())
     return tuple(a for a, (w0, winf) in enumerate(pairs) if w0 != winf)
+
+
+class JoinFacts:
+    """What the join decides beyond its base, kept by
+    ``FiberJoinSpec.facts``: c1 of the contact bundle on the base
+    generators (anticanonical coefficient minus column sum of K), the
+    ``RegularJoinData`` (None when K is not colinear) and the retained
+    factors (() when the join is unsplit).  Not a dataclass, as for
+    ``BaseFacts``."""
+
+    __slots__ = ("c1", "join", "retained")
+
+    def __init__(self, spec: FiberJoinSpec):
+        sums = spec.matrix.column_sums()
+        self.c1 = tuple(c - s for c, s in zip(spec.base.facts.c1, sums))
+        self.join = regular_join_data(spec) if is_colinear(spec) else None
+        self.retained = retained_factors(spec) if spec.split is not None else ()

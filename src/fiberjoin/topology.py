@@ -4,8 +4,8 @@ Characteristic classes of the contact bundle live on the base and
 are computed exactly in the monomial basis of primitive generators;
 Euler class, first Pontryagin number, spin type, and the integral
 cohomology table are available for the bases where a closed form
-holds (products of two curves for most of them, and a second curve
-factor of genus zero for the higher-fiber Pontryagin number).
+holds: products of two curves for most of them, and for d > 1 the
+first Pontryagin number only on a split join over two genus-zero curves.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
-from .model import BaseProduct, FiberJoinSpec, SpecError
+from .model import BaseFacts as BaseFacts  # also importable from here
+from .model import FiberJoinSpec, SpecError
 
 ClassVector = tuple[int, ...]
 
@@ -28,30 +28,12 @@ class OutOfValidityRangeError(SpecError):
     """Chern degree outside the window where the pullback is injective."""
 
 
-class BaseFacts:
-    """What the base alone decides, kept by ``BaseProduct.facts``: its
-    c1 vector, genera, and for a product of two curves their genera
-    and its Betti numbers (else None), each a tuple.  Not a dataclass,
-    whose generated methods cost about 1 ms of every import."""
-
-    __slots__ = ("c1", "genera", "curves", "betti")
-
-    def __init__(self, base: BaseProduct):
-        self.c1 = base.c1_vector()
-        self.genera = tuple(f.effective_genus for f in base.factors)
-        self.curves, self.betti = _two_curve_base(self.genera), None
-        if self.curves:
-            g1, g2 = self.curves
-            self.betti = (1, 2 * g1 + 2 * g2, 4 * g1 * g2 + 2, 2 * g1 + 2 * g2, 1)
-
-
 def c1_contact(spec: FiberJoinSpec) -> ClassVector:
     """First Chern class of the contact bundle, on the base generators.
 
     Componentwise: (anticanonical coefficient) minus (column sum of K).
     """
-    sums = spec.matrix.column_sums()
-    return tuple(c - s for c, s in zip(spec.base.facts.c1, sums))
+    return spec.facts.c1
 
 
 def _require_curve_factors(spec: FiberJoinSpec) -> None:
@@ -99,11 +81,6 @@ def chern_k(spec: FiberJoinSpec, k: int) -> dict[tuple[int, ...], int]:
     c1s = spec.base.facts.c1
     rows = _degree_part(negated, len(c1s), k)
     return {combo: f + math.prod(c1s[a] for a in combo) for combo, f in rows.items()}
-
-
-def _two_curve_base(genera: tuple[Optional[int], ...]) -> Optional[tuple[int, int]]:
-    """The genera of a product of two curves; None on any other base."""
-    return genera if len(genera) == 2 and None not in genera else None
 
 
 def _curves(spec: FiberJoinSpec) -> tuple[int, int]:
@@ -158,8 +135,7 @@ def spin_status(spec: FiberJoinSpec) -> str:
     """Spin or not: the second Stiefel-Whitney class is the mod-2
     reduction of c1 of the contact bundle."""
     _curves(spec)
-    c1 = c1_contact(spec)
-    return SPIN if all(c % 2 == 0 for c in c1) else NON_SPIN
+    return SPIN if all(c % 2 == 0 for c in spec.facts.c1) else NON_SPIN
 
 
 def p1_congruence_holds(spec: FiberJoinSpec) -> bool:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiberjoin import admissible as adm
-from fiberjoin import einstein, exactalg, topology
+from fiberjoin import einstein, exactalg, model
 from fiberjoin.admissible import admissible_data
 from fiberjoin.classify import (
     CSC_RAY_IN_CONE,
@@ -413,12 +413,13 @@ def test_classify_solves_each_profile_once(monkeypatch):
 
 
 def test_classify_derives_each_rule_fact_once(monkeypatch):
-    """Every rule reads one record of the join's facts, so one call
-    decides colinearity; the second ``retained_factors`` call is made
-    inside ``admissible_data``."""
+    """Every entry point reads the join's one record of facts,
+    ``spec.facts``: per join one record is built, one call decides
+    colinearity and each derivation the record holds runs at most
+    once, for ``classify``, ``spec_report`` and each survey entry."""
     calls = Counter()
     modules = [m for name, m in sys.modules.items() if name.startswith("fiberjoin.")]
-    for name in ("is_colinear", "regular_join_data", "retained_factors"):
+    for name in ("JoinFacts", "is_colinear", "regular_join_data", "retained_factors"):
         original = getattr(sys.modules["fiberjoin.model"], name)
 
         def counted(*args, name=name, original=original):
@@ -429,11 +430,23 @@ def test_classify_derives_each_rule_fact_once(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
+    once = {"JoinFacts": 1, "is_colinear": 1, "retained_factors": 1}
+    colinear_once = {**once, "regular_join_data": 1}
     # Colinear, d = 1, split (0, 0), and c1 != 0, so se_check stops early.
-    spec = curve_pair(2, 3, [[2, 2], [1, 1]])
-    verdicts = sys.modules["fiberjoin.classify"].classify(spec)
+    verdicts = sys.modules["fiberjoin.classify"].classify(curve_pair(2, 3, [[2, 2], [1, 1]]))
     assert "colinear-subcone-csc" in {v.rule for v in verdicts}
-    assert calls == {"is_colinear": 1, "regular_join_data": 1, "retained_factors": 2}
+    assert calls == colinear_once
+    for rows, expected in (([[2, 2], [1, 1]], colinear_once), ([[2, 1], [1, 3]], once)):
+        calls.clear()
+        spec_report(curve_pair(2, 3, rows))
+        assert calls == expected
+    calls.clear()
+    entries = survey(BaseProduct((BaseFactor.surface(2), BaseFactor.surface(3))), (0, 0), 2).entries
+    assert not calls  # no join is built before its entry is read
+    for i in range(len(entries)):
+        calls.clear()
+        entry = entries[i]
+        assert calls == (colinear_once if entry.invariants.colinear else once)
 
 
 # --- reports and serialization ------------------------------------------------
@@ -797,7 +810,7 @@ def counted(monkeypatch):
 
         monkeypatch.setattr(owner, name, counting)
 
-    count(topology, "_two_curve_base")
+    count(model, "_two_curve_base")
     count(BaseProduct, "describe")
     count(adm, "_operator_column", key=lambda k, u, v: (k, u, v))
     adm._shared_column.cache_clear()

@@ -271,3 +271,27 @@ def test_answer_past_the_digit_limit(monkeypatch, capsys, argv, document, line, 
 
 def test_one_digit_limit_error():
     assert classify_module.DigitLimitError is DigitLimitError
+
+
+# A raised cap lets these splits past the work bound, but no orbit's
+# matrix of d + 1 rows fits in a list: the list of 10**19 rows has no
+# index-sized length, and 2**61 pointers are more bytes than sys.maxsize.
+# Both are refused before any output, so no helper starts and nothing
+# is allocated.
+SPLITS_PAST_A_LIST = {
+    "survey-split-past-an-index": [10**19, 0],
+    "survey-split-past-the-pointers": [2**61, 0],
+}
+
+
+@pytest.mark.parametrize(
+    "split", SPLITS_PAST_A_LIST.values(), ids=SPLITS_PAST_A_LIST.keys()
+)
+def test_survey_split_past_a_list(monkeypatch, capsys, split):
+    document = {"base": surfaces(2), "split": split, "max_entry": 1, "cap": 2**70}
+    code, out, err = call_main(monkeypatch, capsys, ["survey", "-"], document)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: invalid survey request: the split asks for matrices of more "
+        f"than {sys.maxsize // 8} rows, more than a list can hold\n"
+    )
