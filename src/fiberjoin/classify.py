@@ -3,7 +3,9 @@
 Each rule couples a decidable predicate on the join description with
 the canonical-metric conclusion it licenses; computational rules carry
 their certificate (a curvature value and a positivity certificate, or
-the extremal profile itself) as a witness.  Verdict kinds:
+the extremal profile itself) as a witness.  A rule's kind and citation
+are written once, in ``_CONCLUSIONS`` by rule name, except for the two
+Sasaki-Einstein rules, which cite ``se_check``'s reason.  Verdict kinds:
 
   csc_regular_ray       the regular Reeb ray admits constant scalar curvature
   csc_ray_in_cone       some ray in the sphere subcone does
@@ -86,9 +88,75 @@ class Verdict:
     witness: Optional[dict] = None
 
     def as_dict(self) -> dict:
-        doc = {"kind": self.kind, "rule": self.rule, "citation": self.citation}
-        doc["witness"] = self.witness
-        return doc
+        return {
+            "kind": self.kind,
+            "rule": self.rule,
+            "citation": self.citation,
+            "witness": self.witness,
+        }
+
+
+# Each rule whose citation is fixed, by name: the kind of verdict it
+# concludes and the result it cites.
+_CONCLUSIONS = {
+    "colinear-subcone-csc": (
+        CSC_RAY_IN_CONE,
+        "a two-summand colinear join over a constant-scalar-curvature "
+        "base carries a CSC ray in its sphere subcone",
+    ),
+    "colinear-subcone-exhausted": (
+        EXTREMAL_REGULAR_RAY,
+        "with nonnegative base scalar curvature the sphere subcone "
+        "of a two-summand colinear join is exhausted by extremal "
+        "structures; in particular the regular ray is extremal",
+    ),
+    "colinear-extremal-base": (
+        EXTREMAL_OPEN_SET,
+        "a colinear join over a base with extremal metrics carries an "
+        "open set of extremal rays in its sphere subcone",
+    ),
+    "super-admissible-nonneg-product": (
+        EXTREMAL_OPEN_SET,
+        "every class on this base is admissible and the base is a "
+        "local product of nonnegative CSC metrics, giving an open "
+        "set of extremal rays around the regular one",
+    ),
+    "line-times-curve-regular-ray": (
+        EXTREMAL_REGULAR_RAY,
+        "over a projective line times a curve of genus at most one, every "
+        "admissible split join has an extremal structure on its regular "
+        "ray; for higher genus exactly the distinguished matrix does",
+    ),
+    "curve-two-block-window": (
+        EXTREMAL_REGULAR_RAY,
+        "a two-block join over a single curve has an extremal regular "
+        "ray for genus at most one, and for higher genus whenever "
+        "2(1-g)/(b1-b2) lies between -d0(d0+1) and dinf(dinf+1)",
+    ),
+    "line-triple-regular-ray": (
+        EXTREMAL_REGULAR_RAY,
+        "every three-summand join over the projective line has an "
+        "extremal structure on its regular ray",
+    ),
+    "csc-profile-certificate": (
+        CSC_REGULAR_RAY,
+        "both curvature equations share a root and the "
+        "certificate quadratic is positive on (-1, 1), so the "
+        "regular ray has constant scalar curvature",
+    ),
+    "extremal-profile-certificate": (
+        EXTREMAL_REGULAR_RAY,
+        "the extremal profile polynomial is positive on (-1, 1), so "
+        "the regular ray carries an extremal structure",
+    ),
+    "none": (INCONCLUSIVE, "no applicable existence rule"),
+}
+
+
+def _verdict(rule: str, witness: Optional[dict] = None) -> Verdict:
+    """The verdict of a rule in ``_CONCLUSIONS``, with its witness."""
+    kind, citation = _CONCLUSIONS[rule]
+    return Verdict(kind, rule, citation, witness)
 
 
 def serialize_rational(value: Fraction) -> str:
@@ -130,39 +198,10 @@ def _rule_colinear(spec: FiberJoinSpec) -> list[Verdict]:
         return []
     verdicts = []
     if spec.d == 1:
-        verdicts.append(
-            Verdict(
-                kind=CSC_RAY_IN_CONE,
-                rule="colinear-subcone-csc",
-                citation=(
-                    "a two-summand colinear join over a constant-scalar-curvature "
-                    "base carries a CSC ray in its sphere subcone"
-                ),
-                witness={"b": join.b, "w": list(join.w)},
-            )
-        )
+        verdicts.append(_verdict("colinear-subcone-csc", {"b": join.b, "w": list(join.w)}))
         if _base_scalar_sign(spec.base, join.primitive) >= 0:
-            verdicts.append(
-                Verdict(
-                    kind=EXTREMAL_REGULAR_RAY,
-                    rule="colinear-subcone-exhausted",
-                    citation=(
-                        "with nonnegative base scalar curvature the sphere subcone "
-                        "of a two-summand colinear join is exhausted by extremal "
-                        "structures; in particular the regular ray is extremal"
-                    ),
-                )
-            )
-    verdicts.append(
-        Verdict(
-            kind=EXTREMAL_OPEN_SET,
-            rule="colinear-extremal-base",
-            citation=(
-                "a colinear join over a base with extremal metrics carries an "
-                "open set of extremal rays in its sphere subcone"
-            ),
-        )
-    )
+            verdicts.append(_verdict("colinear-subcone-exhausted"))
+    verdicts.append(_verdict("colinear-extremal-base"))
     return verdicts
 
 
@@ -172,94 +211,55 @@ def _rule_super_admissible(spec: FiberJoinSpec) -> list[Verdict]:
     genera = [g for g in spec.base.facts.genera if g is not None]
     if not spec.facts.retained or max(genera, default=0) > 1 or genera.count(1) > 1:
         return []
-    return [
-        Verdict(
-            kind=EXTREMAL_OPEN_SET,
-            rule="super-admissible-nonneg-product",
-            citation=(
-                "every class on this base is admissible and the base is a "
-                "local product of nonnegative CSC metrics, giving an open "
-                "set of extremal rays around the regular one"
-            ),
-        )
-    ]
+    return [_verdict("super-admissible-nonneg-product")]
 
 
 def _rule_line_times_curve(spec: FiberJoinSpec) -> list[Verdict]:
-    """Joins over (projective line) x (curve)."""
+    """Joins over (projective line) x (curve): any admissible split for
+    genus at most one, else only the distinguished (1, 1) matrix."""
     genera = spec.base.facts.genera
     if not spec.facts.retained or len(genera) != 2 or None in genera or 0 not in genera:
         return []
     line_idx = genera.index(0)
     other_idx = 1 - line_idx
     g = genera[other_idx]
-    verdict = Verdict(
-        kind=EXTREMAL_REGULAR_RAY,
-        rule="line-times-curve-regular-ray",
-        citation=(
-            "over a projective line times a curve of genus at most one, every "
-            "admissible split join has an extremal structure on its regular "
-            "ray; for higher genus exactly the distinguished matrix does"
-        ),
-    )
-    if g <= 1:
-        return [verdict]
-    if spec.split != (1, 1):
-        return []
-    w0 = spec.omega_zero()
-    winf = spec.omega_infinity()
-    marked = {(2, g), (1, 1)}
-    seen = {
-        (w0[line_idx], w0[other_idx]),
-        (winf[line_idx], winf[other_idx]),
-    }
-    if seen != marked:
-        return []
-    return [verdict]
+    if g > 1:
+        if spec.split != (1, 1):
+            return []
+        w0 = spec.omega_zero()
+        winf = spec.omega_infinity()
+        seen = {
+            (w0[line_idx], w0[other_idx]),
+            (winf[line_idx], winf[other_idx]),
+        }
+        if seen != {(2, g), (1, 1)}:
+            return []
+    return [_verdict("line-times-curve-regular-ray")]
 
 
 def _rule_curve_two_block(spec: FiberJoinSpec) -> list[Verdict]:
     """Two-block joins over a single curve, split with or without a
-    retained factor."""
+    retained factor: any for genus at most one, else inside a window."""
     genus = spec.base.facts.genera[0]
     if spec.split is None or len(spec.base.factors) != 1 or genus is None:
         return []
-    d0, dinf = spec.split
-    b1 = spec.omega_zero()[0]
-    b2 = spec.omega_infinity()[0]
-    verdict = Verdict(
-        kind=EXTREMAL_REGULAR_RAY,
-        rule="curve-two-block-window",
-        citation=(
-            "a two-block join over a single curve has an extremal regular "
-            "ray for genus at most one, and for higher genus whenever "
-            "2(1-g)/(b1-b2) lies between -d0(d0+1) and dinf(dinf+1)"
-        ),
-    )
-    if genus <= 1:
-        return [verdict]
-    if b1 == b2:
-        return []
-    ratio = Fraction(2 * (1 - genus), b1 - b2)
-    if -d0 * (d0 + 1) <= ratio <= dinf * (dinf + 1):
-        return [verdict]
-    return []
+    if genus > 1:
+        d0, dinf = spec.split
+        b1 = spec.omega_zero()[0]
+        b2 = spec.omega_infinity()[0]
+        if b1 == b2:
+            return []
+        ratio = Fraction(2 * (1 - genus), b1 - b2)
+        if not -d0 * (d0 + 1) <= ratio <= dinf * (dinf + 1):
+            return []
+    return [_verdict("curve-two-block-window")]
 
 
 def _rule_line_triple(spec: FiberJoinSpec) -> list[Verdict]:
     """Three-summand joins over the projective line."""
     if spec.d != 2 or spec.base.facts.genera != (0,):
         return []
-    return [
-        Verdict(
-            kind=EXTREMAL_REGULAR_RAY,
-            rule="line-triple-regular-ray",
-            citation=(
-                "every three-summand join over the projective line has an "
-                "extremal structure on its regular ray"
-            ),
-        )
-    ]
+    return [_verdict("line-triple-regular-ray")]
 
 
 def _or_none(fn: Callable[[FiberJoinSpec], object], spec: FiberJoinSpec):
@@ -285,57 +285,25 @@ def _rule_profile(spec: FiberJoinSpec) -> list[Verdict]:
     if len(data.base_entries) == 2:
         result = adm.csc_from_profile(profile)
         if result.verdict == adm.CSC:
-            verdicts.append(
-                Verdict(
-                    kind=CSC_REGULAR_RAY,
-                    rule="csc-profile-certificate",
-                    citation=(
-                        "both curvature equations share a root and the "
-                        "certificate quadratic is positive on (-1, 1), so the "
-                        "regular ray has constant scalar curvature"
-                    ),
-                    witness={
-                        "s": serialize_rational(result.s),
-                        "certificate": serialize_polynomial(result.certificate),
-                    },
-                )
-            )
+            witness = {
+                "s": serialize_rational(result.s),
+                "certificate": serialize_polynomial(result.certificate),
+            }
+            verdicts.append(_verdict("csc-profile-certificate", witness))
     if profile.positive:
-        verdicts.append(
-            Verdict(
-                kind=EXTREMAL_REGULAR_RAY,
-                rule="extremal-profile-certificate",
-                citation=(
-                    "the extremal profile polynomial is positive on (-1, 1), so "
-                    "the regular ray carries an extremal structure"
-                ),
-                witness={"profile": serialize_polynomial(profile.profile)},
-            )
-        )
+        witness = {"profile": serialize_polynomial(profile.profile)}
+        verdicts.append(_verdict("extremal-profile-certificate", witness))
     return verdicts
 
 
 def _rule_einstein(spec: FiberJoinSpec) -> list[Verdict]:
     verdict = einstein.se_check(spec)
     if not verdict.possible:
-        return [
-            Verdict(
-                kind=SE_OBSTRUCTED,
-                rule="einstein-obstruction-chain",
-                citation=verdict.reason,
-            )
-        ]
+        return [Verdict(SE_OBSTRUCTED, "einstein-obstruction-chain", verdict.reason)]
     if verdict.reason == einstein.NECESSARY_CONDITIONS_PASS:
         return []
     witness = {"count": verdict.count} if verdict.count is not None else None
-    return [
-        Verdict(
-            kind=SE_EXISTS,
-            rule="einstein-existence",
-            citation=verdict.reason,
-            witness=witness,
-        )
-    ]
+    return [Verdict(SE_EXISTS, "einstein-existence", verdict.reason, witness)]
 
 
 _RULES: tuple[Callable[[FiberJoinSpec], list[Verdict]], ...] = (
@@ -358,13 +326,7 @@ def classify(spec: FiberJoinSpec) -> list[Verdict]:
     for rule in _RULES:
         verdicts.extend(rule(spec))
     if not any(v.kind in _EXISTENCE_KINDS for v in verdicts):
-        verdicts.append(
-            Verdict(
-                kind=INCONCLUSIVE,
-                rule="none",
-                citation="no applicable existence rule",
-            )
-        )
+        verdicts.append(_verdict("none"))
     return verdicts
 
 

@@ -3,9 +3,9 @@
 Every subcommand reads one JSON document from a file path (or ``-``
 for stdin) and writes a JSON document to stdout; ``survey`` writes
 JSON or, with ``--format csv``, csv one entry at a time.  Exit codes:
-0 on success, 1 for an invalid input document or an answer holding an
-integer too long to write, 2 when a valid join hits degenerate data
-for the requested computation.
+0 on success, 1 for an invalid input document, an answer holding an
+integer too long to write or a reader of stdout that has gone, 2 when
+a valid join hits degenerate data for the requested computation.
 """
 
 from __future__ import annotations

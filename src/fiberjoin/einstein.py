@@ -29,7 +29,7 @@ def fano_index(base: BaseProduct) -> int:
     """Divisibility index of the anticanonical class: the gcd of its
     coefficients on the primitive generators.  Defined only when every
     coefficient is positive."""
-    coefficients = base.c1_vector()
+    coefficients = base.facts.c1
     if any(c <= 0 for c in coefficients):
         try:
             message = f"anticanonical coefficients {coefficients} not positive"

@@ -123,13 +123,13 @@ class BaseFactor:
         return None
 
     def describe(self) -> str:
-        if self.kind == SURFACE:
-            try:
+        try:
+            if self.kind == SURFACE:
                 return f"surface(genus={self.genus})"
-            except ValueError as exc:  # only the digit limit raises here
-                raise DigitLimitError() from exc
-        if self.kind == PROJECTIVE_SPACE:
-            return f"projective_space(n={self.n})"
+            if self.kind == PROJECTIVE_SPACE:
+                return f"projective_space(n={self.n})"
+        except ValueError as exc:  # only the digit limit raises here
+            raise DigitLimitError() from exc
         return "torus"
 
 

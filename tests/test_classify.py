@@ -51,6 +51,7 @@ from fiberjoin.model import (
     make_spec,
 )
 from oracles import characteristic_product, curvature_equation
+from test_golden import join_documents
 
 
 # The package exports a ``classify`` function under the module's name.
@@ -332,6 +333,89 @@ def test_rules_fired_by_name(factors, rows, split, fired):
     # The two-block rule needs a split but no retained factor.
     spec = make_spec(factors, rows, split)
     assert [v.rule for v in classify(spec)] == fired
+
+
+# One join per row of the conclusions table, each firing that row's rule.
+TABLE_ROW_JOINS = {
+    "colinear-subcone-csc": ([PLANE, BaseFactor.surface(4)], [[1, 1], [2, 2]], None),
+    "colinear-subcone-exhausted": ([PLANE, BaseFactor.surface(4)], [[1, 1], [2, 2]], None),
+    "colinear-extremal-base": RULES_FIRED["line-x-g2-colinear"][:3],
+    "super-admissible-nonneg-product": RULES_FIRED["plane-x-torus"][:3],
+    "line-times-curve-regular-ray": RULES_FIRED["torus-x-line"][:3],
+    "curve-two-block-window": RULES_FIRED["torus-equal-blocks"][:3],
+    "line-triple-regular-ray": ([LINE], [[1], [1], [2]], None),
+    "csc-profile-certificate": (
+        [BaseFactor.surface(5), BaseFactor.surface(3)],
+        [[2, 1], [1, 3]],
+        (0, 0),
+    ),
+    "extremal-profile-certificate": RULES_FIRED["g2-x-line"][:3],
+    "none": RULES_FIRED["line-x-g2-unmarked"][:3],
+}
+EINSTEIN_RULES = {"einstein-obstruction-chain", "einstein-existence"}
+
+
+def test_conclusions_table_and_rules_in_step():
+    """Every row of the table is a rule some join fires, and every rule
+    fired on the golden corpus is a row or cites ``se_check``."""
+    table = classify_module._CONCLUSIONS
+    assert TABLE_ROW_JOINS.keys() == table.keys()
+    for rule, (factors, rows, split) in TABLE_ROW_JOINS.items():
+        verdict = {v.rule: v for v in classify(make_spec(factors, rows, split))}[rule]
+        assert (verdict.kind, verdict.citation) == table[rule]
+    fired = set()
+    for doc in join_documents():
+        try:
+            fired |= rules(parse_spec(doc))
+        except SpecError:
+            continue
+    assert fired - EINSTEIN_RULES <= table.keys()
+
+
+def regular_ray_grid():
+    """Fixed joins on which the cited regular-ray rules fire: one curve,
+    the projective line with three summands, and a line times a curve."""
+    for g, d0, dinf in itertools.product(range(5), range(3), range(3)):
+        for w0, winf in itertools.product(range(1, 7), repeat=2):
+            yield [BaseFactor.surface(g)], [[w0]] * (d0 + 1) + [[winf]] * (dinf + 1), (d0, dinf)
+    for d0, dinf in ((1, 0), (0, 1)):
+        for w0, winf in itertools.product(range(1, 8), repeat=2):
+            yield [LINE], [[w0]] * (d0 + 1) + [[winf]] * (dinf + 1), (d0, dinf)
+    columns = list(itertools.product(range(1, 4), repeat=2))
+    for g, (d0, dinf) in itertools.product(range(5), ((0, 0), (1, 0), (0, 1), (1, 1))):
+        for w0, winf in itertools.product(columns, repeat=2):
+            rows = [list(w0)] * (d0 + 1) + [list(winf)] * (dinf + 1)
+            yield [BaseFactor.surface(0), BaseFactor.surface(g)], rows, (d0, dinf)
+
+
+def test_cited_regular_ray_rules_agree_with_the_extremal_solve():
+    """Where a cited regular-ray rule fires and the join is admissible,
+    the exact extremal profile is positive: the solve agrees with each
+    citation it could replace."""
+    cited = {
+        "curve-two-block-window",
+        "line-triple-regular-ray",
+        "line-times-curve-regular-ray",
+        "colinear-subcone-exhausted",
+    }
+    checked = Counter()
+    for factors, rows, split in regular_ray_grid():
+        spec = make_spec(factors, rows, split)
+        fired = rules(spec) & cited
+        if not fired:
+            continue
+        try:
+            data = admissible_data(spec)
+        except SpecError:
+            continue
+        assert adm.extremal_profile(data).positive, (factors, rows, split, fired)
+        checked.update(fired)
+    assert checked == {
+        "curve-two-block-window": 1080,
+        "line-triple-regular-ray": 144,
+        "line-times-curve-regular-ray": 530,
+        "colinear-subcone-exhausted": 60,
+    }
 
 
 # --- fallback ----------------------------------------------------------------

@@ -112,6 +112,10 @@ REFUSALS = {
         DigitLimitError(),
     ),
     "describe-digit-limit": (lambda: BaseFactor.surface(10**4300).describe(), DigitLimitError()),
+    "describe-n-digit-limit": (
+        lambda: BaseFactor.projective_space(10**4300).describe(),
+        DigitLimitError(),
+    ),
     # Columns (2a, 2) and (a, 1) share r = (a - 1)/(a + 1), with a = 10**4301.
     "repeated-r-digit-limit": (
         lambda: admissible_data(
