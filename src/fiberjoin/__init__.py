@@ -33,7 +33,6 @@ from .classify import (
 from .einstein import SEVerdict, fano_index, partitions, se_check
 from .exactalg import (
     Polynomial,
-    Rational,
     count_roots_in_open_interval,
     solve_linear,
     strictly_positive_on,

@@ -104,13 +104,12 @@ def admissible_data(spec: FiberJoinSpec) -> AdmissibleData:
     be a curve (complex dimension one) with a well-defined genus, and
     the resulting r values must be pairwise distinct.
     """
-    if spec.split is None:
+    if spec.facts.blocks is None:
         raise SpecError("admissible data needs a split join")
     retained = spec.facts.retained
     if not retained:
         raise NotAdmissibleError("both split classes agree on every factor")
-    w0 = spec.omega_zero()
-    winf = spec.omega_infinity()
+    w0, winf, d0, dinf = spec.facts.blocks
     for i, j in itertools.combinations(retained, 2):
         if (w0[i], winf[i]) == (w0[j], winf[j]):
             raise DegenerateFactorError(f"factors {i} and {j} carry identical class columns")
@@ -135,7 +134,6 @@ def admissible_data(spec: FiberJoinSpec) -> AdmissibleData:
                 raise DigitLimitError() from exc
             raise RepeatedParameterError(message)
         seen[e.r] = e.label
-    d0, dinf = spec.split
     if d0 > 0:
         entries.append(
             AdmissibleEntry(FIBER_ZERO, d0, Fraction(d0 + 1), Fraction(1))

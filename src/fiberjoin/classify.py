@@ -224,10 +224,9 @@ def _rule_line_times_curve(spec: FiberJoinSpec) -> list[Verdict]:
     other_idx = 1 - line_idx
     g = genera[other_idx]
     if g > 1:
-        if spec.split != (1, 1):
+        w0, winf, d0, dinf = spec.facts.blocks
+        if (d0, dinf) != (1, 1):
             return []
-        w0 = spec.omega_zero()
-        winf = spec.omega_infinity()
         seen = {
             (w0[line_idx], w0[other_idx]),
             (winf[line_idx], winf[other_idx]),
@@ -241,12 +240,10 @@ def _rule_curve_two_block(spec: FiberJoinSpec) -> list[Verdict]:
     """Two-block joins over a single curve, split with or without a
     retained factor: any for genus at most one, else inside a window."""
     genus = spec.base.facts.genera[0]
-    if spec.split is None or len(spec.base.factors) != 1 or genus is None:
+    if spec.facts.blocks is None or len(spec.base.factors) != 1 or genus is None:
         return []
     if genus > 1:
-        d0, dinf = spec.split
-        b1 = spec.omega_zero()[0]
-        b2 = spec.omega_infinity()[0]
+        (b1,), (b2,), d0, dinf = spec.facts.blocks
         if b1 == b2:
             return []
         ratio = Fraction(2 * (1 - genus), b1 - b2)
@@ -275,7 +272,7 @@ def _rule_profile(spec: FiberJoinSpec) -> list[Verdict]:
     """Exact extremal solve on a d=1 split, where the regular quotient
     class is pinned by the join data; with two retained factors the
     same solve decides constant scalar curvature."""
-    if spec.split != (0, 0):
+    if spec.facts.blocks is None or spec.d != 1:  # the split is (0, 0)
         return []
     data = _or_none(adm.admissible_data, spec)
     if data is None:
@@ -445,7 +442,7 @@ def survey(
     it is read, so every refusal comes before any output.
 
     Within a group of g identical factors the column pairs
-    (omega_zero[i], omega_infinity[i]) form a multiset, produced once
+    (w0[i], winf[i]) of the pole rows form a multiset, produced once
     as a non-increasing tuple of pairs, which is the representative's
     order.  A symmetric split keeps a multiset only when swapping the
     poles gives no larger representative.  ``cap`` bounds the number
@@ -453,7 +450,7 @@ def survey(
     C(max_entry**2 + g - 1, g), times d = d0 + dinf + 1, since each
     orbit's matrix has d + 1 rows, which must fit in a list.  The split
     is a list or tuple of two nonnegative integers, and the bounds are
-    integers.
+    positive integers.
     """
     if not isinstance(split, (list, tuple)) or len(split) != 2:
         raise SpecError("split must be a list of two integers")
@@ -465,6 +462,8 @@ def survey(
     integer(cap, "cap")
     if max_entry < 1:
         raise SpecError("max_entry must be at least 1")
+    if cap < 1:
+        raise SpecError("cap must be at least 1")
     groups = identical_factor_groups(base.factors)
     _check_work(max_entry**2, groups, d0 + dinf + 1, cap)
     # No list holds more than sys.maxsize // 8 items on a 64-bit build
@@ -476,8 +475,8 @@ def survey(
         )
     values = range(max_entry, 0, -1)
     pairs = list(itertools.product(values, repeat=2))  # descending
-    # Each group's multisets as its part of the rows (omega_zero,
-    # omega_infinity), then of those rows with the poles swapped.
+    # Each group's multisets as its part of the pole rows (w0, winf),
+    # then of those rows with the poles swapped.
     options = [
         [
             (*zip(*chosen), *zip(*sorted([(b, a) for a, b in chosen], reverse=True)))
@@ -504,7 +503,7 @@ def survey(
         if d0 == dinf and (swap_zero, swap_inf) > (zero, inf):
             continue
         keys.append((zero, inf))
-    keys.sort()  # (omega_zero, omega_infinity) sorts as the matrix rows do
+    keys.sort()  # (w0, winf) sorts as the matrix rows do
     return SurveyReport(base, split, max_entry, _OrbitEntries(base, split, keys))
 
 

@@ -82,8 +82,8 @@ def se_check(spec: FiberJoinSpec) -> SEVerdict:
     # for the Einstein condition.  Checked first because vanishing c1
     # already excludes it arithmetically, which would make it
     # unobservable downstream.
-    if spec.split is not None:
-        d0, dinf = spec.split
+    if spec.facts.blocks is not None:
+        _, _, d0, dinf = spec.facts.blocks
         if d0 == dinf and d0 >= n:
             return SEVerdict(
                 possible=False,

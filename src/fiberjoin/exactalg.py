@@ -21,10 +21,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-# Exact scalars are plain stdlib Fractions: arbitrary-precision,
-# always reduced, positive denominator.
-Rational = Fraction
-
 
 class ZeroPolynomialError(ValueError):
     """Raised when an operation is undefined for the zero polynomial."""

@@ -221,13 +221,6 @@ class FiberJoinSpec:
     def n(self) -> int:
         return self.base.dim_c
 
-    def omega_zero(self) -> tuple[int, ...]:
-        return self.matrix.rows[0]
-
-    def omega_infinity(self) -> tuple[int, ...]:
-        d0, _ = self.split
-        return self.matrix.rows[d0 + 1]
-
     @cached_property
     def facts(self) -> JoinFacts:
         """This join's ``JoinFacts``, built on first use."""
@@ -345,13 +338,13 @@ def canonical_columns(
     groups: Sequence[Sequence[int]],
     swap_poles: bool,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Lexicographically largest (omega_zero, omega_infinity) over
-    exchanging the column pairs (omega_zero[i], omega_infinity[i])
-    within each group, and over swapping the poles when allowed.
+    """Lexicographically largest pole pair (w0, winf) over exchanging
+    the column pairs (w0[i], winf[i]) within each group, and over
+    swapping the poles when allowed.
 
     Sorting a group's pairs in descending order and writing them back
-    to its positions in increasing order maximizes omega_zero first
-    and omega_infinity among its ties, so no permutation is tried.
+    to its positions in increasing order maximizes w0 first and winf
+    among its ties, so no permutation is tried.
     """
 
     def arrange(pairs):
@@ -375,42 +368,46 @@ def canonical_split_spec(spec: FiberJoinSpec) -> FiberJoinSpec:
     (relabeling interchangeable factors), and the two split blocks
     swap only when they hold the same number of summands (relabeling
     the poles).  The representative is the lexicographically largest
-    (omega_zero, omega_infinity) pair, so invariants computed from it
-    always refer to the matrix the report displays.
+    pole pair (w0, winf), so invariants computed from it always refer
+    to the matrix the report displays.
     """
-    if spec.split is None:
+    if spec.facts.blocks is None:
         raise SpecError("split required")
-    d0, dinf = spec.split
+    w0, winf, d0, dinf = spec.facts.blocks
     a, b = canonical_columns(
-        list(zip(spec.omega_zero(), spec.omega_infinity())),
-        identical_factor_groups(spec.base.factors),
-        d0 == dinf,
+        list(zip(w0, winf)), identical_factor_groups(spec.base.factors), d0 == dinf
     )
     rows = [list(a)] * (d0 + 1) + [list(b)] * (dinf + 1)
-    return make_spec(spec.base.factors, rows, spec.split)
+    return make_spec(spec.base.factors, rows, (d0, dinf))
 
 
 def retained_factors(spec: FiberJoinSpec) -> tuple[int, ...]:
     """Indices of base factors where the split classes differ; the
     curvature reduction keeps exactly these."""
-    if spec.split is None:
+    if spec.facts.blocks is None:
         raise SpecError("split required")
-    pairs = zip(spec.omega_zero(), spec.omega_infinity())
-    return tuple(a for a, (w0, winf) in enumerate(pairs) if w0 != winf)
+    return spec.facts.retained
 
 
 class JoinFacts:
     """What the join decides beyond its base, kept by
     ``FiberJoinSpec.facts``: c1 of the contact bundle on the base
     generators (anticanonical coefficient minus column sum of K), the
-    ``RegularJoinData`` (None when K is not colinear) and the retained
-    factors (() when the join is unsplit).  Not a dataclass, as for
-    ``BaseFacts``."""
+    ``RegularJoinData`` (None when K is not colinear), the split blocks
+    (w0, winf, d0, dinf), pole classes and block sizes read from the
+    declared split (None when the join is unsplit), and the retained
+    factors, where w0 and winf differ (() when unsplit).  Not a
+    dataclass, as for ``BaseFacts``."""
 
-    __slots__ = ("c1", "join", "retained")
+    __slots__ = ("c1", "join", "blocks", "retained")
 
     def __init__(self, spec: FiberJoinSpec):
         sums = spec.matrix.column_sums()
         self.c1 = tuple(c - s for c, s in zip(spec.base.facts.c1, sums))
         self.join = regular_join_data(spec) if is_colinear(spec) else None
-        self.retained = retained_factors(spec) if spec.split is not None else ()
+        self.blocks, self.retained = None, ()
+        if spec.split is not None:
+            d0, dinf = spec.split
+            w0, winf = spec.matrix.rows[0], spec.matrix.rows[d0 + 1]
+            self.blocks = (w0, winf, d0, dinf)
+            self.retained = tuple(a for a, (x, y) in enumerate(zip(w0, winf)) if x != y)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .model import BaseFacts as BaseFacts  # also importable from here
 from .model import FiberJoinSpec, SpecError
 
 ClassVector = tuple[int, ...]
@@ -110,15 +109,13 @@ def p1(spec: FiberJoinSpec) -> int:
     if spec.d == 1:
         r0, r1 = spec.matrix.rows
         return 2 * (r0[0] - r1[0]) * (r0[1] - r1[1])
-    if spec.split is None:
+    if spec.facts.blocks is None:
         raise UnsupportedBaseError("d > 1 needs a split join")
     if curves != (0, 0):
         raise UnsupportedBaseError(
             "d > 1 closed form holds over two genus-zero curves"
         )
-    d0, dinf = spec.split
-    k0 = spec.omega_zero()
-    kinf = spec.omega_infinity()
+    k0, kinf, d0, dinf = spec.facts.blocks
     return (
         -4 * (d0 + 1) * (k0[0] + k0[1])
         - 4 * (dinf + 1) * (kinf[0] + kinf[1])

@@ -472,6 +472,46 @@ def test_classify_deterministic(g1, g2, a, b, c, d):
     assert classify(spec) == classify(spec)
 
 
+STREAM_FACTORS = st.one_of(
+    st.integers(0, 6).map(BaseFactor.surface),
+    st.just(BaseFactor.torus()),
+    st.integers(1, 3).map(BaseFactor.projective_space),
+)
+
+
+@st.composite
+def joins(draw):
+    """Joins of one to three factors with entries 1-9: split with
+    blocks of one to three rows, or unsplit with two to four rows."""
+    factors = draw(st.lists(STREAM_FACTORS, min_size=1, max_size=3))
+    row = st.lists(st.integers(1, 9), min_size=len(factors), max_size=len(factors))
+    if draw(st.booleans()):
+        d0, dinf = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        return make_spec(factors, [draw(row)] * (d0 + 1) + [draw(row)] * (dinf + 1), (d0, dinf))
+    return make_spec(factors, draw(st.lists(row, min_size=2, max_size=4)))
+
+
+@given(joins())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_swapping_the_poles_keeps_invariants_and_verdicts(spec):
+    """Reversing K's rows, and the split when one is declared, is the
+    same join with its poles swapped: only ``split`` and ``join_w``
+    reverse, and the verdicts keep their kinds, rules and citations.
+    Witnesses are not compared: a profile F(z) becomes F(-z)."""
+    rows = spec.matrix.rows[::-1]
+    swapped = make_spec(spec.base, rows, spec.split and spec.split[::-1])
+    before, after = invariant_report(spec).as_dict(), invariant_report(swapped).as_dict()
+    for key in ("split", "join_w"):
+        value = before.pop(key)
+        assert after.pop(key) == (value[::-1] if value is not None else None)
+    assert after == before
+
+    def triples(join):
+        return sorted((v.kind, v.rule, v.citation) for v in classify(join))
+
+    assert triples(swapped) == triples(spec)
+
+
 def test_classify_solves_each_profile_once(monkeypatch):
     """The CSC and extremal verdicts come from one admissible data and
     one extremal solve, whose 2x2 is solved in place, not by the
@@ -500,7 +540,9 @@ def test_classify_derives_each_rule_fact_once(monkeypatch):
     """Every entry point reads the join's one record of facts,
     ``spec.facts``: per join one record is built, one call decides
     colinearity and each derivation the record holds runs at most
-    once, for ``classify``, ``spec_report`` and each survey entry."""
+    once, for ``classify``, ``spec_report`` and each survey entry.
+    The record derives the split blocks and the retained factors
+    itself, so the package never calls ``retained_factors``."""
     calls = Counter()
     modules = [m for name, m in sys.modules.items() if name.startswith("fiberjoin.")]
     for name in ("JoinFacts", "is_colinear", "regular_join_data", "retained_factors"):
@@ -514,7 +556,7 @@ def test_classify_derives_each_rule_fact_once(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
-    once = {"JoinFacts": 1, "is_colinear": 1, "retained_factors": 1}
+    once = {"JoinFacts": 1, "is_colinear": 1}
     colinear_once = {**once, "regular_join_data": 1}
     # Colinear, d = 1, split (0, 0), and c1 != 0, so se_check stops early.
     verdicts = sys.modules["fiberjoin.classify"].classify(curve_pair(2, 3, [[2, 2], [1, 1]]))

@@ -280,12 +280,10 @@ def test_join_data_reconstructs_multiples(b, w):
 
 
 def reference_canonical_pair(spec):
-    """The largest (omega_zero, omega_infinity) found by trying every
+    """The largest pole pair (w0, winf) found by trying every
     permutation of identical-factor columns, prod g! orders, each
     with the pole swap when the split blocks are equal."""
-    d0, dinf = spec.split
-    w0 = spec.omega_zero()
-    winf = spec.omega_infinity()
+    w0, winf, d0, dinf = spec.facts.blocks
     groups: dict[BaseFactor, list[int]] = {}
     for idx, factor in enumerate(spec.base.factors):
         groups.setdefault(factor, []).append(idx)
