@@ -51,6 +51,7 @@ from fiberjoin.model import (
     make_spec,
 )
 from oracles import characteristic_product, curvature_equation
+from test_cli import specs
 from test_golden import join_documents
 
 
@@ -472,26 +473,7 @@ def test_classify_deterministic(g1, g2, a, b, c, d):
     assert classify(spec) == classify(spec)
 
 
-STREAM_FACTORS = st.one_of(
-    st.integers(0, 6).map(BaseFactor.surface),
-    st.just(BaseFactor.torus()),
-    st.integers(1, 3).map(BaseFactor.projective_space),
-)
-
-
-@st.composite
-def joins(draw):
-    """Joins of one to three factors with entries 1-9: split with
-    blocks of one to three rows, or unsplit with two to four rows."""
-    factors = draw(st.lists(STREAM_FACTORS, min_size=1, max_size=3))
-    row = st.lists(st.integers(1, 9), min_size=len(factors), max_size=len(factors))
-    if draw(st.booleans()):
-        d0, dinf = draw(st.integers(0, 2)), draw(st.integers(0, 2))
-        return make_spec(factors, [draw(row)] * (d0 + 1) + [draw(row)] * (dinf + 1), (d0, dinf))
-    return make_spec(factors, draw(st.lists(row, min_size=2, max_size=4)))
-
-
-@given(joins())
+@given(specs())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_swapping_the_poles_keeps_invariants_and_verdicts(spec):
     """Reversing K's rows, and the split when one is declared, is the

@@ -132,7 +132,7 @@ REFUSALS = {
         lambda: _unique_keys([("K", [[1], [2]]), ("split", [0, 0]), ("K", [[3], [4]])]),
         ValueError("repeated key 'K'"),
     ),
-    # A cap below 1 admits no work: refused, not counted against.
+    # A cap below 1 is refused as such, not as work past the cap.
     "survey-cap-below-1": (
         lambda: survey(BaseProduct((BaseFactor.surface(2),)), (0, 0), 1, cap=-1),
         SpecError("cap must be at least 1"),
