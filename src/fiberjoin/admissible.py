@@ -27,11 +27,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactalg import Polynomial, SingularMatrixError, strictly_positive_on
+from .exactalg import Polynomial, Record, SingularMatrixError, strictly_positive_on
 from .model import DigitLimitError, FiberJoinSpec, SpecError
 
 
@@ -60,21 +59,18 @@ FIBER_ZERO = "fiber_zero"
 FIBER_INFINITY = "fiber_infinity"
 
 
-@dataclass(frozen=True)
-class AdmissibleEntry:
+class AdmissibleEntry(Record):
     """One index of the admissible data: a retained base factor or a
     fiber block.  dim is the complex dimension carried by the index,
     s the normalized scalar curvature, r the class parameter."""
 
-    label: str
-    dim: int
-    s: Fraction
-    r: Fraction
+    def __init__(self, label: str, dim: int, s: Fraction, r: Fraction):
+        vars(self).update(label=label, dim=dim, s=s, r=r, _values=(label, dim, s, r))
 
 
-@dataclass(frozen=True)
-class AdmissibleData:
-    entries: tuple[AdmissibleEntry, ...]
+class AdmissibleData(Record):
+    def __init__(self, entries: tuple[AdmissibleEntry, ...]):
+        vars(self).update(entries=entries, _values=(entries,))
 
     @property
     def base_entries(self) -> tuple[AdmissibleEntry, ...]:
@@ -125,15 +121,16 @@ def admissible_data(spec: FiberJoinSpec) -> AdmissibleData:
         s = Fraction(2 * (1 - genus), diff)
         r = Fraction(diff, w0[a] + winf[a])
         entries.append(AdmissibleEntry(f"factor_{a}", factor.dim_c, s, r))
-    seen = {}
+    seen = {}  # by r in lowest terms, which hashes faster than the Fraction
     for e in entries:
-        if e.r in seen:
+        key = (e.r.numerator, e.r.denominator)
+        if key in seen:
             try:
-                message = f"{seen[e.r]} and {e.label} share r = {e.r}"
+                message = f"{seen[key]} and {e.label} share r = {e.r}"
             except ValueError as exc:  # only the digit limit raises here
                 raise DigitLimitError() from exc
             raise RepeatedParameterError(message)
-        seen[e.r] = e.label
+        seen[key] = e.label
     if d0 > 0:
         entries.append(
             AdmissibleEntry(FIBER_ZERO, d0, Fraction(d0 + 1), Fraction(1))
@@ -145,8 +142,7 @@ def admissible_data(spec: FiberJoinSpec) -> AdmissibleData:
     return AdmissibleData(tuple(entries))
 
 
-@dataclass(frozen=True)
-class ExtremalProfile:
+class ExtremalProfile(Record):
     """Solution of the extremal profile system.
 
     profile:       F, the momentum profile polynomial on [-1, 1]
@@ -160,13 +156,21 @@ class ExtremalProfile:
                    from ``admissible_data``
     """
 
-    profile: Polynomial
-    source: Polynomial
-    char_product: Polynomial
-    positive: bool
-    alpha: Fraction
-    beta: Fraction
-    factor: Polynomial
+    def __init__(
+        self,
+        profile: Polynomial,
+        source: Polynomial,
+        char_product: Polynomial,
+        positive: bool,
+        alpha: Fraction,
+        beta: Fraction,
+        factor: Polynomial,
+    ):
+        vars(self).update(
+            profile=profile, source=source, char_product=char_product,
+            positive=positive, alpha=alpha, beta=beta, factor=factor,
+            _values=(profile, source, char_product, positive, alpha, beta, factor),
+        )
 
 
 # The ends of the profile's interval, built once rather than per solve.
@@ -433,8 +437,7 @@ POSITIVITY_FAILS = "positivity_fails"
 INCONSISTENT = "inconsistent"
 
 
-@dataclass(frozen=True)
-class CscResult:
+class CscResult(Record):
     """Outcome of the two-factor constant-scalar-curvature solve.
 
     s:           the normalized scalar curvature (None if inconsistent)
@@ -442,9 +445,11 @@ class CscResult:
     verdict:     csc / positivity_fails / inconsistent
     """
 
-    s: Optional[Fraction]
-    certificate: Optional[Polynomial]
-    verdict: str
+    def __init__(self, s: Optional[Fraction], certificate: Optional[Polynomial], verdict: str):
+        vars(self).update(
+            s=s, certificate=certificate, verdict=verdict,
+            _values=(s, certificate, verdict),
+        )
 
 
 def solve_csc(data: AdmissibleData) -> CscResult:

@@ -35,7 +35,6 @@ import sys
 import threading
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
@@ -43,7 +42,7 @@ from typing import Callable, Optional
 
 from . import admissible as adm
 from . import einstein, topology
-from .exactalg import Polynomial
+from .exactalg import Polynomial, Record
 from .model import (
     BaseFactor,
     BaseProduct,
@@ -80,12 +79,12 @@ class BoundsTooLargeError(SpecError):
     """Survey enumeration would exceed the configured cap."""
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str
-    rule: str
-    citation: str
-    witness: Optional[dict] = None
+class Verdict(Record):
+    def __init__(self, kind: str, rule: str, citation: str, witness: Optional[dict] = None):
+        vars(self).update(
+            kind=kind, rule=rule, citation=citation, witness=witness,
+            _values=(kind, rule, citation, witness),
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -327,23 +326,33 @@ def classify(spec: FiberJoinSpec) -> list[Verdict]:
     return verdicts
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Record):
     """Everything computable about one join, Nones where no closed
     form covers the base."""
 
-    base: str
-    d: int
-    n: int
-    split: Optional[tuple[int, int]]
-    colinear: bool
-    join_b: Optional[int]
-    join_w: Optional[tuple[int, ...]]
-    c1: tuple[int, ...]
-    euler: Optional[int]
-    p1: Optional[int]
-    spin: Optional[str]
-    cohomology: Optional[topology.CohomologyTable]
+    def __init__(
+        self,
+        base: str,
+        d: int,
+        n: int,
+        split: Optional[tuple[int, int]],
+        colinear: bool,
+        join_b: Optional[int],
+        join_w: Optional[tuple[int, ...]],
+        c1: tuple[int, ...],
+        euler: Optional[int],
+        p1: Optional[int],
+        spin: Optional[str],
+        cohomology: Optional[topology.CohomologyTable],
+    ):
+        vars(self).update(
+            base=base, d=d, n=n, split=split, colinear=colinear, join_b=join_b,
+            join_w=join_w, c1=c1, euler=euler, p1=p1, spin=spin, cohomology=cohomology,
+            _values=(
+                base, d, n, split, colinear, join_b, join_w, c1, euler, p1, spin,
+                cohomology,
+            ),
+        )
 
     def as_dict(self, cohomology=topology.CohomologyTable.as_dict) -> dict:
         """The report as a document, each table as ``cohomology`` writes it."""
@@ -394,11 +403,14 @@ def spec_report(spec: FiberJoinSpec) -> dict:
 # Survey enumeration
 
 
-@dataclass(frozen=True)
-class SurveyEntry:
-    matrix: KahlerMatrix
-    invariants: InvariantReport
-    verdicts: tuple[Verdict, ...]
+class SurveyEntry(Record):
+    def __init__(
+        self, matrix: KahlerMatrix, invariants: InvariantReport, verdicts: tuple[Verdict, ...]
+    ):
+        vars(self).update(
+            matrix=matrix, invariants=invariants, verdicts=verdicts,
+            _values=(matrix, invariants, verdicts),
+        )
 
 
 class _OrbitEntries(Sequence):
@@ -421,12 +433,18 @@ class _OrbitEntries(Sequence):
         return SurveyEntry(spec.matrix, invariant_report(spec), tuple(classify(spec)))
 
 
-@dataclass(frozen=True)
-class SurveyReport:
-    base: BaseProduct
-    split: tuple[int, int]
-    max_entry: int
-    entries: Sequence[SurveyEntry]
+class SurveyReport(Record):
+    def __init__(
+        self,
+        base: BaseProduct,
+        split: tuple[int, int],
+        max_entry: int,
+        entries: Sequence[SurveyEntry],
+    ):
+        vars(self).update(
+            base=base, split=split, max_entry=max_entry, entries=entries,
+            _values=(base, split, max_entry, entries),
+        )
 
 
 def survey(

@@ -12,9 +12,9 @@ index exactly, and the homogeneous all-ones join.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
+from .exactalg import Record
 from .model import BaseProduct, DigitLimitError, FiberJoinSpec, SpecError
 
 
@@ -58,8 +58,7 @@ def partitions(total: int, parts: int) -> int:
     return ways[rest]
 
 
-@dataclass(frozen=True)
-class SEVerdict:
+class SEVerdict(Record):
     """Outcome of the Sasaki-Einstein check.
 
     possible: no known obstruction fires (True) or one does (False)
@@ -68,9 +67,11 @@ class SEVerdict:
               applies, otherwise None
     """
 
-    possible: bool
-    reason: str
-    count: Optional[int] = None
+    def __init__(self, possible: bool, reason: str, count: Optional[int] = None):
+        vars(self).update(
+            possible=possible, reason=reason, count=count,
+            _values=(possible, reason, count),
+        )
 
 
 def se_check(spec: FiberJoinSpec) -> SEVerdict:

@@ -16,7 +16,6 @@ elimination.  No floating point enters any decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -28,6 +27,43 @@ class ZeroPolynomialError(ValueError):
 
 class SingularMatrixError(ValueError):
     """Raised when a linear system has no unique solution."""
+
+
+class Record:
+    """A frozen value record, built without generated code: the
+    standard library's record decorator writes out and compiles six
+    methods per class at every import, about 1 ms a class.
+
+    A subclass names its fields once, as the parameters of its
+    ``__init__``, which checks them and stores them, and their tuple as
+    ``_values``, with ``vars(self).update(...)``.  A record equals one
+    of its own class with equal fields, hashes as the tuple of its
+    fields, prints as ``Name(field=value, ...)`` and refuses assignment
+    and deletion with ``AttributeError``.  Instances keep a
+    ``__dict__``, so ``functools.cached_property`` works on them.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        code = type(self).__init__.__code__
+        fields = code.co_varnames[1 : code.co_argcount]
+        text = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
+        return f"{type(self).__qualname__}({text})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _as_fraction(value) -> Fraction:
@@ -57,8 +93,7 @@ def _over_common_denominator(values: Iterable) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in pairs], den
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """Dense univariate polynomial over the rationals, stored as integer
     numerators over one denominator: the coefficient of z^k is
     nums[k] / den.
@@ -67,12 +102,23 @@ class Polynomial:
     gcd(den, *nums) == 1 and no trailing zero numerator; the zero
     polynomial is ((), 1) and has degree -1.  Then den is the least
     common denominator of the coefficients.  Build polynomials with
-    ``from_coeffs`` and the other constructors: the dataclass
-    constructor takes a pair already in canonical form.
+    ``from_coeffs`` and the other constructors: ``Polynomial(nums, den)``
+    takes a pair already in canonical form.
     """
 
-    nums: tuple[int, ...]
-    den: int = 1
+    # Built for every arithmetic result, so kept as a generated record
+    # would be: no ``_values`` tuple, and compared field by field.
+    def __init__(self, nums: tuple[int, ...], den: int = 1):
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.nums == other.nums and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
 
     @staticmethod
     def from_coeffs(coeffs: Iterable) -> "Polynomial":

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Optional, Sequence
+
+from .exactalg import Record
 
 
 class SpecError(ValueError):
@@ -63,30 +63,29 @@ PROJECTIVE_SPACE = "projective_space"
 TORUS = "torus"
 
 
-@dataclass(frozen=True)
-class BaseFactor:
+class BaseFactor(Record):
     """One factor of the base: a Riemann surface, a projective space,
     or a 2-torus (the genus-one surface, kept as its own kind so
-    reports name it)."""
+    reports name it).  A factor takes only its kind's field: n for a
+    projective space, genus for the others."""
 
-    kind: str
-    genus: Optional[int] = None
-    n: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind == SURFACE:
-            if integer(self.genus, "genus") < 0:
+    def __init__(self, kind: str, genus: Optional[int] = None, n: Optional[int] = None):
+        if kind == SURFACE:
+            if integer(genus, "genus") < 0:
                 raise SpecError("surface factor needs genus >= 0")
-        elif self.kind == PROJECTIVE_SPACE:
-            if integer(self.n, "n") < 1:
+        elif kind == PROJECTIVE_SPACE:
+            if integer(n, "n") < 1:
                 raise SpecError("projective space factor needs n >= 1")
-        elif self.kind == TORUS:
-            if self.genus is not None and integer(self.genus, "genus") != 1:
+        elif kind == TORUS:
+            if genus is not None and integer(genus, "genus") != 1:
                 raise SpecError("torus factor has genus 1")
-            # One torus, however spelt: equal and hashing alike.
-            object.__setattr__(self, "genus", 1)
+            genus = 1  # one torus, however spelt: equal and hashing alike
         else:
-            raise SpecError(f"unknown base factor kind: {self.kind!r}")
+            raise SpecError(f"unknown base factor kind: {kind!r}")
+        field, value = ("genus", genus) if kind == PROJECTIVE_SPACE else ("n", n)
+        if value is not None:
+            raise SpecError(f"{kind.replace('_', ' ')} factor takes no {field}")
+        vars(self).update(kind=kind, genus=genus, n=n, _values=(kind, genus, n))
 
     @staticmethod
     def surface(genus: int) -> "BaseFactor":
@@ -133,13 +132,11 @@ class BaseFactor:
         return "torus"
 
 
-@dataclass(frozen=True)
-class BaseProduct:
-    factors: tuple[BaseFactor, ...]
-
-    def __post_init__(self):
-        if not self.factors:
+class BaseProduct(Record):
+    def __init__(self, factors: tuple[BaseFactor, ...]):
+        if not factors:
             raise EmptyBaseError("base product needs at least one factor")
+        vars(self).update(factors=factors, _values=(factors,))
 
     @property
     def dim_c(self) -> int:
@@ -170,8 +167,8 @@ def _two_curve_base(genera: tuple[Optional[int], ...]) -> Optional[tuple[int, in
 class BaseFacts:
     """What the base alone decides, kept by ``BaseProduct.facts``: its
     c1 vector, genera, and for a product of two curves their genera
-    and its Betti numbers (else None), each a tuple.  Not a dataclass,
-    whose generated methods cost about 1 ms of every import."""
+    and its Betti numbers (else None), each a tuple.  A plain class:
+    see ``exactalg.Record`` for why no record is generated."""
 
     __slots__ = ("c1", "genera", "curves", "betti")
 
@@ -184,12 +181,12 @@ class BaseFacts:
             self.betti = (1, 2 * g1 + 2 * g2, 4 * g1 * g2 + 2, 2 * g1 + 2 * g2, 1)
 
 
-@dataclass(frozen=True)
-class KahlerMatrix:
+class KahlerMatrix(Record):
     """Rows are the classifying classes of the line bundle summands,
     one column per base factor, all entries positive integers."""
 
-    rows: tuple[tuple[int, ...], ...]
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        vars(self).update(rows=rows, _values=(rows,))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "KahlerMatrix":
@@ -203,13 +200,17 @@ class KahlerMatrix:
         return tuple(sum(col) for col in zip(*self.rows))
 
 
-@dataclass(frozen=True)
-class FiberJoinSpec:
-    base: BaseProduct
-    matrix: KahlerMatrix
-    split: Optional[tuple[int, int]] = None
-
-    def __post_init__(self):
+class FiberJoinSpec(Record):
+    def __init__(
+        self,
+        base: BaseProduct,
+        matrix: KahlerMatrix,
+        split: Optional[tuple[int, int]] = None,
+    ):
+        vars(self).update(
+            base=base, matrix=matrix, split=split,
+            _values=(base, matrix, split),
+        )
         validate(self)
 
     @property
@@ -291,14 +292,12 @@ def is_colinear(spec: FiberJoinSpec) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class RegularJoinData:
+class RegularJoinData(Record):
     """Colinear joins are joins of a sphere with a weighted sphere:
     rows are multiples m_j = b * w_j of one primitive class."""
 
-    b: int
-    w: tuple[int, ...]
-    primitive: tuple[int, ...]
+    def __init__(self, b: int, w: tuple[int, ...], primitive: tuple[int, ...]):
+        vars(self).update(b=b, w=w, primitive=primitive, _values=(b, w, primitive))
 
     @property
     def multiples(self) -> tuple[int, ...]:
@@ -396,8 +395,8 @@ class JoinFacts:
     ``RegularJoinData`` (None when K is not colinear), the split blocks
     (w0, winf, d0, dinf), pole classes and block sizes read from the
     declared split (None when the join is unsplit), and the retained
-    factors, where w0 and winf differ (() when unsplit).  Not a
-    dataclass, as for ``BaseFacts``."""
+    factors, where w0 and winf differ (() when unsplit).  A plain
+    class: see ``exactalg.Record``."""
 
     __slots__ = ("c1", "join", "blocks", "retained")
 

@@ -11,9 +11,9 @@ first Pontryagin number only on a split join over two genus-zero curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
+from .exactalg import Record
 from .model import FiberJoinSpec, SpecError
 
 ClassVector = tuple[int, ...]
@@ -141,11 +141,11 @@ def p1_congruence_holds(spec: FiberJoinSpec) -> bool:
     return (p1(spec) - 2 * euler_class(spec)) % 4 == 0
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(Record):
     """Integral cohomology, degree -> (free rank, torsion cyclic orders)."""
 
-    groups: tuple[tuple[int, int, tuple[int, ...]], ...]
+    def __init__(self, groups: tuple[tuple[int, int, tuple[int, ...]], ...]):
+        vars(self).update(groups=groups, _values=(groups,))
 
     def free_rank(self, degree: int) -> int:
         for deg, rank, _ in self.groups:
@@ -194,13 +194,12 @@ def cohomology_table(spec: FiberJoinSpec) -> CohomologyTable:
     )
 
 
-@dataclass(frozen=True)
-class HomeoKey:
+class HomeoKey(Record):
     """(p1, euler) pair; distinct keys certify distinct homeomorphism
     types within the symmetric two-parameter family."""
 
-    p1: int
-    euler: int
+    def __init__(self, p1: int, euler: int):
+        vars(self).update(p1=p1, euler=euler, _values=(p1, euler))
 
 
 def homeo_key(spec: FiberJoinSpec) -> HomeoKey:

@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiberjoin import admissible as adm
@@ -492,6 +492,38 @@ def test_swapping_the_poles_keeps_invariants_and_verdicts(spec):
         return sorted((v.kind, v.rule, v.citation) for v in classify(join))
 
     assert triples(swapped) == triples(spec)
+
+
+def assert_respelling_keeps_the_join(spec, old, new):
+    """Writing each base factor equal to ``old`` as ``new`` changes the
+    report's ``base`` text only: every other invariant, and the sorted
+    (kind, rule, citation) triples of the verdicts, are unchanged."""
+    factors = [new if f == old else f for f in spec.base.factors]
+    respelt = make_spec(factors, spec.matrix.rows, spec.split)
+    before, after = invariant_report(spec).as_dict(), invariant_report(respelt).as_dict()
+    before.pop("base"), after.pop("base")
+    assert after == before
+
+    def triples(join):
+        return sorted((v.kind, v.rule, v.citation) for v in classify(join))
+
+    assert triples(respelt) == triples(spec)
+
+
+@given(specs())
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(make_spec([BaseFactor.torus(), BaseFactor.surface(2)], [[2, 1], [1, 3]], (0, 0)))
+def test_a_torus_written_as_a_genus_one_surface_is_the_same_join(spec):
+    assert_respelling_keeps_the_join(spec, BaseFactor.torus(), BaseFactor.surface(1))
+
+
+@given(specs())
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(make_spec([BaseFactor.projective_space(1)] * 2, [[2, 1], [1, 3]], (0, 0)))
+def test_cp1_written_as_a_genus_zero_surface_is_the_same_join(spec):
+    assert_respelling_keeps_the_join(
+        spec, BaseFactor.projective_space(1), BaseFactor.surface(0)
+    )
 
 
 def test_classify_solves_each_profile_once(monkeypatch):

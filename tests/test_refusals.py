@@ -60,6 +60,15 @@ REFUSALS = {
         lambda: BaseFactor("cone"),
         SpecError("unknown base factor kind: 'cone'"),
     ),
+    "surface-with-n": (
+        lambda: BaseFactor("surface", genus=2, n=3),
+        SpecError("surface factor takes no n"),
+    ),
+    "torus-with-n": (lambda: BaseFactor("torus", n=4), SpecError("torus factor takes no n")),
+    "projective-space-with-genus": (
+        lambda: BaseFactor("projective_space", n=2, genus=7),
+        SpecError("projective space factor takes no genus"),
+    ),
     "canonical-unsplit": (
         lambda: canonical_split_spec(UNSPLIT),
         SpecError("split required"),
