@@ -167,8 +167,8 @@ def _two_curve_base(genera: tuple[Optional[int], ...]) -> Optional[tuple[int, in
 class BaseFacts:
     """What the base alone decides, kept by ``BaseProduct.facts``: its
     c1 vector, genera, and for a product of two curves their genera
-    and its Betti numbers (else None), each a tuple.  A plain class:
-    see ``exactalg.Record`` for why no record is generated."""
+    and its Betti numbers (else None), each a tuple.  A plain class,
+    not a generated record: see ``exactalg.Record``."""
 
     __slots__ = ("c1", "genera", "curves", "betti")
 
@@ -396,7 +396,7 @@ class JoinFacts:
     (w0, winf, d0, dinf), pole classes and block sizes read from the
     declared split (None when the join is unsplit), and the retained
     factors, where w0 and winf differ (() when unsplit).  A plain
-    class: see ``exactalg.Record``."""
+    class, not a generated record: see ``exactalg.Record``."""
 
     __slots__ = ("c1", "join", "blocks", "retained")
 

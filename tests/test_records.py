@@ -74,7 +74,8 @@ def copied(value):
     return tuple(list(value)) if isinstance(value, tuple) else value
 
 
-def test_seventeen_records():
+def test_the_table_holds_every_record():
+    assert set(RECORDS) == set(exactalg.Record.__subclasses__())
     assert len(RECORDS) == 17
 
 
