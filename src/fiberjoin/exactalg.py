@@ -39,7 +39,9 @@ class Record:
     ``_values``, with ``vars(self).update(...)``.  A record equals one
     of its own class with equal fields, hashes as the tuple of its
     fields, prints as ``Name(field=value, ...)`` and refuses assignment
-    and deletion with ``AttributeError``.  Instances keep a
+    and deletion with ``AttributeError``.  ``==`` and ``hash`` read
+    ``_values``: fetching the fields by name from here would cost up
+    to twice the generated methods' time.  Instances keep a
     ``__dict__``, so ``functools.cached_property`` works on them.
     """
 

@@ -473,6 +473,11 @@ def test_classify_deterministic(g1, g2, a, b, c, d):
     assert classify(spec) == classify(spec)
 
 
+def triples(join):
+    """The sorted (kind, rule, citation) of each verdict on ``join``."""
+    return sorted((v.kind, v.rule, v.citation) for v in classify(join))
+
+
 @given(specs())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_swapping_the_poles_keeps_invariants_and_verdicts(spec):
@@ -487,10 +492,6 @@ def test_swapping_the_poles_keeps_invariants_and_verdicts(spec):
         value = before.pop(key)
         assert after.pop(key) == (value[::-1] if value is not None else None)
     assert after == before
-
-    def triples(join):
-        return sorted((v.kind, v.rule, v.citation) for v in classify(join))
-
     assert triples(swapped) == triples(spec)
 
 
@@ -503,10 +504,6 @@ def assert_respelling_keeps_the_join(spec, old, new):
     before, after = invariant_report(spec).as_dict(), invariant_report(respelt).as_dict()
     before.pop("base"), after.pop("base")
     assert after == before
-
-    def triples(join):
-        return sorted((v.kind, v.rule, v.citation) for v in classify(join))
-
     assert triples(respelt) == triples(spec)
 
 
