@@ -30,7 +30,7 @@ from .classify import (
     spec_report,
     survey,
 )
-from .einstein import SEVerdict, fano_index, partitions, se_check
+from .einstein import SEVerdict, fano_index, se_check
 from .exactalg import (
     Polynomial,
     count_roots_in_open_interval,
@@ -52,7 +52,6 @@ from .topology import (
     CohomologyTable,
     HomeoKey,
     c1_contact,
-    chern_k,
     cohomology_table,
     euler_class,
     homeo_key,

@@ -422,6 +422,9 @@ class _OrbitEntries(Sequence):
     def __eq__(self, other) -> bool:
         return isinstance(other, _OrbitEntries) and vars(self) == vars(other)
 
+    def __hash__(self) -> int:
+        return hash((self.base, self.split, tuple(self.keys)))
+
     def __len__(self) -> int:
         return len(self.keys)
 

@@ -39,25 +39,6 @@ def fano_index(base: BaseProduct) -> int:
     return math.gcd(*coefficients)
 
 
-def partitions(total: int, parts: int) -> int:
-    """Number of multisets of ``parts`` positive integers summing to ``total``."""
-    if parts <= 0:
-        return 1 if total == 0 else 0
-    if total < parts:
-        return 0
-    if parts == 2:
-        return total // 2
-    # Taking one from every part leaves a partition of total - parts
-    # into at most ``parts`` parts, that is (by conjugation) into parts
-    # of size at most ``parts``; count those bottom-up by largest size.
-    rest = total - parts
-    ways = [1] + [0] * rest
-    for size in range(1, min(parts, rest) + 1):
-        for s in range(size, rest + 1):
-            ways[s] += ways[s - size]
-    return ways[rest]
-
-
 class SEVerdict(Record):
     """Outcome of the Sasaki-Einstein check.
 
@@ -126,7 +107,8 @@ def se_check(spec: FiberJoinSpec) -> SEVerdict:
                     "two-summand join over a projective space with "
                     "multiples summing to the index"
                 ),
-                count=partitions(index, 2),
+                # Multisets of two positive multiples summing to the index.
+                count=index // 2,
             )
         if all(row == (1,) * len(spec.base.factors) for row in spec.matrix.rows):
             return SEVerdict(

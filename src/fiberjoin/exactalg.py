@@ -104,7 +104,7 @@ class Polynomial(Record):
     gcd(den, *nums) == 1 and no trailing zero numerator; the zero
     polynomial is ((), 1) and has degree -1.  Then den is the least
     common denominator of the coefficients.  Build polynomials with
-    ``from_coeffs`` and the other constructors: ``Polynomial(nums, den)``
+    ``from_coeffs`` or ``from_numerators``: ``Polynomial(nums, den)``
     takes a pair already in canonical form.
     """
 
@@ -131,24 +131,6 @@ class Polynomial(Record):
     def from_numerators(nums: Iterable[int], den: int) -> "Polynomial":
         """The polynomial with coefficients nums[k] / den, den != 0."""
         return _canonical(list(nums), den)
-
-    @staticmethod
-    def zero() -> "Polynomial":
-        return _ZERO
-
-    @staticmethod
-    def one() -> "Polynomial":
-        return _ONE
-
-    @staticmethod
-    def constant(c) -> "Polynomial":
-        num, den = _ratio(c)
-        return Polynomial((num,), den) if num else _ZERO
-
-    @staticmethod
-    def linear(constant, slope) -> "Polynomial":
-        """The polynomial constant + slope*z."""
-        return Polynomial.from_coeffs([constant, slope])
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -204,20 +186,6 @@ class Polynomial(Record):
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = _ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def __call__(self, x) -> Fraction:
         """The value at x, by Horner's rule on integers: with x = p/q,
         q^n * den * poly(x) = sum nums[k] * p^k * q^(n-k)."""
@@ -234,29 +202,6 @@ class Polynomial(Record):
 
     def derivative(self) -> "Polynomial":
         return _canonical([i * n for i, n in enumerate(self.nums)][1:], self.den)
-
-    def antiderivative(self) -> "Polynomial":
-        """Antiderivative with zero constant term: every coefficient
-        over the one denominator lcm(1, ..., n + 1)."""
-        nums = self.nums
-        scale = lcm(*range(1, len(nums) + 1))
-        return _canonical(
-            [0] + [n * (scale // k) for k, n in enumerate(nums, 1)],
-            self.den * scale,
-        )
-
-    def divmod(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Quotient and remainder, from a pseudo-division of the
-        numerators: m * a == q * b + r gives
-        a/da == (q * db / (m * da)) * (b/db) + r / (m * da)."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        quot, rem, m = _pseudo_divmod(self.nums, divisor.nums)
-        den = m * self.den
-        return (
-            _canonical([x * divisor.den for x in quot], den),
-            _canonical(rem, den),
-        )
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Monic greatest common divisor.
@@ -300,7 +245,6 @@ def _canonical(nums: list[int], den: int) -> Polynomial:
 
 
 _ZERO = Polynomial(())
-_ONE = Polynomial((1,))
 
 
 def _primitive(nums: Sequence[int]) -> list[int]:

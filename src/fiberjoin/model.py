@@ -380,14 +380,6 @@ def canonical_split_spec(spec: FiberJoinSpec) -> FiberJoinSpec:
     return make_spec(spec.base.factors, rows, (d0, dinf))
 
 
-def retained_factors(spec: FiberJoinSpec) -> tuple[int, ...]:
-    """Indices of base factors where the split classes differ; the
-    curvature reduction keeps exactly these."""
-    if spec.facts.blocks is None:
-        raise SpecError("split required")
-    return spec.facts.retained
-
-
 class JoinFacts:
     """What the join decides beyond its base, kept by
     ``FiberJoinSpec.facts``: c1 of the contact bundle on the base

@@ -1,17 +1,14 @@
 """Topological invariants of fiber joins.
 
-Characteristic classes of the contact bundle live on the base and
-are computed exactly in the monomial basis of primitive generators;
-Euler class, first Pontryagin number, spin type, and the integral
-cohomology table are available for the bases where a closed form
-holds: products of two curves for most of them, and for d > 1 the
-first Pontryagin number only on a split join over two genus-zero curves.
+The first Chern class of the contact bundle lives on the base and is
+computed exactly on its primitive generators; the Euler class, first
+Pontryagin number, spin type, and the integral cohomology table are
+available for the bases where a closed form holds: products of two
+curves for most of them, and for d > 1 the first Pontryagin number
+only on a split join over two genus-zero curves.
 """
 
 from __future__ import annotations
-
-import math
-from itertools import combinations
 
 from .exactalg import Record
 from .model import FiberJoinSpec, SpecError
@@ -23,63 +20,12 @@ class UnsupportedBaseError(SpecError):
     """The requested invariant has no closed form for this base."""
 
 
-class OutOfValidityRangeError(SpecError):
-    """Chern degree outside the window where the pullback is injective."""
-
-
 def c1_contact(spec: FiberJoinSpec) -> ClassVector:
     """First Chern class of the contact bundle, on the base generators.
 
     Componentwise: (anticanonical coefficient) minus (column sum of K).
     """
     return spec.facts.c1
-
-
-def _require_curve_factors(spec: FiberJoinSpec) -> None:
-    for f in spec.base.factors:
-        if f.dim_c != 1:
-            raise UnsupportedBaseError(
-                "cup products need every base factor of complex dimension one"
-            )
-
-
-def _degree_part(rows, width: int, k: int) -> dict[tuple[int, ...], int]:
-    """Degree-k part of the product over rows of (1 + sum_a f_a x_a)
-    with x_a^2 = 0, keyed by the generator indices of each monomial."""
-    product = {(): 1}
-    for row in rows:
-        grown = dict(product)
-        for monomial, coeff in product.items():
-            for a, f in enumerate(row):
-                if f and a not in monomial and len(monomial) < k:
-                    key = tuple(sorted((*monomial, a)))
-                    grown[key] = grown.get(key, 0) + coeff * f
-        product = grown
-    return {combo: product.get(combo, 0) for combo in combinations(range(width), k)}
-
-
-def chern_k(spec: FiberJoinSpec, k: int) -> dict[tuple[int, ...], int]:
-    """Degree-k Chern class of the contact bundle, expanded in the
-    square-free monomials of the base generators.
-
-    Valid only while 2k < 2d+1: above that window the pullback from
-    the base is no longer faithful and no formula is returned.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if 2 * k >= 2 * spec.d + 1:
-        raise OutOfValidityRangeError(
-            f"degree {k} outside the faithful range for fiber S^{2 * spec.d + 1}"
-        )
-    if k > 1:
-        _require_curve_factors(spec)
-    # Elementary symmetric polynomial of the negated rows, plus the
-    # Chern class of the base, the product over factors of (1 + c1_a x_a):
-    # prod c1_a on x_combo.  Squares of generators vanish on curve factors.
-    negated = [[-e for e in row] for row in spec.matrix.rows]
-    c1s = spec.base.facts.c1
-    rows = _degree_part(negated, len(c1s), k)
-    return {combo: f + math.prod(c1s[a] for a in combo) for combo, f in rows.items()}
 
 
 def _curves(spec: FiberJoinSpec) -> tuple[int, int]:
@@ -146,22 +92,6 @@ class CohomologyTable(Record):
 
     def __init__(self, groups: tuple[tuple[int, int, tuple[int, ...]], ...]):
         vars(self).update(groups=groups, _values=(groups,))
-
-    def free_rank(self, degree: int) -> int:
-        for deg, rank, _ in self.groups:
-            if deg == degree:
-                return rank
-        return 0
-
-    def torsion(self, degree: int) -> tuple[int, ...]:
-        for deg, _, tors in self.groups:
-            if deg == degree:
-                return tors
-        return ()
-
-    @property
-    def top_degree(self) -> int:
-        return max(deg for deg, _, _ in self.groups)
 
     def as_dict(self) -> dict[int, dict]:
         return {

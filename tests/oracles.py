@@ -4,7 +4,8 @@ Each is an independent derivation of a fact the package computes
 another way: the two affine curvature equations of the two-factor CSC
 problem and the solve built on them, the balanced closed form of its
 root, the characteristic product of admissible data, and the extremal
-profile by two antiderivatives and a moment system.
+profile by two antiderivatives and a moment system; and the plain
+power, antiderivative and quotient of polynomials that route needs.
 """
 
 import math
@@ -68,7 +69,7 @@ def reference_solve_csc(data: AdmissibleData) -> CscResult:
         return CscResult(s=None, certificate=None, verdict=INCONSISTENT)
     s = sa
     certificate = (
-        Polynomial.linear(1, r1) * Polynomial.linear(1, r2)
+        Polynomial.from_coeffs([1, r1]) * Polynomial.from_coeffs([1, r2])
         + (1 - s / 2) * r1 * r2 * Polynomial.from_coeffs([1, 0, -1])
     )
     if strictly_positive_on(certificate, -1, 1):
@@ -92,10 +93,40 @@ def csc_ansatz(data: AdmissibleData) -> Fraction:
 def characteristic_product(data: AdmissibleData) -> Polynomial:
     """The product of (1 + r_a z)^(dim_a) over all entries; it weights
     the boundary conditions and divides the profile's second derivative."""
-    result = Polynomial.one()
+    result = Polynomial.from_coeffs([1])
     for e in data.entries:
-        result = result * Polynomial.linear(1, e.r) ** e.dim
+        result = result * power(Polynomial.from_coeffs([1, e.r]), e.dim)
     return result
+
+
+def power(poly: Polynomial, exponent: int) -> Polynomial:
+    """poly to a nonnegative integer power, by repeated products."""
+    result = Polynomial.from_coeffs([1])
+    for _ in range(exponent):
+        result = result * poly
+    return result
+
+
+def antiderivative(poly: Polynomial) -> Polynomial:
+    """The antiderivative of poly with zero constant term."""
+    return Polynomial.from_coeffs(
+        [0] + [c / k for k, c in enumerate(poly.coeffs, 1)]
+    )
+
+
+def divide(poly: Polynomial, divisor: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Quotient and remainder of poly by a nonzero divisor, by long
+    division on the Fraction coefficients."""
+    if divisor.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    *low, lead = divisor.coeffs
+    rem = list(poly.coeffs)
+    quot = [Fraction(0)] * max(len(rem) - len(low), 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem.pop() / lead
+        for j, y in enumerate(low, k):
+            rem[j] -= c * y
+    return Polynomial.from_coeffs(quot), Polynomial.from_coeffs(rem)
 
 
 def _moment(poly: Polynomial, k: int) -> Fraction:
@@ -116,8 +147,8 @@ def _ends(poly: Polynomial) -> tuple[int, int]:
 
 def _antiderivative_from(poly: Polynomial, start) -> Polynomial:
     """The antiderivative of poly that takes the value ``start`` at -1."""
-    anti = poly.antiderivative()
-    return anti + Polynomial.constant(start - anti(-1))
+    anti = antiderivative(poly)
+    return anti + Polynomial.from_coeffs([start - anti(-1)])
 
 
 def reference_extremal_profile(data: AdmissibleData) -> ExtremalProfile:
@@ -156,16 +187,16 @@ def reference_extremal_profile(data: AdmissibleData) -> ExtremalProfile:
     if len({e.r for e in entries}) != m:
         raise RepeatedNodeError("repeated class parameters")
 
-    linears = [Polynomial.linear(1, e.r) for e in entries]
-    reduced = Polynomial.one()
-    q = Polynomial.one()
+    linears = [Polynomial.from_coeffs([1, e.r]) for e in entries]
+    reduced = Polynomial.from_coeffs([1])
+    q = Polynomial.from_coeffs([1])
     for e, linear in zip(entries, linears):
-        reduced = reduced * linear ** (e.dim - 1)
+        reduced = reduced * power(linear, e.dim - 1)
         q = q * linear
     char = reduced * q
-    interpolant = Polynomial.zero()
+    interpolant = Polynomial.from_coeffs([])
     for a, e in enumerate(entries):
-        term = Polynomial.constant(2 * e.dim * e.s * e.r)
+        term = Polynomial.from_coeffs([2 * e.dim * e.s * e.r])
         for b, linear in enumerate(linears):
             if b != a:
                 term = term * linear
@@ -184,7 +215,7 @@ def reference_extremal_profile(data: AdmissibleData) -> ExtremalProfile:
     except SingularMatrixError as exc:
         raise SingularSystemError(str(exc)) from exc
 
-    source = interpolant + Polynomial.linear(alpha, beta) * q
+    source = interpolant + Polynomial.from_coeffs([alpha, beta]) * q
     # F' and F are the antiderivatives of R * P fixed by F'(-1) = 2 p(-1)
     # and F(-1) = 0; the moment conditions give the values at +1.
     first = _antiderivative_from(reduced * source, Fraction(2 * p_minus, char.den))
@@ -198,8 +229,10 @@ def reference_extremal_profile(data: AdmissibleData) -> ExtremalProfile:
     positive = (not profile.is_zero) and strictly_positive_on(profile, -1, 1)
     u = next((e.dim for e in entries if e.r == 1), 0)
     v = next((e.dim for e in entries if e.r == -1), 0)
-    factor, rest = profile.divmod(
-        Polynomial.linear(1, 1) ** (u + 1) * Polynomial.linear(1, -1) ** (v + 1)
+    factor, rest = divide(
+        profile,
+        power(Polynomial.from_coeffs([1, 1]), u + 1)
+        * power(Polynomial.from_coeffs([1, -1]), v + 1),
     )
     assert rest.is_zero
     return ExtremalProfile(

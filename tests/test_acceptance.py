@@ -49,7 +49,13 @@ from fiberjoin.topology import (
     p1,
     spin_status,
 )
-from oracles import back_solve_csc, curvature_equation, reference_solve_csc
+from oracles import (
+    back_solve_csc,
+    curvature_equation,
+    divide,
+    power,
+    reference_solve_csc,
+)
 
 ONE_MINUS_Z2 = Polynomial.from_coeffs([1, 0, -1])
 
@@ -225,9 +231,9 @@ def test_criterion_06_extremal_postconditions():
         assert profile(1) == 0 and profile(-1) == 0
         assert fprime(1) == -2 * pc(1)
         assert fprime(-1) == 2 * pc(-1)
-        reduced = Polynomial.one()
+        reduced = poly(1)
         for entry in data.entries:
-            reduced = reduced * Polynomial.linear(1, entry.r) ** (entry.dim - 1)
+            reduced = reduced * power(poly(1, entry.r), entry.dim - 1)
         assert profile.derivative().derivative() == reduced * result.source
     for _ in range(25):
         data = random_admissible_data(rng)
@@ -298,10 +304,10 @@ def test_criterion_08_topology_suite():
         6: (pair_rank, ()),
         7: (1, ()),
     }
-    for degree, (rank, torsion) in expected.items():
-        assert table.free_rank(degree) == rank
-        assert table.torsion(degree) == torsion
-    assert table.top_degree == 7
+    assert table.as_dict() == {
+        degree: {"free": rank, "torsion": list(torsion)}
+        for degree, (rank, torsion) in expected.items()
+    }
 
     # symmetric genus-zero family: keys distinct, p1 and e in closed form
     keys = []
@@ -502,8 +508,8 @@ def root_count_oracle(polynomial, lo, hi, grid=1024):
     inside = sum(1 for r in roots if lo < r < hi)
     reduced = Polynomial.from_coeffs([F(c) for c in ints])
     for r in roots:
-        reduced, remainder = reduced.divmod(Polynomial.from_coeffs([-r, 1]))
-        assert remainder == Polynomial.zero()
+        reduced, remainder = divide(reduced, Polynomial.from_coeffs([-r, 1]))
+        assert remainder.is_zero
     coeffs = primitive_ints(reduced)
     degree = len(coeffs) - 1
     if degree == 0:
@@ -569,8 +575,8 @@ def test_criterion_10_positivity_oracle():
         if trial % 2:
             polynomial = (
                 polynomial
-                * poly(1, -1) ** rng.randint(0, 2)
-                * poly(1, 1) ** rng.randint(0, 2)
+                * power(poly(1, -1), rng.randint(0, 2))
+                * power(poly(1, 1), rng.randint(0, 2))
             )
         lo, hi = (F(-1), F(1)) if trial % 4 < 2 else random_interval(rng)
         expected = (
@@ -604,12 +610,12 @@ def test_criterion_10_hard_roots_oracle():
         for _ in range(rng.randint(0, 3)):
             q = rng.randint(1, 7)
             root = F(rng.randint(floor(lo * q) - 1, ceil(hi * q) + 1), q)
-            polynomial = polynomial * poly(-root, 1) ** rng.randint(1, 3)
+            polynomial = polynomial * power(poly(-root, 1), rng.randint(1, 3))
         if rng.random() < 0.3:
             endpoint = rng.choice([lo, hi])
-            polynomial = polynomial * poly(-endpoint, 1) ** rng.randint(1, 2)
+            polynomial = polynomial * power(poly(-endpoint, 1), rng.randint(1, 2))
         if rng.random() < 0.25:
-            polynomial = polynomial * poly(F(-1, 2), 0, 1) ** 2
+            polynomial = polynomial * power(poly(F(-1, 2), 0, 1), 2)
         count = root_count_oracle(polynomial, lo, hi)
         positive = count == 0 and polynomial((lo + hi) / 2) > 0
         if count_roots_in_open_interval(polynomial, lo, hi) != count:

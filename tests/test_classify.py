@@ -454,8 +454,8 @@ def test_witnesses_revalidate(g1, g2, a, b, c, d):
             assert curvature_equation(e1.s, e1.r, e2.r, s) == 0
             assert curvature_equation(e2.s, e2.r, e1.r, s) == 0
             quadratic = parse_poly(verdict.witness["certificate"])
-            expected = Polynomial.linear(1, e1.r) * Polynomial.linear(
-                1, e2.r
+            expected = Polynomial.from_coeffs([1, e1.r]) * Polynomial.from_coeffs(
+                [1, e2.r]
             ) + (1 - s / 2) * e1.r * e2.r * Polynomial.from_coeffs([1, 0, -1])
             assert quadratic == expected
         if verdict.rule == "extremal-profile-certificate":
@@ -493,6 +493,34 @@ def test_swapping_the_poles_keeps_invariants_and_verdicts(spec):
         assert after.pop(key) == (value[::-1] if value is not None else None)
     assert after == before
     assert triples(swapped) == triples(spec)
+
+
+@given(specs())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_permuting_the_base_factors_keeps_invariants_and_verdicts(spec):
+    """Permuting the base factors together with K's columns is the same
+    join: only ``base``'s text and ``c1`` permute, and the verdicts keep
+    their kinds, rules and citations, once the c1 list quoted by the
+    ``einstein-obstruction-chain`` citation is permuted too.  Every
+    order of the factors but the given one is checked."""
+    before = invariant_report(spec).as_dict()
+    names, c1 = before.pop("base").split(" x "), before.pop("c1")
+    for order in list(itertools.permutations(range(len(names))))[1:]:
+        factors = [spec.base.factors[i] for i in order]
+        rows = [[row[i] for i in order] for row in spec.matrix.rows]
+        permuted = make_spec(factors, rows, spec.split)
+        after = invariant_report(permuted).as_dict()
+        assert after.pop("base") == " x ".join(names[i] for i in order)
+        moved = [c1[i] for i in order]
+        assert after.pop("c1") == moved
+        assert after == before
+        expected = sorted(
+            (kind, rule, citation.replace(str(c1), str(moved)))
+            if rule == "einstein-obstruction-chain"
+            else (kind, rule, citation)
+            for kind, rule, citation in triples(spec)
+        )
+        assert triples(permuted) == expected
 
 
 def assert_respelling_keeps_the_join(spec, old, new):
@@ -551,12 +579,10 @@ def test_classify_derives_each_rule_fact_once(monkeypatch):
     """Every entry point reads the join's one record of facts,
     ``spec.facts``: per join one record is built, one call decides
     colinearity and each derivation the record holds runs at most
-    once, for ``classify``, ``spec_report`` and each survey entry.
-    The record derives the split blocks and the retained factors
-    itself, so the package never calls ``retained_factors``."""
+    once, for ``classify``, ``spec_report`` and each survey entry."""
     calls = Counter()
     modules = [m for name, m in sys.modules.items() if name.startswith("fiberjoin.")]
-    for name in ("JoinFacts", "is_colinear", "regular_join_data", "retained_factors"):
+    for name in ("JoinFacts", "is_colinear", "regular_join_data"):
         original = getattr(sys.modules["fiberjoin.model"], name)
 
         def counted(*args, name=name, original=original):
@@ -930,6 +956,16 @@ def test_survey_keys_match_every_candidate_canonicalised(factors, max_entry, spl
     }
     report = survey(BaseProduct(factors), split, max_entry)
     assert report.entries.keys == sorted(keys)
+
+
+def test_equal_surveys_hash_equal_and_collapse_in_a_set():
+    """A survey report is a value: two reports of one request are
+    equal, hash equal and collapse in a set; another request differs."""
+    base = BaseProduct((S2,))
+    first, second = survey(base, (0, 0), 2), survey(base, (0, 0), 2)
+    assert first == second and first.entries is not second.entries
+    assert hash(first) == hash(second)
+    assert len({first, second, survey(base, (0, 0), 3)}) == 2
 
 
 @pytest.fixture

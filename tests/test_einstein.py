@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fiberjoin.einstein import NotFanoError, fano_index, partitions, se_check
+from fiberjoin.einstein import NotFanoError, fano_index, se_check
 from fiberjoin.model import BaseFactor, BaseProduct, make_spec
 from fiberjoin.topology import c1_contact
 
@@ -21,30 +21,6 @@ def brute_partitions(total, parts):
         )
 
     return count(total, parts, 1)
-
-
-# --- counting -------------------------------------------------------------
-
-
-def test_partitions_against_enumeration():
-    for total in range(0, 41):
-        for parts in range(0, 9):
-            assert partitions(total, parts) == brute_partitions(total, parts)
-
-
-def test_partitions_edges():
-    assert partitions(0, 0) == 1
-    assert partitions(5, 0) == 0
-    assert partitions(3, 5) == 0
-    assert partitions(7, 1) == 1
-    assert partitions(7, 2) == 3
-
-
-def test_partitions_of_large_totals():
-    assert partitions(4000, 2) == 2000
-    # Partitions into exactly three parts: the integer nearest n^2/12.
-    for n in (3000, 3001, 3002, 3003):
-        assert partitions(n, 3) == (n * n + 6) // 12
 
 
 # --- fano index -----------------------------------------------------------

