@@ -41,7 +41,6 @@ from .model import (
     BaseFactor,
     BaseProduct,
     FiberJoinSpec,
-    KahlerMatrix,
     RegularJoinData,
     is_colinear,
     make_spec,

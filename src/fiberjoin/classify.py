@@ -48,11 +48,11 @@ from .model import (
     BaseProduct,
     DigitLimitError,
     FiberJoinSpec,
-    KahlerMatrix,
     SpecError,
     identical_factor_groups,
     integer,
     make_spec,
+    mention,
 )
 
 CSC_REGULAR_RAY = "csc_regular_ray"
@@ -405,7 +405,10 @@ def spec_report(spec: FiberJoinSpec) -> dict:
 
 class SurveyEntry(Record):
     def __init__(
-        self, matrix: KahlerMatrix, invariants: InvariantReport, verdicts: tuple[Verdict, ...]
+        self,
+        matrix: tuple[tuple[int, ...], ...],
+        invariants: InvariantReport,
+        verdicts: tuple[Verdict, ...],
     ):
         vars(self).update(
             matrix=matrix, invariants=invariants, verdicts=verdicts,
@@ -539,13 +542,11 @@ def _check_work(kinds: int, groups, d: int, cap: int) -> None:
         for k in range(1, len(group) + 1):
             multisets = multisets * (kinds + k - 1) // k
             if count * multisets > cap:
-                try:
-                    times_d = f"times d = {d}"
-                except ValueError:  # d is past the digit limit
-                    times_d = "times d"
                 raise BoundsTooLargeError(
-                    f"the survey's column-pair multisets {times_d} "
-                    f"would be more than {cap}, which exceeds the cap"
+                    "the survey's column-pair multisets "
+                    + mention("times d = {}", d, "times d")
+                    + mention(" would be more than {}, which exceeds", cap, " would exceed")
+                    + " the cap"
                 )
         count *= multisets
 
@@ -693,7 +694,7 @@ def _json_writer(report: SurveyReport):
 
     def render(i: int, entry: SurveyEntry) -> str:
         document = {
-            "K": [list(row) for row in entry.matrix.rows],
+            "K": [list(row) for row in entry.matrix],
             "invariants": entry.invariants.as_dict(cohomology),
             "verdicts": [v.as_dict() for v in entry.verdicts],
         }
@@ -790,7 +791,7 @@ def _csv_writer(report: SurveyReport):
         try:
             return writer.writerow(
                 [
-                    ";".join(",".join(str(e) for e in row) for row in entry.matrix.rows),
+                    ";".join(",".join(str(e) for e in row) for row in entry.matrix),
                     inv.d,
                     inv.n,
                     inv.colinear,

@@ -110,7 +110,7 @@ def se_check(spec: FiberJoinSpec) -> SEVerdict:
                 # Multisets of two positive multiples summing to the index.
                 count=index // 2,
             )
-        if all(row == (1,) * len(spec.base.factors) for row in spec.matrix.rows):
+        if all(row == (1,) * len(spec.base.factors) for row in spec.matrix):
             return SEVerdict(
                 possible=True,
                 reason="homogeneous join of unit-class summands",

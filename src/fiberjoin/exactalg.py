@@ -69,12 +69,12 @@ class Record:
 
 
 def _as_fraction(value) -> Fraction:
-    """An exact scalar (int, Fraction or numeric string) as a Fraction.
+    """An exact scalar (int or Fraction) as a Fraction.
 
     Booleans are refused rather than read as 0 and 1."""
     if isinstance(value, Fraction):
         return value
-    if type(value) is int or isinstance(value, str):
+    if type(value) is int:
         return Fraction(value)
     raise TypeError(f"not an exact scalar: {value!r}")
 

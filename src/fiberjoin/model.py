@@ -58,6 +58,15 @@ def integer(value, name: str) -> int:
     return value
 
 
+def mention(template: str, value, fallback: str) -> str:
+    """``template`` with ``value`` written in, or ``fallback`` when an
+    integer in ``value`` is longer than the interpreter will write."""
+    try:
+        return template.format(value)
+    except ValueError:
+        return fallback
+
+
 SURFACE = "surface"
 PROJECTIVE_SPACE = "projective_space"
 TORUS = "torus"
@@ -142,9 +151,6 @@ class BaseProduct(Record):
     def dim_c(self) -> int:
         return sum(f.dim_c for f in self.factors)
 
-    def c1_vector(self) -> tuple[int, ...]:
-        return tuple(f.c1_coefficient for f in self.factors)
-
     def describe(self) -> str:
         return " x ".join(f.describe() for f in self.factors)
 
@@ -173,7 +179,7 @@ class BaseFacts:
     __slots__ = ("c1", "genera", "curves", "betti")
 
     def __init__(self, base: BaseProduct):
-        self.c1 = base.c1_vector()
+        self.c1 = tuple(f.c1_coefficient for f in base.factors)
         self.genera = tuple(f.effective_genus for f in base.factors)
         self.curves, self.betti = _two_curve_base(self.genera), None
         if self.curves:
@@ -181,30 +187,11 @@ class BaseFacts:
             self.betti = (1, 2 * g1 + 2 * g2, 4 * g1 * g2 + 2, 2 * g1 + 2 * g2, 1)
 
 
-class KahlerMatrix(Record):
-    """Rows are the classifying classes of the line bundle summands,
-    one column per base factor, all entries positive integers."""
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        vars(self).update(rows=rows, _values=(rows,))
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "KahlerMatrix":
-        return KahlerMatrix(tuple(tuple(row) for row in rows))
-
-    @property
-    def row_count(self) -> int:
-        return len(self.rows)
-
-    def column_sums(self) -> tuple[int, ...]:
-        return tuple(sum(col) for col in zip(*self.rows))
-
-
 class FiberJoinSpec(Record):
     def __init__(
         self,
         base: BaseProduct,
-        matrix: KahlerMatrix,
+        matrix: tuple[tuple[int, ...], ...],
         split: Optional[tuple[int, int]] = None,
     ):
         vars(self).update(
@@ -216,7 +203,7 @@ class FiberJoinSpec(Record):
     @property
     def d(self) -> int:
         """Fiber sphere dimension parameter: the fiber is S^(2d+1)."""
-        return self.matrix.row_count - 1
+        return len(self.matrix) - 1
 
     @property
     def n(self) -> int:
@@ -232,10 +219,13 @@ def validate(spec: FiberJoinSpec) -> FiberJoinSpec:
     """Check the join contract; returns the spec unchanged.
 
     ``FiberJoinSpec`` runs this once, on construction, so every spec
-    in hand is valid.  Matrix entries and the split are integers,
-    never booleans, floats or strings; nothing is coerced."""
-    rows = spec.matrix.rows
-    if not rows or spec.d < 1:
+    in hand is valid.  K is a tuple of row tuples and the split a
+    tuple; their entries are integers, never booleans, floats or
+    strings; nothing is coerced."""
+    rows = spec.matrix
+    if not isinstance(rows, tuple) or not all(isinstance(row, tuple) for row in rows):
+        raise SpecError("matrix must be a tuple of rows, each a tuple of integers")
+    if len(rows) < 2:
         raise SpecError("a join needs at least two line bundle summands")
     width = len(spec.base.factors)
     for row in rows:
@@ -243,14 +233,17 @@ def validate(spec: FiberJoinSpec) -> FiberJoinSpec:
             raise SpecError("matrix width must equal the number of base factors")
         for entry in row:
             if integer(entry, "matrix entry") < 1:
-                raise NonPositiveEntryError(f"matrix entries must be positive: {row}")
+                raise NonPositiveEntryError(
+                    "matrix entries must be positive" + mention(": {}", row, "")
+                )
     if spec.split is not None:
         if not isinstance(spec.split, tuple) or len(spec.split) != 2:
             raise SpecError("split must be a pair of integers")
         d0, dinf = (integer(x, "split entry") for x in spec.split)
         if d0 < 0 or dinf < 0 or d0 + dinf + 1 != spec.d:
             raise SplitMismatchError(
-                f"split {spec.split} incompatible with {spec.d + 1} rows"
+                mention("split {}", spec.split, "split")
+                + f" incompatible with {spec.d + 1} rows"
             )
         head = rows[: d0 + 1]
         tail = rows[d0 + 1 :]
@@ -271,7 +264,7 @@ def make_spec(
         raise SpecError("K must be a list of rows, each a list of integers")
     return FiberJoinSpec(
         base=base if isinstance(base, BaseProduct) else BaseProduct(tuple(base)),
-        matrix=KahlerMatrix.from_rows(rows),
+        matrix=tuple(tuple(row) for row in rows),
         split=tuple(split) if isinstance(split, (list, tuple)) else split,
     )
 
@@ -283,7 +276,7 @@ def is_colinear(spec: FiberJoinSpec) -> bool:
     entry is positive, so row i is a multiple of the first row exactly
     when each 2x2 minor on the first row and the first column vanishes.
     """
-    rows = spec.matrix.rows
+    rows = spec.matrix
     first = rows[0]
     return all(
         first[0] * row[b] == first[b] * row[0]
@@ -307,7 +300,7 @@ class RegularJoinData(Record):
 def regular_join_data(spec: FiberJoinSpec) -> RegularJoinData:
     """Each row as m_j times the first row's primitive vector; a row of
     positive integers that is no such multiple is not proportional."""
-    rows = spec.matrix.rows
+    rows = spec.matrix
     g = math.gcd(*rows[0])
     primitive = tuple(e // g for e in rows[0])
     multiples = []
@@ -393,12 +386,12 @@ class JoinFacts:
     __slots__ = ("c1", "join", "blocks", "retained")
 
     def __init__(self, spec: FiberJoinSpec):
-        sums = spec.matrix.column_sums()
-        self.c1 = tuple(c - s for c, s in zip(spec.base.facts.c1, sums))
+        columns = zip(*spec.matrix)
+        self.c1 = tuple(c - sum(col) for c, col in zip(spec.base.facts.c1, columns))
         self.join = regular_join_data(spec) if is_colinear(spec) else None
         self.blocks, self.retained = None, ()
         if spec.split is not None:
             d0, dinf = spec.split
-            w0, winf = spec.matrix.rows[0], spec.matrix.rows[d0 + 1]
+            w0, winf = spec.matrix[0], spec.matrix[d0 + 1]
             self.blocks = (w0, winf, d0, dinf)
             self.retained = tuple(a for a, (x, y) in enumerate(zip(w0, winf)) if x != y)

@@ -41,7 +41,7 @@ def euler_class(spec: FiberJoinSpec) -> int:
     _curves(spec)
     if spec.d > 1:
         return 0
-    r0, r1 = spec.matrix.rows
+    r0, r1 = spec.matrix
     return r0[0] * r1[1] + r0[1] * r1[0]
 
 
@@ -53,7 +53,7 @@ def p1(spec: FiberJoinSpec) -> int:
     """
     curves = _curves(spec)
     if spec.d == 1:
-        r0, r1 = spec.matrix.rows
+        r0, r1 = spec.matrix
         return 2 * (r0[0] - r1[0]) * (r0[1] - r1[1])
     if spec.facts.blocks is None:
         raise UnsupportedBaseError("d > 1 needs a split join")
@@ -106,7 +106,7 @@ def cohomology_table(spec: FiberJoinSpec) -> CohomologyTable:
     H^k(N) plus H^(k-2d-1)(N), except where the Euler class e in
     H^(2d+2)(N) acts.  That happens only for d = 1, where cup with
     e != 0 maps H^0(N) onto e H^4(N): one free summand leaves degrees
-    3 and 4, and degree 4 gains Z/e (omitted when e = 1).
+    3 and 4, and degree 4 gains Z/e.
     """
     e = euler_class(spec)  # refuses every other base
     betti = spec.base.facts.betti
@@ -115,10 +115,11 @@ def cohomology_table(spec: FiberJoinSpec) -> CohomologyTable:
     for k, b in enumerate(betti):
         ranks[k] += b
         ranks[k + shift] += b
+    torsion = {}
     if e:
         ranks[shift] -= 1
         ranks[shift + 1] -= 1
-    torsion = {shift + 1: (e,)} if e > 1 else {}
+        torsion[shift + 1] = (e,)
     return CohomologyTable(
         tuple((deg, rank, torsion.get(deg, ())) for deg, rank in enumerate(ranks))
     )
@@ -139,7 +140,7 @@ def homeo_key(spec: FiberJoinSpec) -> HomeoKey:
         raise UnsupportedBaseError("key defined over two genus-zero curves")
     if spec.d != 1:
         raise UnsupportedBaseError("key defined for d=1 joins")
-    r0, r1 = spec.matrix.rows
+    r0, r1 = spec.matrix
     k, l = r0
     if (r1[0], r1[1]) != (l, k) or not k > l:
         raise UnsupportedBaseError(

@@ -485,7 +485,7 @@ def test_swapping_the_poles_keeps_invariants_and_verdicts(spec):
     same join with its poles swapped: only ``split`` and ``join_w``
     reverse, and the verdicts keep their kinds, rules and citations.
     Witnesses are not compared: a profile F(z) becomes F(-z)."""
-    rows = spec.matrix.rows[::-1]
+    rows = spec.matrix[::-1]
     swapped = make_spec(spec.base, rows, spec.split and spec.split[::-1])
     before, after = invariant_report(spec).as_dict(), invariant_report(swapped).as_dict()
     for key in ("split", "join_w"):
@@ -507,7 +507,7 @@ def test_permuting_the_base_factors_keeps_invariants_and_verdicts(spec):
     names, c1 = before.pop("base").split(" x "), before.pop("c1")
     for order in list(itertools.permutations(range(len(names))))[1:]:
         factors = [spec.base.factors[i] for i in order]
-        rows = [[row[i] for i in order] for row in spec.matrix.rows]
+        rows = [[row[i] for i in order] for row in spec.matrix]
         permuted = make_spec(factors, rows, spec.split)
         after = invariant_report(permuted).as_dict()
         assert after.pop("base") == " x ".join(names[i] for i in order)
@@ -528,7 +528,7 @@ def assert_respelling_keeps_the_join(spec, old, new):
     report's ``base`` text only: every other invariant, and the sorted
     (kind, rule, citation) triples of the verdicts, are unchanged."""
     factors = [new if f == old else f for f in spec.base.factors]
-    respelt = make_spec(factors, spec.matrix.rows, spec.split)
+    respelt = make_spec(factors, spec.matrix, spec.split)
     before, after = invariant_report(spec).as_dict(), invariant_report(respelt).as_dict()
     before.pop("base"), after.pop("base")
     assert after == before
@@ -724,18 +724,18 @@ def test_survey_mixed_factors_orbit_count():
 def test_survey_entries_are_canonical_and_sorted():
     base = BaseProduct((BaseFactor.surface(0), BaseFactor.surface(0)))
     report = survey(base, (0, 1), 2)
-    keys = [entry.matrix.rows for entry in report.entries]
+    keys = [entry.matrix for entry in report.entries]
     assert keys == sorted(keys)
     for entry in report.entries:
-        spec = make_spec(base.factors, [list(r) for r in entry.matrix.rows], (0, 1))
-        assert canonical_split_spec(spec).matrix.rows == entry.matrix.rows
+        spec = make_spec(base.factors, [list(r) for r in entry.matrix], (0, 1))
+        assert canonical_split_spec(spec).matrix == entry.matrix
 
 
 def test_survey_displayed_matrix_matches_invariants_and_verdicts():
     base = BaseProduct((BaseFactor.surface(0), BaseFactor.surface(2)))
     report = survey(base, (0, 0), 2)
     for entry in report.entries:
-        spec = make_spec(base.factors, [list(r) for r in entry.matrix.rows], (0, 0))
+        spec = make_spec(base.factors, [list(r) for r in entry.matrix], (0, 0))
         assert invariant_report(spec) == entry.invariants
         assert tuple(classify(spec)) == entry.verdicts
 
@@ -744,7 +744,7 @@ def test_survey_minimal():
     base = BaseProduct((BaseFactor.surface(1),))
     report = survey(base, (0, 0), 1)
     assert len(report.entries) == 1
-    assert report.entries[0].matrix.rows == ((1,), (1,))
+    assert report.entries[0].matrix == ((1,), (1,))
 
 
 def test_survey_cap():
@@ -835,7 +835,7 @@ def unclassified(monkeypatch):
 )
 def test_survey_orbit_counts(unclassified, width, max_entry, orbits):
     base = BaseProduct((BaseFactor.surface(0),) * width)
-    keys = [entry.matrix.rows for entry in survey(base, (0, 0), max_entry).entries]
+    keys = [entry.matrix for entry in survey(base, (0, 0), max_entry).entries]
     assert len(keys) == orbits
     assert keys == sorted(set(keys))
 
@@ -851,7 +851,7 @@ def test_survey_over_both_torus_spellings(unclassified):
 def test_survey_of_twelve_identical_factors():
     base = BaseProduct((BaseFactor.surface(0),) * 12)
     report = survey(base, (0, 0), 1)
-    assert [entry.matrix.rows for entry in report.entries] == [((1,) * 12,) * 2]
+    assert [entry.matrix for entry in report.entries] == [((1,) * 12,) * 2]
 
 
 @pytest.mark.parametrize(
@@ -903,9 +903,9 @@ def test_survey_matches_candidate_deduplication(factors, split, max_entry):
         for winf in itertools.product(values, repeat=len(factors)):
             rows = [list(w0)] * (d0 + 1) + [list(winf)] * (dinf + 1)
             spec = canonical_split_spec(make_spec(base.factors, rows, (d0, dinf)))
-            if spec.matrix.rows in seen:
+            if spec.matrix in seen:
                 continue
-            seen[spec.matrix.rows] = SurveyEntry(
+            seen[spec.matrix] = SurveyEntry(
                 matrix=spec.matrix,
                 invariants=invariant_report(spec),
                 verdicts=tuple(classify(spec)),
@@ -1065,7 +1065,7 @@ def reference_document(report):
         "max_entry": report.max_entry,
         "entries": [
             {
-                "K": [list(row) for row in entry.matrix.rows],
+                "K": [list(row) for row in entry.matrix],
                 "invariants": entry.invariants.as_dict(),
                 "verdicts": [v.as_dict() for v in entry.verdicts],
             }
@@ -1086,7 +1086,7 @@ def reference_csv(report):
         inv = entry.invariants
         writer.writerow(
             [
-                ";".join(",".join(str(e) for e in row) for row in entry.matrix.rows),
+                ";".join(",".join(str(e) for e in row) for row in entry.matrix),
                 inv.d,
                 inv.n,
                 inv.colinear,

@@ -12,7 +12,6 @@ from fiberjoin.model import (
     BaseProduct,
     EmptyBaseError,
     FiberJoinSpec,
-    KahlerMatrix,
     NonPositiveEntryError,
     NotColinearError,
     SpecError,
@@ -108,7 +107,7 @@ def test_validate_needs_two_summands():
         make_spec([BaseFactor.surface(2)], [[2]], None)
 
 
-def test_split_must_match_row_count():
+def test_split_must_match_the_number_of_rows():
     with pytest.raises(SplitMismatchError):
         two_surface_spec([[2, 1], [1, 3]], split=(1, 0))
 
@@ -169,16 +168,35 @@ def test_matrix_other_than_a_list_of_lists_is_not_coerced(rows):
 def test_spec_validates_on_construction():
     base = BaseProduct((BaseFactor.surface(2),))
     with pytest.raises(SpecError, match="two line bundle summands"):
-        FiberJoinSpec(base, KahlerMatrix(((2,),)))
+        FiberJoinSpec(base, ((2,),))
     with pytest.raises(NonPositiveEntryError):
-        FiberJoinSpec(base, KahlerMatrix(((2,), (0,))))
+        FiberJoinSpec(base, ((2,), (0,)))
     with pytest.raises(SplitMismatchError):
-        FiberJoinSpec(base, KahlerMatrix(((2,), (3,))), (1, 0))
+        FiberJoinSpec(base, ((2,), (3,)), (1, 0))
     # A list split would compare unequal to every tuple downstream.
     with pytest.raises(SpecError, match="pair"):
-        FiberJoinSpec(base, KahlerMatrix(((2,), (3,))), [0, 0])
-    spec = FiberJoinSpec(base, KahlerMatrix(((2,), (3,))), (0, 0))
+        FiberJoinSpec(base, ((2,), (3,)), [0, 0])
+    spec = FiberJoinSpec(base, ((2,), (3,)), (0, 0))
     assert spec == make_spec([BaseFactor.surface(2)], [[2], [3]], [0, 0])
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=2),
+        min_size=2,
+        max_size=4,
+    )
+)
+def test_make_spec_holds_k_as_a_tuple_of_int_tuples(rows):
+    # Lists and tuples give one spec: K is kept as a tuple of tuples.
+    from_lists = two_surface_spec(rows, split=None)
+    from_tuples = two_surface_spec(tuple(tuple(row) for row in rows), split=None)
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    for spec in (from_lists, from_tuples):
+        assert type(spec.matrix) is tuple
+        assert all(type(row) is tuple for row in spec.matrix)
+        assert all(type(entry) is int for row in spec.matrix for entry in row)
 
 
 # --- colinearity and join data ----------------------------------------
@@ -252,7 +270,7 @@ def test_regular_join_data_decides_colinearity(rows):
     if join is not None:
         assert all(
             row == tuple(m * p for p in join.primitive)
-            for row, m in zip(spec.matrix.rows, join.multiples)
+            for row, m in zip(spec.matrix, join.multiples)
         )
 
 
@@ -334,7 +352,7 @@ def test_canonical_split_spec_matches_permutation_oracle(spec):
     d0, dinf = spec.split
     a, b = reference_canonical_pair(spec)
     canonical = canonical_split_spec(spec)
-    assert canonical.matrix.rows == (a,) * (d0 + 1) + (b,) * (dinf + 1)
+    assert canonical.matrix == (a,) * (d0 + 1) + (b,) * (dinf + 1)
     assert canonical.base == spec.base and canonical.split == spec.split
 
 
@@ -342,28 +360,28 @@ def test_canonical_split_spec_swaps_identical_factors_only():
     mixed = [BaseFactor.projective_space(1), BaseFactor.surface(2)]
     spec = make_spec(mixed, [[1, 3], [1, 2]], (0, 0))
     # distinct factors: columns must stay put
-    assert canonical_split_spec(spec).matrix.rows == ((1, 3), (1, 2))
+    assert canonical_split_spec(spec).matrix == ((1, 3), (1, 2))
 
     same = make_spec(
         [BaseFactor.surface(2), BaseFactor.surface(2)], [[1, 3], [1, 2]], (0, 0)
     )
-    assert canonical_split_spec(same).matrix.rows == ((3, 1), (2, 1))
+    assert canonical_split_spec(same).matrix == ((3, 1), (2, 1))
 
 
 def test_canonical_split_spec_relabels_poles_on_any_base():
     mixed = [BaseFactor.projective_space(1), BaseFactor.surface(2)]
     spec = make_spec(mixed, [[1, 2], [2, 1]], (0, 0))
     # equal blocks may swap even over distinct factors
-    assert canonical_split_spec(spec).matrix.rows == ((2, 1), (1, 2))
+    assert canonical_split_spec(spec).matrix == ((2, 1), (1, 2))
 
 
 def test_canonical_split_spec_swaps_equal_blocks_only():
     lopsided = make_spec(TWO_LINES, [[1, 1], [2, 2], [2, 2]], (0, 1))
     # blocks of different sizes keep their roles
-    assert canonical_split_spec(lopsided).matrix.rows[0] == (1, 1)
+    assert canonical_split_spec(lopsided).matrix[0] == (1, 1)
 
     balanced = make_spec(TWO_LINES, [[1, 1], [2, 2]], (0, 0))
-    assert canonical_split_spec(balanced).matrix.rows == ((2, 2), (1, 1))
+    assert canonical_split_spec(balanced).matrix == ((2, 2), (1, 1))
 
 
 # --- split bookkeeping -------------------------------------------------

@@ -15,7 +15,7 @@ classify = importlib.import_module("fiberjoin.classify")
 
 FACTOR = model.BaseFactor.surface(2)
 BASE = model.BaseProduct((FACTOR, FACTOR))
-MATRIX = model.KahlerMatrix(((2, 1), (1, 3)))
+MATRIX = ((2, 1), (1, 3))
 LINE = exactalg.Polynomial((1, 1))
 TABLE = topology.CohomologyTable(((0, 1, ()), (1, 0, ())))
 ENTRY = admissible.AdmissibleEntry("factor_0", 1, Fraction(-2, 1), Fraction(1, 3))
@@ -30,7 +30,6 @@ RECORDS = {
     exactalg.Polynomial: {"nums": (1, 2), "den": 3},
     model.BaseFactor: {"kind": "projective_space", "genus": None, "n": 2},
     model.BaseProduct: {"factors": (FACTOR,)},
-    model.KahlerMatrix: {"rows": ((1,), (2,))},
     model.FiberJoinSpec: {"base": BASE, "matrix": MATRIX, "split": (0, 0)},
     model.RegularJoinData: {"b": 2, "w": (1, 1), "primitive": (1, 1)},
     topology.CohomologyTable: {"groups": ((0, 1, ()), (4, 0, (2,)))},
@@ -76,7 +75,7 @@ def copied(value):
 
 def test_the_table_holds_every_record():
     assert set(RECORDS) == set(exactalg.Record.__subclasses__())
-    assert len(RECORDS) == 17
+    assert len(RECORDS) == 16
 
 
 @pytest.mark.parametrize("cls, fields", RECORDS.items(), ids=IDS)
@@ -118,7 +117,6 @@ def test_records_of_two_classes_are_never_equal():
 def test_repr():
     assert repr(exactalg.Polynomial((1, -2), 3)) == "Polynomial(nums=(1, -2), den=3)"
     assert repr(model.BaseFactor.torus()) == "BaseFactor(kind='torus', genus=1, n=None)"
-    assert repr(MATRIX) == "KahlerMatrix(rows=((2, 1), (1, 3)))"
     assert repr(VERDICT) == (
         "Verdict(kind='inconclusive', rule='none', citation='no rule applies', witness=None)"
     )

@@ -27,7 +27,10 @@ from fiberjoin.model import (
     BaseFactor,
     BaseProduct,
     DigitLimitError,
+    FiberJoinSpec,
+    NonPositiveEntryError,
     SpecError,
+    SplitMismatchError,
     canonical_split_spec,
     make_spec,
 )
@@ -42,6 +45,7 @@ classify_module = importlib.import_module("fiberjoin.classify")
 # The longest integer the reader takes: 4,300 digits at the default limit.
 NINES = int("9" * 4300)
 
+BASE = BaseProduct((BaseFactor.surface(2),))
 UNSPLIT = make_spec([BaseFactor.surface(2), BaseFactor.surface(3)], [[2, 1], [1, 3]])
 LINES_THREE_ROWS = make_spec([BaseFactor.projective_space(1)] * 2, [[2, 1]] * 3)
 ZERO = Polynomial.from_coeffs([0])
@@ -65,6 +69,15 @@ REFUSALS = {
         lambda: BaseFactor("projective_space", n=2, genus=7),
         SpecError("projective space factor takes no genus"),
     ),
+    # A spec holds K as a tuple of row tuples; make_spec converts lists.
+    "spec-matrix-of-lists": (
+        lambda: FiberJoinSpec(BASE, [[2], [3]], (0, 0)),
+        SpecError("matrix must be a tuple of rows, each a tuple of integers"),
+    ),
+    "spec-row-a-list": (
+        lambda: FiberJoinSpec(BASE, ((2,), [3]), (0, 0)),
+        SpecError("matrix must be a tuple of rows, each a tuple of integers"),
+    ),
     "canonical-unsplit": (
         lambda: canonical_split_spec(UNSPLIT),
         SpecError("split required"),
@@ -84,6 +97,10 @@ REFUSALS = {
     "roots-empty-interval": (
         lambda: count_roots_in_open_interval(LINE, 1, 1),
         ValueError("empty interval"),
+    ),
+    "positivity-string-bound": (
+        lambda: strictly_positive_on(LINE, "0", 1),
+        TypeError("not an exact scalar: '0'"),
     ),
     "positivity-empty-interval": (
         lambda: strictly_positive_on(LINE, 1, 0),
@@ -133,6 +150,24 @@ REFUSALS = {
     "survey-cap-below-1": (
         lambda: survey(BaseProduct((BaseFactor.surface(2),)), (0, 0), 1, cap=-1),
         SpecError("cap must be at least 1"),
+    ),
+    # Each refusal keeps its class and leaves out the integer it
+    # cannot write.
+    "nonpositive-entry-digit-limit": (
+        lambda: make_spec([BaseFactor.surface(2)] * 2, [[10**5000, 0], [1, 1]]),
+        NonPositiveEntryError("matrix entries must be positive"),
+    ),
+    "split-digit-limit": (
+        lambda: make_spec([BaseFactor.surface(2)], [[1], [1]], (10**5000, 0)),
+        SplitMismatchError("split incompatible with 2 rows"),
+    ),
+    "survey-cap-past-digit-limit": (
+        lambda: survey(
+            BaseProduct((BaseFactor.surface(2),) * 3), (0, 0), 10**5000, cap=10**5000
+        ),
+        BoundsTooLargeError(
+            "the survey's column-pair multisets times d = 1 would exceed the cap"
+        ),
     ),
     "survey-cap-d-past-digit-limit": (
         lambda: survey(BaseProduct((BaseFactor.surface(2),)), (NINES, NINES), 1),

@@ -184,15 +184,17 @@ def test_cohomology_table_surface_product():
     assert groups[4] == {"free": 2 * 5 + 2 * 3, "torsion": [e]}
 
 
-def test_cohomology_no_torsion_when_e_is_one():
-    spec = make_spec(surfaces(0, 0), [[1, 2], [1, 1]], (0, 0))
-    assert euler_class(spec) == 1 + 2  # 3; use a genuine e=1 case below
-    unit = make_spec(
-        [BaseFactor.surface(0), BaseFactor.surface(0)], [[1, 1], [1, 1]], (0, 0)
-    )
-    # e = 2 here; no 2x2 positive matrix gives e=1, torsion is always real
-    assert euler_class(unit) == 2
-    assert cohomology_table(unit).as_dict()[4]["torsion"] == [2]
+def test_cohomology_degree_four_torsion_is_z_mod_e_with_e_at_least_two():
+    # Every K entry is at least 1, so the d = 1 Euler class
+    # r0[0] r1[1] + r0[1] r1[0] is at least 2: Z/e is never trivial.
+    eulers = []
+    for genera in ((0, 0), (2, 3)):
+        for entries in itertools.product(range(1, 5), repeat=4):
+            spec = make_spec(surfaces(*genera), [entries[:2], entries[2:]])
+            e = euler_class(spec)
+            assert cohomology_table(spec).as_dict()[4]["torsion"] == [e]
+            eulers.append(e)
+    assert min(eulers) == 2
 
 
 def test_cohomology_higher_rank_splits_off_sphere():
