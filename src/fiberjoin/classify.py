@@ -16,10 +16,13 @@ Sasaki-Einstein rules, which cite ``se_check``'s reason.  Verdict kinds:
   inconclusive          no rule applies
 
 A survey classifies an orbit only when its entry is read, and
-``survey_chunks`` writes one entry at a time.  Every JSON answer is
-the text ``json.dumps(document, indent=2)`` would write, from one
-direct writer: the standard encoder falls back to pure Python when
-asked to indent, and spends more time than the writer does.
+``survey_chunks`` writes one entry at a time.  Its orbits share its
+base, which keeps the profile rule's verdicts by the sorted (dim, s, r)
+of the admissible entries: the solve reads nothing else and is
+symmetric in the entries, so a survey solves each distinct data once.
+Every JSON answer is the text ``json.dumps(document, indent=2)`` would
+write, from one direct writer: the standard encoder falls back to pure
+Python when asked to indent, and spends more time than the writer does.
 """
 
 from __future__ import annotations
@@ -267,15 +270,40 @@ def _or_none(fn: Callable[[FiberJoinSpec], object], spec: FiberJoinSpec):
         return None
 
 
-def _rule_profile(spec: FiberJoinSpec) -> list[Verdict]:
+def _rule_profile(spec: FiberJoinSpec) -> Sequence[Verdict]:
     """Exact extremal solve on a d=1 split, where the regular quotient
     class is pinned by the join data; with two retained factors the
-    same solve decides constant scalar curvature."""
+    same solve decides constant scalar curvature.
+
+    The verdicts are kept on the base, by the sorted tuple of each
+    entry's (dim, s, r) as integers, the oldest dropped past 256 keys,
+    so a survey solves each distinct data once.  Equal keys give equal
+    verdicts: the solve builds q, L and R_base as symmetric functions
+    of the entries and returns canonical polynomials and Fractions, and
+    labels matter only through ``base_entries``, which at split (0, 0)
+    are all the entries.  A refusal is not kept, and is raised again."""
     if spec.facts.blocks is None or spec.d != 1:  # the split is (0, 0)
         return []
     data = _or_none(adm.admissible_data, spec)
     if data is None:
         return []
+    key = tuple(sorted(
+        (e.dim, e.s.numerator, e.s.denominator, e.r.numerator, e.r.denominator)
+        for e in data.entries
+    ))
+    memo = spec.base.profile_verdicts
+    verdicts = memo.get(key)
+    if verdicts is None:
+        verdicts = _profile_verdicts(data)
+        if len(memo) >= 256:
+            del memo[next(iter(memo))]  # the oldest
+        memo[key] = verdicts
+    return verdicts
+
+
+def _profile_verdicts(data: adm.AdmissibleData) -> tuple[Verdict, ...]:
+    """The profile rule's verdicts on one admissible data, a tuple that
+    the joins sharing the data share."""
     profile = adm.extremal_profile(data)
     verdicts = []
     if len(data.base_entries) == 2:
@@ -289,7 +317,7 @@ def _rule_profile(spec: FiberJoinSpec) -> list[Verdict]:
     if profile.positive:
         witness = {"profile": serialize_polynomial(profile.profile)}
         verdicts.append(_verdict("extremal-profile-certificate", witness))
-    return verdicts
+    return tuple(verdicts)
 
 
 def _rule_einstein(spec: FiberJoinSpec) -> list[Verdict]:
@@ -302,7 +330,7 @@ def _rule_einstein(spec: FiberJoinSpec) -> list[Verdict]:
     return [Verdict(SE_EXISTS, "einstein-existence", verdict.reason, witness)]
 
 
-_RULES: tuple[Callable[[FiberJoinSpec], list[Verdict]], ...] = (
+_RULES: tuple[Callable[[FiberJoinSpec], Sequence[Verdict]], ...] = (
     _rule_colinear,
     _rule_super_admissible,
     _rule_line_times_curve,

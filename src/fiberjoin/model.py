@@ -143,6 +143,10 @@ class BaseFactor(Record):
 
 class BaseProduct(Record):
     def __init__(self, factors: tuple[BaseFactor, ...]):
+        if not isinstance(factors, tuple) or not all(
+            isinstance(f, BaseFactor) for f in factors
+        ):
+            raise SpecError("base must be a tuple of base factors")
         if not factors:
             raise EmptyBaseError("base product needs at least one factor")
         vars(self).update(factors=factors, _values=(factors,))
@@ -163,6 +167,12 @@ class BaseProduct(Record):
     def facts(self) -> BaseFacts:
         """This base's ``BaseFacts``, built on first use."""
         return BaseFacts(self)
+
+    @cached_property
+    def profile_verdicts(self) -> dict:
+        """The extremal-profile verdicts of joins over this base, by the
+        solve's inputs; ``classify`` fills and bounds it."""
+        return {}
 
 
 def _two_curve_base(genera: tuple[Optional[int], ...]) -> Optional[tuple[int, int]]:
@@ -219,9 +229,11 @@ def validate(spec: FiberJoinSpec) -> FiberJoinSpec:
     """Check the join contract; returns the spec unchanged.
 
     ``FiberJoinSpec`` runs this once, on construction, so every spec
-    in hand is valid.  K is a tuple of row tuples and the split a
-    tuple; their entries are integers, never booleans, floats or
-    strings; nothing is coerced."""
+    in hand is valid.  The base is a ``BaseProduct``, K a tuple of row
+    tuples and the split a tuple; their entries are integers, never
+    booleans, floats or strings; nothing is coerced."""
+    if not isinstance(spec.base, BaseProduct):
+        raise SpecError("base must be a BaseProduct")
     rows = spec.matrix
     if not isinstance(rows, tuple) or not all(isinstance(row, tuple) for row in rows):
         raise SpecError("matrix must be a tuple of rows, each a tuple of integers")

@@ -45,6 +45,7 @@ from oracles import (
     reference_extremal_profile,
     reference_solve_csc,
 )
+from test_cli import specs
 
 ONE_MINUS_Z2 = Polynomial.from_coeffs([1, 0, -1])
 
@@ -474,6 +475,26 @@ def test_profile_factors_over_fiber_blocks(spec_params):
     assert result.positive == (
         not result.profile.is_zero and strictly_positive_on(result.profile, -1, 1)
     )
+
+
+@given(specs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_profile_reads_each_entry_by_dim_s_and_r_in_any_order(spec, draws):
+    """The solve reads only the multiset of the entries' (dim, s, r):
+    relabelling and permuting the entries of a join's data at d = 1,
+    split (0, 0), gives an equal profile.  The survey's memo of profile
+    verdicts is keyed on that multiset."""
+    join = make_spec(spec.base.factors, [spec.matrix[0], spec.matrix[-1]], (0, 0))
+    try:
+        data = admissible_data(join)
+    except SpecError:
+        return
+    relabelled = [
+        AdmissibleEntry(f"relabelled_{i}", e.dim, e.s, e.r)
+        for i, e in enumerate(data.entries)
+    ]
+    permuted = AdmissibleData(tuple(draws.draw(st.permutations(relabelled))))
+    assert extremal_profile(permuted) == extremal_profile(data)
 
 
 # --- csc solver -----------------------------------------------------------

@@ -9,6 +9,7 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,6 +41,7 @@ from fiberjoin.classify import (
     spec_report,
     survey,
 )
+from fiberjoin.cli import main
 from fiberjoin.exactalg import Polynomial
 from fiberjoin.model import (
     BaseFactor,
@@ -573,6 +575,60 @@ def test_classify_solves_each_profile_once(monkeypatch):
     assert "csc-profile-certificate" in rules(curve_pair(5, 3, [[2, 1], [1, 3]]))
     counts = (calls["admissible_data"], calls["extremal_profile"], calls["solve_linear"])
     assert counts == (1, 1, 0)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The data of each extremal solve, rebound in its module, where
+    ``_rule_profile`` looks it up."""
+    calls = []
+    original = adm.extremal_profile
+    monkeypatch.setattr(adm, "extremal_profile", lambda data: calls.append(data) or original(data))
+    return calls
+
+
+def test_a_survey_request_solves_each_distinct_data_once(monkeypatch, capsys, solves):
+    """The benchmark's survey_identical request (bench/workloads.py),
+    through the command line in process: its 267 orbits hold 31
+    distinct admissible data, each solved once, where a solve per orbit
+    on the regular ray would be 123.  A second request parses a fresh
+    base and solves them all again: the memo lives for one request."""
+    path = Path(adm.__file__).resolve().parents[2] / "bench" / "workloads.py"
+    loader = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, "bench_workloads", workloads)
+    loader.loader.exec_module(workloads)
+    request = workloads.SURVEYS["survey_identical"]
+    for _ in range(2):
+        solves.clear()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request.request)))
+        assert main(request.argv) == 0
+        assert len(solves) == 31
+        assert capsys.readouterr().out.count("\r\n") == request.orbits + 1  # csv rows
+
+
+def test_columns_with_equal_solve_inputs_share_one_key(solves):
+    """Over genus 2 x genus 3, the columns (2, 1), (6, 2) and (3, 1),
+    (4, 2) give the entries (s, r) = (-2, 1/3) and (-1, 1/2) under
+    swapped labels.  Solved apart, the two joins give equal verdicts;
+    over one base they share one key, and the second is not solved."""
+    first, second = [[2, 6], [1, 2]], [[3, 4], [1, 2]]
+    apart = [classify_module._rule_profile(curve_pair(2, 3, rows)) for rows in (first, second)]
+    assert apart[0] == apart[1]
+    assert "extremal-profile-certificate" in {v.rule for v in apart[0]}
+    base = BaseProduct((BaseFactor.surface(2), BaseFactor.surface(3)))
+    shared = [classify_module._rule_profile(make_spec(base, rows, (0, 0))) for rows in (first, second)]
+    assert shared[0] is shared[1] and shared[0] == apart[0]
+    assert len(base.profile_verdicts) == 1 and len(solves) == 3
+
+
+def test_a_base_keeps_at_most_256_profile_verdicts(solves):
+    """Past 256 keys the memo drops its oldest one: genus 0 to the 4th
+    at max_entry 4 holds 1,996 orbits, and its data are solved 389
+    times."""
+    base = BaseProduct((BaseFactor.surface(0),) * 4)
+    assert len(survey(base, (0, 0), 4).entries[:]) == 1996
+    assert len(solves) == 389 and len(base.profile_verdicts) == 256
 
 
 def test_classify_derives_each_rule_fact_once(monkeypatch):

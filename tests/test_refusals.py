@@ -78,6 +78,20 @@ REFUSALS = {
         lambda: FiberJoinSpec(BASE, ((2,), [3]), (0, 0)),
         SpecError("matrix must be a tuple of rows, each a tuple of integers"),
     ),
+    # A join's base is a BaseProduct of a tuple of factors; make_spec
+    # converts a list of factors.
+    "spec-base-a-list": (
+        lambda: FiberJoinSpec([BaseFactor.surface(2)], ((2,), (3,)), (0, 0)),
+        SpecError("base must be a BaseProduct"),
+    ),
+    "base-of-a-list": (
+        lambda: hash(make_spec(BaseProduct([BaseFactor.surface(2)]), [[2], [3]])),
+        SpecError("base must be a tuple of base factors"),
+    ),
+    "base-of-a-non-factor": (
+        lambda: BaseProduct(("x",)).dim_c,
+        SpecError("base must be a tuple of base factors"),
+    ),
     "canonical-unsplit": (
         lambda: canonical_split_spec(UNSPLIT),
         SpecError("split required"),
