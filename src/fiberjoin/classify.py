@@ -500,10 +500,12 @@ def survey(
     poles gives no larger representative.  ``cap`` bounds the number
     of multisets enumerated, the product over groups of
     C(max_entry**2 + g - 1, g), times d = d0 + dinf + 1, since each
-    orbit's matrix has d + 1 rows, which must fit in a list.  The split
-    is a list or tuple of two nonnegative integers, and the bounds are
-    positive integers.
+    orbit's matrix has d + 1 rows, which must fit in a list.  The base
+    is a ``BaseProduct``, the split a list or tuple of two nonnegative
+    integers, and the bounds are positive integers.
     """
+    if not isinstance(base, BaseProduct):
+        raise SpecError("base must be a BaseProduct")
     if not isinstance(split, (list, tuple)) or len(split) != 2:
         raise SpecError("split must be a list of two integers")
     split = tuple(integer(x, "split entry") for x in split)

@@ -144,6 +144,7 @@ def _write(chunks: Generator[str, None, None]) -> int:
         # devnull ("Note on SIGPIPE" in the signal module's docs).
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except DigitLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

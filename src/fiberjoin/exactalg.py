@@ -1,17 +1,17 @@
-"""Exact rational and polynomial arithmetic.
+"""Exact rational polynomials, positivity and linear solves.
 
 Everything downstream (characteristic classes, curvature profiles,
 positivity certificates) is decided by exact computation over the
 rationals.  A dense univariate polynomial is stored as integer
 numerators over one positive common denominator, the layout of
 FLINT's fmpq_poly (von zur Gathen and Gerhard, *Modern Computer
-Algebra*, ch. 6), so its arithmetic runs on Python integers and a
-Fraction is built only where a caller reads a coefficient or a value.
-Descartes' rule of signs after a Möbius map decides positivity on an
-open interval and, by bisection, counts the roots there; gcds and
-square-free parts come from a primitive pseudo-remainder sequence;
-square linear systems are solved by fraction-free (Bareiss)
-elimination.  No floating point enters any decision.
+Algebra*, ch. 6), with only what the solve and the root counter run,
+on Python integers.  Descartes' rule of signs after a Möbius map
+decides positivity on an open interval and, by bisection, counts the
+roots there; gcds and square-free parts come from a primitive
+pseudo-remainder sequence; square linear systems are solved by
+fraction-free (Bareiss) elimination.  No floating point enters any
+decision.
 """
 
 from __future__ import annotations
@@ -103,13 +103,15 @@ class Polynomial(Record):
     The form is canonical, so == and hash compare structure: den > 0,
     gcd(den, *nums) == 1 and no trailing zero numerator; the zero
     polynomial is ((), 1) and has degree -1.  Then den is the least
-    common denominator of the coefficients.  Build polynomials with
-    ``from_coeffs`` or ``from_numerators``: ``Polynomial(nums, den)``
-    takes a pair already in canonical form.
+    common denominator of the coefficients.  The solve builds with
+    ``from_numerators``; ``Polynomial(nums, den)`` takes a pair already
+    in canonical form.  ``from_coeffs`` and ``coeffs`` are the one
+    conversion to and from Fraction coefficients, through which callers
+    and tests build and read values.  There is no ring arithmetic.
     """
 
-    # Built for every arithmetic result, so kept as a generated record
-    # would be: no ``_values`` tuple, and compared field by field.
+    # Built for every derivative, gcd and solve result, so kept as a
+    # generated record would be: no ``_values``, compared field by field.
     def __init__(self, nums: tuple[int, ...], den: int = 1):
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
@@ -145,46 +147,6 @@ class Polynomial(Record):
     @property
     def is_zero(self) -> bool:
         return not self.nums
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not other.nums:
-            return self
-        if not self.nums:
-            return other
-        a, b, den = self.nums, other.nums, self.den
-        if den != other.den:
-            g = gcd(den, other.den)
-            a = [x * (other.den // g) for x in a]
-            b = [y * (den // g) for y in b]
-            den = den // g * other.den
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, y in enumerate(b):
-            out[i] += y
-        return _canonical(out, den)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-n for n in self.nums), self.den)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            a, b = self.nums, other.nums
-            if not a or not b:
-                return _ZERO
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        out[j] += x * y
-            return _canonical(out, self.den * other.den)
-        num, den = _ratio(other)
-        return _canonical([n * num for n in self.nums], self.den * den)
-
-    __rmul__ = __mul__
 
     def __call__(self, x) -> Fraction:
         """The value at x, by Horner's rule on integers: with x = p/q,

@@ -4,11 +4,15 @@ Each is an independent derivation of a fact the package computes
 another way: the two affine curvature equations of the two-factor CSC
 problem and the solve built on them, the balanced closed form of its
 root, the characteristic product of admissible data, and the extremal
-profile by two antiderivatives and a moment system; and the plain
-power, antiderivative and quotient of polynomials that route needs.
+profile by two antiderivatives and a moment system.  They compute with
+the tests' one reference arithmetic: ``FractionPolynomial``, a
+polynomial as a tuple of Fraction coefficients, and ``gaussian_solve``,
+Gaussian elimination over Fractions.  A reference converts its result
+to the library's layout once, at its end, with
+``Polynomial.from_coeffs(fp.coeffs)``.
 """
 
-import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from fiberjoin.admissible import (
@@ -24,10 +28,148 @@ from fiberjoin.admissible import (
 from fiberjoin.exactalg import (
     Polynomial,
     SingularMatrixError,
-    solve_linear,
     strictly_positive_on,
 )
 from fiberjoin.model import SpecError
+
+
+@dataclass(frozen=True)
+class FractionPolynomial:
+    """The reference polynomial: a tuple of Fraction coefficients in
+    ascending degree with no trailing zero, and plain Fraction
+    arithmetic throughout.  It shares no code with
+    ``exactalg.Polynomial``, whose integer-numerator layout the tests
+    compare against it through ``coeffs``."""
+
+    coeffs: tuple
+
+    @staticmethod
+    def from_coeffs(coeffs):
+        items = [Fraction(c) for c in coeffs]
+        while items and items[-1] == 0:
+            items.pop()
+        return FractionPolynomial(tuple(items))
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPolynomial.from_coeffs(out)
+
+    def __neg__(self):
+        return FractionPolynomial(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, FractionPolynomial):
+            if self.is_zero or other.is_zero:
+                return FractionPolynomial(())
+            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+            return FractionPolynomial.from_coeffs(out)
+        return FractionPolynomial.from_coeffs(c * Fraction(other) for c in self.coeffs)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent):
+        """By repeated squaring."""
+        result, square = FractionPolynomial((Fraction(1),)), self
+        while exponent:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
+        return result
+
+    def __call__(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def derivative(self):
+        return FractionPolynomial.from_coeffs(
+            i * c for i, c in enumerate(self.coeffs) if i > 0
+        )
+
+    def antiderivative(self):
+        """The antiderivative with zero constant term."""
+        return FractionPolynomial.from_coeffs(
+            [0] + [c / k for k, c in enumerate(self.coeffs, 1)]
+        )
+
+    def divmod(self, divisor):
+        """Quotient and remainder by a nonzero divisor, by long division."""
+        if divisor.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        quot = [Fraction(0)] * max(len(rem) - len(divisor.coeffs) + 1, 0)
+        dlead = divisor.coeffs[-1]
+        dn = len(divisor.coeffs)
+        for k in range(len(rem) - dn, -1, -1):
+            factor = rem[k + dn - 1] / dlead
+            quot[k] = factor
+            for j, c in enumerate(divisor.coeffs):
+                rem[k + j] -= factor * c
+        return FractionPolynomial.from_coeffs(quot), FractionPolynomial.from_coeffs(rem)
+
+    def gcd(self, other):
+        a, b = self, other
+        while not b.is_zero:
+            a, b = b, a.divmod(b)[1]
+        if a.is_zero:
+            return a
+        return a * (1 / a.coeffs[-1])
+
+    def squarefree_part(self):
+        g = self.gcd(self.derivative())
+        if len(g.coeffs) <= 1:
+            return self * (1 / self.coeffs[-1])
+        q, _ = self.divmod(g)
+        return q * (1 / q.coeffs[-1])
+
+
+ONE = FractionPolynomial.from_coeffs([1])
+
+
+def gaussian_solve(matrix, rhs):
+    """Reference solver: Gaussian elimination over Fractions with row
+    pivoting (the first nonzero entry of the column)."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
+    b = [Fraction(x) for x in rhs]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise SingularMatrixError("matrix is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            b[r] -= factor * b[col]
+            for c in range(col, n):
+                a[r][c] -= factor * a[col][c]
+    x = [Fraction(0)] * n
+    for row in range(n - 1, -1, -1):
+        acc = b[row] - sum(a[row][c] * x[c] for c in range(row + 1, n))
+        x[row] = acc / a[row][row]
+    return x
 
 
 class AnsatzError(SpecError):
@@ -68,10 +210,9 @@ def reference_solve_csc(data: AdmissibleData) -> CscResult:
     if sa != sb:
         return CscResult(s=None, certificate=None, verdict=INCONSISTENT)
     s = sa
-    certificate = (
-        Polynomial.from_coeffs([1, r1]) * Polynomial.from_coeffs([1, r2])
-        + (1 - s / 2) * r1 * r2 * Polynomial.from_coeffs([1, 0, -1])
-    )
+    line = FractionPolynomial.from_coeffs
+    quadratic = line([1, r1]) * line([1, r2]) + (1 - s / 2) * r1 * r2 * line([1, 0, -1])
+    certificate = Polynomial.from_coeffs(quadratic.coeffs)
     if strictly_positive_on(certificate, -1, 1):
         return CscResult(s=s, certificate=certificate, verdict=CSC)
     return CscResult(s=s, certificate=certificate, verdict=POSITIVITY_FAILS)
@@ -90,65 +231,37 @@ def csc_ansatz(data: AdmissibleData) -> Fraction:
     return (1 - r1 * r1 + 2 * s1 * r1) / (3 - r1 * r1)
 
 
+def reduced_characteristic_product(data: AdmissibleData) -> FractionPolynomial:
+    """R, the product of (1 + r_a z)^(dim_a - 1) over all entries: the
+    profile's second derivative is R times the source."""
+    result = ONE
+    for e in data.entries:
+        result = result * FractionPolynomial.from_coeffs([1, e.r]) ** (e.dim - 1)
+    return result
+
+
 def characteristic_product(data: AdmissibleData) -> Polynomial:
     """The product of (1 + r_a z)^(dim_a) over all entries; it weights
     the boundary conditions and divides the profile's second derivative."""
-    result = Polynomial.from_coeffs([1])
+    result = ONE
     for e in data.entries:
-        result = result * power(Polynomial.from_coeffs([1, e.r]), e.dim)
-    return result
+        result = result * FractionPolynomial.from_coeffs([1, e.r]) ** e.dim
+    return Polynomial.from_coeffs(result.coeffs)
 
 
-def power(poly: Polynomial, exponent: int) -> Polynomial:
-    """poly to a nonnegative integer power, by repeated products."""
-    result = Polynomial.from_coeffs([1])
-    for _ in range(exponent):
-        result = result * poly
-    return result
-
-
-def antiderivative(poly: Polynomial) -> Polynomial:
-    """The antiderivative of poly with zero constant term."""
-    return Polynomial.from_coeffs(
-        [0] + [c / k for k, c in enumerate(poly.coeffs, 1)]
+def _moment(poly: FractionPolynomial, k: int) -> Fraction:
+    """The integral of z^k * poly(z) over [-1, 1]: the sum of
+    2 * c_j / (j + k + 1) over even j + k."""
+    return sum(
+        (2 * c / (j + k + 1) for j, c in enumerate(poly.coeffs) if (j + k) % 2 == 0),
+        Fraction(0),
     )
 
 
-def divide(poly: Polynomial, divisor: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Quotient and remainder of poly by a nonzero divisor, by long
-    division on the Fraction coefficients."""
-    if divisor.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    *low, lead = divisor.coeffs
-    rem = list(poly.coeffs)
-    quot = [Fraction(0)] * max(len(rem) - len(low), 0)
-    for k in range(len(quot) - 1, -1, -1):
-        c = quot[k] = rem.pop() / lead
-        for j, y in enumerate(low, k):
-            rem[j] -= c * y
-    return Polynomial.from_coeffs(quot), Polynomial.from_coeffs(rem)
-
-
-def _moment(poly: Polynomial, k: int) -> Fraction:
-    """The integral of z^k * poly(z) over [-1, 1]: the sum of
-    2 * nums[j] / (j + k + 1) over even j + k, taken over one common
-    denominator."""
-    terms = [(n, j + k + 1) for j, n in enumerate(poly.nums) if (j + k) % 2 == 0]
-    scale = math.lcm(*(d for _, d in terms))
-    return Fraction(2 * sum(n * (scale // d) for n, d in terms), scale * poly.den)
-
-
-def _ends(poly: Polynomial) -> tuple[int, int]:
-    """poly(1) and poly(-1) times poly.den: the sums of the even and odd
-    numerators, added and subtracted."""
-    even, odd = sum(poly.nums[::2]), sum(poly.nums[1::2])
-    return even + odd, even - odd
-
-
-def _antiderivative_from(poly: Polynomial, start) -> Polynomial:
+def _antiderivative_from(poly: FractionPolynomial, start) -> FractionPolynomial:
     """The antiderivative of poly that takes the value ``start`` at -1."""
-    anti = antiderivative(poly)
-    return anti + Polynomial.from_coeffs([start - anti(-1)])
+    anti = poly.antiderivative()
+    return anti + FractionPolynomial.from_coeffs([start - anti(-1)])
 
 
 def reference_extremal_profile(data: AdmissibleData) -> ExtremalProfile:
@@ -187,54 +300,52 @@ def reference_extremal_profile(data: AdmissibleData) -> ExtremalProfile:
     if len({e.r for e in entries}) != m:
         raise RepeatedNodeError("repeated class parameters")
 
-    linears = [Polynomial.from_coeffs([1, e.r]) for e in entries]
-    reduced = Polynomial.from_coeffs([1])
-    q = Polynomial.from_coeffs([1])
-    for e, linear in zip(entries, linears):
-        reduced = reduced * power(linear, e.dim - 1)
+    linears = [FractionPolynomial.from_coeffs([1, e.r]) for e in entries]
+    reduced = reduced_characteristic_product(data)
+    q = ONE
+    for linear in linears:
         q = q * linear
     char = reduced * q
-    interpolant = Polynomial.from_coeffs([])
+    interpolant = FractionPolynomial(())
     for a, e in enumerate(entries):
-        term = Polynomial.from_coeffs([2 * e.dim * e.s * e.r])
+        term = FractionPolynomial.from_coeffs([2 * e.dim * e.s * e.r])
         for b, linear in enumerate(linears):
             if b != a:
                 term = term * linear
         interpolant = interpolant + term
 
-    # p(1) and p(-1) are these numerators over char.den.
-    p_plus, p_minus = _ends(char)
+    p_plus, p_minus = char(1), char(-1)
     fixed = reduced * interpolant
     m0, m1, m2 = (_moment(char, k) for k in range(3))
     rhs = [
-        Fraction(-2 * (p_plus + p_minus), char.den) - _moment(fixed, 0),
-        Fraction(2 * (p_minus - p_plus), char.den) - _moment(fixed, 1),
+        -2 * (p_plus + p_minus) - _moment(fixed, 0),
+        2 * (p_minus - p_plus) - _moment(fixed, 1),
     ]
     try:
-        alpha, beta = solve_linear([[m0, m1], [m1, m2]], rhs)
+        alpha, beta = gaussian_solve([[m0, m1], [m1, m2]], rhs)
     except SingularMatrixError as exc:
         raise SingularSystemError(str(exc)) from exc
 
-    source = interpolant + Polynomial.from_coeffs([alpha, beta]) * q
+    source = interpolant + FractionPolynomial.from_coeffs([alpha, beta]) * q
     # F' and F are the antiderivatives of R * P fixed by F'(-1) = 2 p(-1)
     # and F(-1) = 0; the moment conditions give the values at +1.
-    first = _antiderivative_from(reduced * source, Fraction(2 * p_minus, char.den))
+    first = _antiderivative_from(reduced * source, 2 * p_minus)
     profile = _antiderivative_from(first, 0)
 
-    # F(+-1) = 0 and F'(+-1) = -+2 p(+-1), compared on numerators.
-    assert _ends(profile) == (0, 0)
-    first_plus, first_minus = _ends(first)
-    assert first_plus * char.den == -2 * p_plus * first.den
-    assert first_minus * char.den == 2 * p_minus * first.den
-    positive = (not profile.is_zero) and strictly_positive_on(profile, -1, 1)
+    # F(+-1) = 0 and F'(+-1) = -+2 p(+-1).
+    assert profile(1) == 0 and profile(-1) == 0
+    assert first(1) == -2 * p_plus and first(-1) == 2 * p_minus
     u = next((e.dim for e in entries if e.r == 1), 0)
     v = next((e.dim for e in entries if e.r == -1), 0)
-    factor, rest = divide(
-        profile,
-        power(Polynomial.from_coeffs([1, 1]), u + 1)
-        * power(Polynomial.from_coeffs([1, -1]), v + 1),
+    factor, rest = profile.divmod(
+        FractionPolynomial.from_coeffs([1, 1]) ** (u + 1)
+        * FractionPolynomial.from_coeffs([1, -1]) ** (v + 1)
     )
     assert rest.is_zero
+    profile, source, char, factor = (
+        Polynomial.from_coeffs(p.coeffs) for p in (profile, source, char, factor)
+    )
+    positive = (not profile.is_zero) and strictly_positive_on(profile, -1, 1)
     return ExtremalProfile(
         profile=profile,
         source=source,

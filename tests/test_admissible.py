@@ -27,27 +27,30 @@ from fiberjoin.admissible import (
     genus_threshold,
     solve_csc,
 )
-from fiberjoin.exactalg import (
-    Polynomial,
-    solve_linear,
-    strictly_positive_on,
-)
+from fiberjoin.exactalg import Polynomial, strictly_positive_on
 from fiberjoin.model import BaseFactor, SpecError, make_spec
 from oracles import (
     AnsatzError,
-    antiderivative,
+    FractionPolynomial,
     back_solve_csc,
     characteristic_product,
     csc_ansatz,
     curvature_equation,
-    divide,
-    power,
+    gaussian_solve,
+    reduced_characteristic_product,
     reference_extremal_profile,
     reference_solve_csc,
 )
 from test_cli import specs
 
-ONE_MINUS_Z2 = Polynomial.from_coeffs([1, 0, -1])
+ONE_MINUS_Z2 = FractionPolynomial.from_coeffs([1, 0, -1])
+PLUS = FractionPolynomial.from_coeffs([1, 1])
+MINUS = FractionPolynomial.from_coeffs([1, -1])
+
+
+def reference(poly):
+    """A library polynomial as a reference polynomial."""
+    return FractionPolynomial.from_coeffs(poly.coeffs)
 
 
 def surface_pair(g1, g2, rows=((2, 1), (1, 3))):
@@ -160,10 +163,9 @@ def test_r_values_live_in_open_unit_interval():
 def test_characteristic_product():
     data = admissible_data(surface_pair(5, 3))
     p = characteristic_product(data)
-    expected = Polynomial.from_coeffs([1, Fraction(1, 3)]) * Polynomial.from_coeffs(
-        [1, Fraction(-1, 2)]
-    )
-    assert p == expected
+    line = FractionPolynomial.from_coeffs
+    expected = line([1, Fraction(1, 3)]) * line([1, Fraction(-1, 2)])
+    assert p.coeffs == expected.coeffs
     assert p.coeffs == (Fraction(1), Fraction(-1, 6), Fraction(-1, 6))
     assert extremal_profile(data).char_product == p
 
@@ -174,8 +176,10 @@ def test_characteristic_product():
 def test_profile_reference_case():
     data = admissible_data(surface_pair(5, 3))
     result = extremal_profile(data)
-    q = Polynomial.from_coeffs([Fraction(3, 4), Fraction(-1, 6), Fraction(1, 12)])
-    assert result.profile == Polynomial.from_coeffs([1, 0, -1]) * q
+    q = FractionPolynomial.from_coeffs(
+        [Fraction(3, 4), Fraction(-1, 6), Fraction(1, 12)]
+    )
+    assert result.profile.coeffs == (ONE_MINUS_Z2 * q).coeffs
     assert result.positive
 
 
@@ -201,10 +205,9 @@ def test_profile_second_derivative_factorization():
         )
     )
     result = extremal_profile(data)
-    reduced = Polynomial.from_coeffs([1])
-    for e in data.entries:
-        reduced = reduced * power(Polynomial.from_coeffs([1, e.r]), e.dim - 1)
-    assert result.profile.derivative().derivative() == reduced * result.source
+    reduced = reduced_characteristic_product(data)
+    second = result.profile.derivative().derivative()
+    assert second.coeffs == (reduced * reference(result.source)).coeffs
 
 
 def test_profile_source_interpolation():
@@ -304,9 +307,7 @@ def reference_extremal_solve(data):
     entries = data.entries
     m = len(entries)
     nodes = [Fraction(-1, 1) / e.r for e in entries]
-    reduced = Polynomial.from_coeffs([1])
-    for e in entries:
-        reduced = reduced * power(Polynomial.from_coeffs([1, e.r]), e.dim - 1)
+    reduced = reduced_characteristic_product(data)
     char = characteristic_product(data)
 
     # Basis images: for P = sum p_k z^k, F'' = reduced * P, so F' and F
@@ -314,10 +315,10 @@ def reference_extremal_solve(data):
     monomial_first = []
     monomial_second = []
     for k in range(m + 2):
-        g = reduced * Polynomial.from_coeffs([0] * k + [1])
-        first = antiderivative(g)
+        g = reduced * FractionPolynomial.from_coeffs([0] * k + [1])
+        first = g.antiderivative()
         monomial_first.append(first)
-        monomial_second.append(antiderivative(first))
+        monomial_second.append(first.antiderivative())
 
     size = m + 4
     matrix = [[Fraction(0)] * size for _ in range(size)]
@@ -350,15 +351,15 @@ def reference_extremal_solve(data):
         row[m + 3] = const_coef
         rhs[m + row_idx] = value
 
-    solution = solve_linear(matrix, rhs)
+    solution = gaussian_solve(matrix, rhs)
 
-    source = Polynomial.from_coeffs(solution[: m + 2])
+    source = FractionPolynomial.from_coeffs(solution[: m + 2])
     c_lin, c_const = solution[m + 2], solution[m + 3]
     second = reduced * source
-    profile = antiderivative(antiderivative(second)) + Polynomial.from_coeffs(
-        [c_const, c_lin]
+    profile = second.antiderivative().antiderivative() + (
+        FractionPolynomial.from_coeffs([c_const, c_lin])
     )
-    return source, profile
+    return Polynomial.from_coeffs(source.coeffs), Polynomial.from_coeffs(profile.coeffs)
 
 
 @given(
@@ -387,12 +388,9 @@ def test_profile_matches_square_system(params, d0, dinf):
     st.integers(min_value=1, max_value=12),
 )
 def test_times_binomial_pair_matches_powers(a, b, nums, den):
-    expected = (
-        power(Polynomial.from_coeffs([1, 1]), a)
-        * power(Polynomial.from_coeffs([1, -1]), b)
-        * Polynomial.from_numerators(nums, den)
-    )
-    assert _times_binomial_pair(a, b, nums, den) == expected
+    scaled = FractionPolynomial.from_coeffs(Fraction(n, den) for n in nums)
+    expected = PLUS**a * MINUS**b * scaled
+    assert _times_binomial_pair(a, b, nums, den).coeffs == expected.coeffs
 
 
 @pytest.mark.parametrize("u", range(6))
@@ -401,19 +399,18 @@ def test_operator_column_matches_expansion(u, v):
     """The column of z^k is (B z^k)'' with B = (1 + z)^(u+1) (1 - z)^(v+1),
     divided exactly by (1 + z)^max(u-1, 0) (1 - z)^max(v-1, 0), from
     z^(k-2) up, with zeros below z^0 and a nonzero top entry."""
-    plus, minus = Polynomial.from_coeffs([1, 1]), Polynomial.from_coeffs([1, -1])
-    fibers = power(plus, u + 1) * power(minus, v + 1)
-    divisor = power(plus, max(u - 1, 0)) * power(minus, max(v - 1, 0))
+    fibers = PLUS ** (u + 1) * MINUS ** (v + 1)
+    divisor = PLUS ** max(u - 1, 0) * MINUS ** max(v - 1, 0)
     for k in range(11):
-        first = (fibers * Polynomial.from_numerators([0] * k + [1], 1)).derivative()
-        quotient, remainder = divide(first.derivative(), divisor)
+        first = (fibers * FractionPolynomial.from_coeffs([0] * k + [1])).derivative()
+        quotient, remainder = first.derivative().divmod(divisor)
         assert remainder.is_zero
         column = _operator_column(k, u, v)
         below = max(2 - k, 0)
         assert column[:below] == [0] * below
         assert column[-1] != 0
         padded = [0] * (k - 2 + below) + column[below:]
-        assert Polynomial.from_numerators(padded, 1) == quotient
+        assert FractionPolynomial.from_coeffs(padded) == quotient
 
 
 unit_r = st.fractions(
@@ -467,10 +464,8 @@ def test_profile_factors_over_fiber_blocks(spec_params):
     except SpecError:
         return
     result = extremal_profile(data)
-    fibers = power(Polynomial.from_coeffs([1, 1]), d0 + 1) * power(
-        Polynomial.from_coeffs([1, -1]), dinf + 1
-    )
-    assert result.profile == fibers * result.factor
+    fibers = PLUS ** (d0 + 1) * MINUS ** (dinf + 1)
+    assert result.profile.coeffs == (fibers * reference(result.factor)).coeffs
     assert result.factor.degree <= len(data.base_entries) + 1
     assert result.positive == (
         not result.profile.is_zero and strictly_positive_on(result.profile, -1, 1)
@@ -602,7 +597,8 @@ def test_csc_matches_affine_oracle(r1, r2, s1, s2, consistent):
     result = solve_csc(data)
     assert result == reference_solve_csc(data)
     if result.certificate is not None:
-        assert result.certificate * ONE_MINUS_Z2 == extremal_profile(data).profile
+        expected = reference(result.certificate) * ONE_MINUS_Z2
+        assert extremal_profile(data).profile.coeffs == expected.coeffs
 
 
 # --- ansatz and threshold ---------------------------------------------------

@@ -52,7 +52,7 @@ from fiberjoin.model import (
     identical_factor_groups,
     make_spec,
 )
-from oracles import characteristic_product, curvature_equation
+from oracles import FractionPolynomial, characteristic_product, curvature_equation
 from test_cli import specs
 from test_golden import join_documents
 
@@ -97,9 +97,11 @@ def test_reference_join_verdicts():
         "certificate": ["3/4", "-1/6", "1/12"],
     }
     assert extremal.rule == "extremal-profile-certificate"
-    assert parse_poly(extremal.witness["profile"]) == Polynomial.from_coeffs(
-        [1, 0, -1]
-    ) * parse_poly(csc.witness["certificate"])
+    certificate = parse_poly(csc.witness["certificate"]).coeffs
+    expected = FractionPolynomial.from_coeffs([1, 0, -1]) * (
+        FractionPolynomial.from_coeffs(certificate)
+    )
+    assert parse_poly(extremal.witness["profile"]).coeffs == expected.coeffs
     assert se.rule == "einstein-obstruction-chain"
     assert "[-11, -8]" in se.citation
 
@@ -456,10 +458,12 @@ def test_witnesses_revalidate(g1, g2, a, b, c, d):
             assert curvature_equation(e1.s, e1.r, e2.r, s) == 0
             assert curvature_equation(e2.s, e2.r, e1.r, s) == 0
             quadratic = parse_poly(verdict.witness["certificate"])
-            expected = Polynomial.from_coeffs([1, e1.r]) * Polynomial.from_coeffs(
-                [1, e2.r]
-            ) + (1 - s / 2) * e1.r * e2.r * Polynomial.from_coeffs([1, 0, -1])
-            assert quadratic == expected
+            expected = (
+                FractionPolynomial.from_coeffs([1, e1.r])
+                * FractionPolynomial.from_coeffs([1, e2.r])
+                + (1 - s / 2) * e1.r * e2.r * FractionPolynomial.from_coeffs([1, 0, -1])
+            )
+            assert quadratic.coeffs == expected.coeffs
         if verdict.rule == "extremal-profile-certificate":
             profile = parse_poly(verdict.witness["profile"])
             p = characteristic_product(admissible_data(spec))

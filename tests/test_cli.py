@@ -765,6 +765,29 @@ def test_closed_stdout_stops_the_survey(tmp_path, monkeypatch):
     assert 0 < len(classified) < 20
 
 
+def test_closed_stdout_leaks_no_descriptor(tmp_path, monkeypatch):
+    """The closed-pipe handler closes the devnull descriptor it opens:
+    after two closed answers in this process the lowest free descriptor
+    is the one before them."""
+    path = write_doc(tmp_path, REFERENCE)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    def lowest_free():
+        probe = os.dup(fd)
+        os.close(probe)
+        return probe
+
+    try:
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        before = lowest_free()
+        for _ in range(2):
+            monkeypatch.setattr(sys, "stdout", ClosedAfterFirstChunk(fd))
+            assert main(["classify", path]) == 1
+        assert lowest_free() == before
+    finally:
+        os.close(fd)
+
+
 class Discard(io.TextIOBase):
     def write(self, text):
         return len(text)

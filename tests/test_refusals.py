@@ -160,6 +160,16 @@ REFUSALS = {
         lambda: _unique_keys([("K", [[1], [2]]), ("split", [0, 0]), ("K", [[3], [4]])]),
         ValueError("repeated key 'K'"),
     ),
+    # A survey reads its base's factors: a list or tuple of them is
+    # refused, as ``validate`` refuses it.
+    "survey-base-list": (
+        lambda: survey([BaseFactor.surface(2)], (0, 0), 2),
+        SpecError("base must be a BaseProduct"),
+    ),
+    "survey-base-tuple": (
+        lambda: survey((BaseFactor.surface(2),), (0, 0), 2),
+        SpecError("base must be a BaseProduct"),
+    ),
     # A cap below 1 is refused as such, not as work past the cap.
     "survey-cap-below-1": (
         lambda: survey(BaseProduct((BaseFactor.surface(2),)), (0, 0), 1, cap=-1),
