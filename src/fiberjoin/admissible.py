@@ -30,8 +30,10 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .exactalg import Polynomial, Record, SingularMatrixError, strictly_positive_on
-from .model import DigitLimitError, FiberJoinSpec, SpecError
+from .exactalg import (
+    Polynomial, Record, SingularMatrixError, _as_fraction, strictly_positive_on
+)
+from .model import DigitLimitError, FiberJoinSpec, SpecError, integer
 
 
 class NotAdmissibleError(SpecError):
@@ -65,32 +67,21 @@ class AdmissibleEntry(Record):
     s the normalized scalar curvature, r the class parameter."""
 
     def __init__(self, label: str, dim: int, s: Fraction, r: Fraction):
+        dim, s, r = integer(dim, "dim"), _as_fraction(s), _as_fraction(r)
         vars(self).update(label=label, dim=dim, s=s, r=r, _values=(label, dim, s, r))
 
 
 class AdmissibleData(Record):
+    """The entries of admissible data.  An entry's role is told by its
+    r: the fiber blocks are the entries at r = +1 and -1, and every
+    other entry is a retained factor; labels only name entries."""
+
     def __init__(self, entries: tuple[AdmissibleEntry, ...]):
+        if not isinstance(entries, tuple) or not all(
+            isinstance(e, AdmissibleEntry) for e in entries
+        ):
+            raise SpecError("admissible data must be a tuple of admissible entries")
         vars(self).update(entries=entries, _values=(entries,))
-
-    @property
-    def base_entries(self) -> tuple[AdmissibleEntry, ...]:
-        return tuple(
-            e for e in self.entries if e.label not in (FIBER_ZERO, FIBER_INFINITY)
-        )
-
-    @property
-    def d0(self) -> int:
-        for e in self.entries:
-            if e.label == FIBER_ZERO:
-                return e.dim
-        return 0
-
-    @property
-    def dinf(self) -> int:
-        for e in self.entries:
-            if e.label == FIBER_INFINITY:
-                return e.dim
-        return 0
 
 
 def admissible_data(spec: FiberJoinSpec) -> AdmissibleData:
@@ -250,16 +241,11 @@ def _operator_column(k: int, u: int, v: int) -> list[int]:
     return column
 
 
-@functools.lru_cache(maxsize=256)
-def _shared_column(k: int, u: int, v: int) -> tuple[int, ...]:
-    return tuple(_operator_column(k, u, v))
-
-
 @functools.lru_cache(maxsize=64)
 def _operator_columns(top: int, u: int, v: int) -> tuple[tuple, int]:
     """The columns of z^0 .. z^top as tuples, and the product of their
     top entries, built once per shape: a survey's solves share few."""
-    columns = tuple(_shared_column(k, u, v) for k in range(top + 1))
+    columns = tuple(tuple(_operator_column(k, u, v)) for k in range(top + 1))
     return columns, math.prod(column[-1] for column in columns)
 
 
@@ -454,10 +440,10 @@ class CscResult(Record):
 
 def solve_csc(data: AdmissibleData) -> CscResult:
     """Decide constant scalar curvature for two retained factors and
-    trivial fiber blocks, by reading the extremal solve of the data
-    (see ``csc_from_profile``)."""
-    base = data.base_entries
-    if len(base) != 2 or data.d0 != 0 or data.dinf != 0:
+    trivial fiber blocks, that is two entries, neither at r = +-1, by
+    reading the extremal solve of the data (see ``csc_from_profile``)."""
+    entries = data.entries
+    if len(entries) != 2 or any(abs(e.r) == 1 for e in entries):
         raise SpecError("two retained factors and a trivial split required")
     return csc_from_profile(extremal_profile(data))
 

@@ -280,8 +280,7 @@ def _rule_profile(spec: FiberJoinSpec) -> Sequence[Verdict]:
     so a survey solves each distinct data once.  Equal keys give equal
     verdicts: the solve builds q, L and R_base as symmetric functions
     of the entries and returns canonical polynomials and Fractions, and
-    labels matter only through ``base_entries``, which at split (0, 0)
-    are all the entries.  A refusal is not kept, and is raised again."""
+    labels only name entries.  A refusal is not kept, and is raised again."""
     if spec.facts.blocks is None or spec.d != 1:  # the split is (0, 0)
         return []
     data = _or_none(adm.admissible_data, spec)
@@ -306,7 +305,7 @@ def _profile_verdicts(data: adm.AdmissibleData) -> tuple[Verdict, ...]:
     the joins sharing the data share."""
     profile = adm.extremal_profile(data)
     verdicts = []
-    if len(data.base_entries) == 2:
+    if len(data.entries) == 2:  # at split (0, 0) every entry is a base entry
         result = adm.csc_from_profile(profile)
         if result.verdict == adm.CSC:
             witness = {

@@ -3,11 +3,12 @@
 Each is an independent derivation of a fact the package computes
 another way: the two affine curvature equations of the two-factor CSC
 problem and the solve built on them, the balanced closed form of its
-root, the characteristic product of admissible data, and the extremal
-profile by two antiderivatives and a moment system.  They compute with
-the tests' one reference arithmetic: ``FractionPolynomial``, a
-polynomial as a tuple of Fraction coefficients, and ``gaussian_solve``,
-Gaussian elimination over Fractions.  A reference converts its result
+root, the characteristic product of admissible data, the extremal
+profile by two antiderivatives and a moment system, and root counts and
+positivity on an interval by Sturm's theorem.  They compute with the
+tests' one reference arithmetic: ``FractionPolynomial``, a polynomial
+as a tuple of Fraction coefficients, and ``gaussian_solve``, Gaussian
+elimination over Fractions.  A reference converts its result
 to the library's layout once, at its end, with
 ``Polynomial.from_coeffs(fp.coeffs)``.
 """
@@ -25,11 +26,7 @@ from fiberjoin.admissible import (
     RepeatedNodeError,
     SingularSystemError,
 )
-from fiberjoin.exactalg import (
-    Polynomial,
-    SingularMatrixError,
-    strictly_positive_on,
-)
+from fiberjoin.exactalg import Polynomial, SingularMatrixError
 from fiberjoin.model import SpecError
 
 
@@ -148,6 +145,38 @@ class FractionPolynomial:
 ONE = FractionPolynomial.from_coeffs([1])
 
 
+def sturm_sequence(poly):
+    """p, p' and the negated remainders of Euclid's algorithm on them,
+    up to the last nonzero one."""
+    sequence = [poly, poly.derivative()]
+    while not sequence[-1].is_zero:
+        sequence.append(-sequence[-2].divmod(sequence[-1])[1])
+    return sequence[:-1]
+
+
+def sign_changes(sequence, x):
+    """Sign changes in the values of the sequence at x, zeros dropped."""
+    signs = [value > 0 for value in (p(x) for p in sequence) if value != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def sturm_root_count(poly, lo, hi):
+    """Distinct real roots of a nonzero polynomial in the open interval
+    (lo, hi).  By Sturm's theorem on the square-free part f, the count
+    in (lo, hi] is V(lo) - V(hi), V the sign changes of f's Sturm
+    sequence; a root at hi is then taken off."""
+    squarefree = poly.squarefree_part()
+    sequence = sturm_sequence(squarefree)
+    count = sign_changes(sequence, lo) - sign_changes(sequence, hi)
+    return count - (squarefree(hi) == 0)
+
+
+def sturm_positive_on(poly, lo, hi):
+    """Whether a nonzero polynomial is positive at every point of the
+    open interval (lo, hi): no root there, and positive at the midpoint."""
+    return sturm_root_count(poly, lo, hi) == 0 and poly((lo + hi) / 2) > 0
+
+
 def gaussian_solve(matrix, rhs):
     """Reference solver: Gaussian elimination over Fractions with row
     pivoting (the first nonzero entry of the column)."""
@@ -193,12 +222,21 @@ def back_solve_csc(r1, r2, s1):
     return s, s2
 
 
+def two_factor_entries(data: AdmissibleData):
+    """The entries of two retained factors on a trivial split: exactly
+    two entries, neither a fiber block at r = +-1."""
+    entries = data.entries
+    if len(entries) != 2 or any(abs(e.r) == 1 for e in entries):
+        raise SpecError("two retained factors and a trivial split required")
+    return entries
+
+
 def reference_solve_csc(data: AdmissibleData) -> CscResult:
     """Two-factor CSC from the two curvature equations, each affine in
     s: a common root plus positivity of the certificate quadratic on
     (-1, 1).  Divides by r1 and r2, so an entry with r = 0 raises
     ZeroDivisionError."""
-    (e1, e2) = data.base_entries
+    (e1, e2) = two_factor_entries(data)
     s1, r1 = e1.s, e1.r
     s2, r2 = e2.s, e2.r
     coef_a = r2 * (3 - r1 * r1)
@@ -213,7 +251,7 @@ def reference_solve_csc(data: AdmissibleData) -> CscResult:
     line = FractionPolynomial.from_coeffs
     quadratic = line([1, r1]) * line([1, r2]) + (1 - s / 2) * r1 * r2 * line([1, 0, -1])
     certificate = Polynomial.from_coeffs(quadratic.coeffs)
-    if strictly_positive_on(certificate, -1, 1):
+    if sturm_positive_on(quadratic, -1, 1):
         return CscResult(s=s, certificate=certificate, verdict=CSC)
     return CscResult(s=s, certificate=certificate, verdict=POSITIVITY_FAILS)
 
@@ -221,10 +259,7 @@ def reference_solve_csc(data: AdmissibleData) -> CscResult:
 def csc_ansatz(data: AdmissibleData) -> Fraction:
     """Closed form for the CSC value under the balanced hypothesis
     s1 + s2 = 0, r1 + r2 = 0."""
-    base = data.base_entries
-    if len(base) != 2 or data.d0 != 0 or data.dinf != 0:
-        raise SpecError("two retained factors and a trivial split required")
-    (e1, e2) = base
+    (e1, e2) = two_factor_entries(data)
     if e1.s + e2.s != 0 or e1.r + e2.r != 0:
         raise AnsatzError("balanced hypothesis fails")
     s1, r1 = e1.s, e1.r
@@ -342,10 +377,10 @@ def reference_extremal_profile(data: AdmissibleData) -> ExtremalProfile:
         * FractionPolynomial.from_coeffs([1, -1]) ** (v + 1)
     )
     assert rest.is_zero
+    positive = (not profile.is_zero) and sturm_positive_on(profile, -1, 1)
     profile, source, char, factor = (
         Polynomial.from_coeffs(p.coeffs) for p in (profile, source, char, factor)
     )
-    positive = (not profile.is_zero) and strictly_positive_on(profile, -1, 1)
     return ExtremalProfile(
         profile=profile,
         source=source,

@@ -280,7 +280,7 @@ def test_criterion_07_profile_equals_csc_certificate():
         result = solve_csc(data)
         assert result.s is not None, "construction guarantees consistency"
         assert result == reference_solve_csc(data)
-        (e1, e2) = data.base_entries
+        (e1, e2) = data.entries
         assert curvature_equation(e1.s, e1.r, e2.r, result.s) == 0
         assert curvature_equation(e2.s, e2.r, e1.r, result.s) == 0
         expected = ONE_MINUS_Z2 * reference(result.certificate)
@@ -492,7 +492,7 @@ def root_count_oracle(polynomial, lo, hi, grid=1024):
     """Distinct real roots in (lo, hi): exhaust rational roots exactly,
     then count sign changes of the deflated remainder on a fine grid.
     Exact at every step because the remainder has no rational roots."""
-    ints = primitive_ints(polynomial.squarefree_part())
+    ints = primitive_ints(reference(polynomial).squarefree_part())
     shift = 0
     while ints[shift] == 0:
         shift += 1

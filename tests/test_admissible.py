@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fiberjoin.admissible import (
@@ -27,7 +27,7 @@ from fiberjoin.admissible import (
     genus_threshold,
     solve_csc,
 )
-from fiberjoin.exactalg import Polynomial, strictly_positive_on
+from fiberjoin.exactalg import Polynomial
 from fiberjoin.model import BaseFactor, SpecError, make_spec
 from oracles import (
     AnsatzError,
@@ -40,6 +40,7 @@ from oracles import (
     reduced_characteristic_product,
     reference_extremal_profile,
     reference_solve_csc,
+    sturm_positive_on,
 )
 from test_cli import specs
 
@@ -73,8 +74,7 @@ def test_admissible_data_of_reference_spec():
     (e1, e2) = data.entries
     assert (e1.s, e2.s) == (-8, 2)
     assert (e1.r, e2.r) == (Fraction(1, 3), Fraction(-1, 2))
-    assert data.d0 == 0 and data.dinf == 0
-    assert data.base_entries == data.entries
+    assert [e.label for e in data.entries] == ["factor_0", "factor_1"]
 
 
 def test_admissible_data_fiber_entries():
@@ -97,8 +97,8 @@ def test_admissible_data_drops_unretained_factor():
         [BaseFactor.surface(0), BaseFactor.surface(2)], [[2, 3], [1, 3]], (0, 0)
     )
     data = admissible_data(spec)
-    assert len(data.base_entries) == 1
-    assert data.base_entries[0].label == "factor_0"
+    assert len(data.entries) == 1
+    assert data.entries[0].label == "factor_0"
 
 
 def test_admissible_data_requires_split():
@@ -153,7 +153,7 @@ def test_admissible_data_rejects_higher_projective_factor():
 
 def test_r_values_live_in_open_unit_interval():
     data = admissible_data(surface_pair(5, 3))
-    for e in data.base_entries:
+    for e in data.entries:
         assert -1 < e.r < 1
 
 
@@ -466,9 +466,10 @@ def test_profile_factors_over_fiber_blocks(spec_params):
     result = extremal_profile(data)
     fibers = PLUS ** (d0 + 1) * MINUS ** (dinf + 1)
     assert result.profile.coeffs == (fibers * reference(result.factor)).coeffs
-    assert result.factor.degree <= len(data.base_entries) + 1
+    assert result.factor.degree <= sum(abs(e.r) < 1 for e in data.entries) + 1
     assert result.positive == (
-        not result.profile.is_zero and strictly_positive_on(result.profile, -1, 1)
+        not result.profile.is_zero
+        and sturm_positive_on(reference(result.profile), -1, 1)
     )
 
 
@@ -490,6 +491,46 @@ def test_profile_reads_each_entry_by_dim_s_and_r_in_any_order(spec, draws):
     ]
     permuted = AdmissibleData(tuple(draws.draw(st.permutations(relabelled))))
     assert extremal_profile(permuted) == extremal_profile(data)
+
+
+def outcome(solve, data):
+    """The solve's answer, or the class and message of its refusal."""
+    try:
+        return solve(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+LABELS = st.one_of(st.sampled_from([FIBER_ZERO, FIBER_INFINITY, "factor_0"]), st.text())
+
+
+@given(
+    st.lists(
+        st.tuples(unit_r, rational_s, st.integers(min_value=1, max_value=3)),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda t: t[0],
+    ),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2),
+    st.lists(LABELS, min_size=5, max_size=5),
+)
+# Two retained factors, one relabelled as a fiber block; and a fiber
+# block at r = 1 relabelled as a retained factor.
+@example([(Fraction(1, 3), Fraction(-2), 1), (Fraction(-1, 2), Fraction(2), 1)], 0, 0,
+         ["factor_0", FIBER_ZERO, "", "", ""])
+@example([(Fraction(1, 3), Fraction(-2), 1)], 1, 0, ["factor_0", "factor_1", "", "", ""])
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_labels_only_name_entries(params, d0, dinf, labels):
+    """An entry's role is told by its r alone: relabelling the entries
+    with any strings, the fiber blocks' labels included, changes
+    neither the extremal solve nor the CSC answer or refusal."""
+    data = data_with_fiber_blocks(params, d0, dinf)
+    relabelled = AdmissibleData(
+        tuple(AdmissibleEntry(label, e.dim, e.s, e.r) for label, e in zip(labels, data.entries))
+    )
+    for solve in (extremal_profile, solve_csc):
+        assert outcome(solve, relabelled) == outcome(solve, data)
 
 
 # --- csc solver -----------------------------------------------------------
@@ -525,7 +566,7 @@ def test_csc_positivity_failure():
 def test_csc_returned_s_solves_both_equations():
     for genera in [(5, 3), (18, 14), (31, 25)]:
         data = admissible_data(surface_pair(*genera))
-        (e1, e2) = data.base_entries
+        (e1, e2) = data.entries
         result = solve_csc(data)
         assert curvature_equation(e1.s, e1.r, e2.r, result.s) == 0
         assert curvature_equation(e2.s, e2.r, e1.r, result.s) == 0
@@ -549,9 +590,13 @@ def test_csc_rejects_equal_parameters():
 
 
 def test_csc_rejects_wrong_shape():
-    lone = AdmissibleData((base_entry(0, 1, Fraction(1, 2)),))
-    with pytest.raises(Exception):
-        solve_csc(lone)
+    """One entry, or a retained factor and a fiber block at r = +-1, are
+    not two retained factors on a trivial split."""
+    factor = base_entry(0, -2, Fraction(1, 3))
+    for entries in [(factor,), (factor, base_entry(1, 2, 1)), (factor, base_entry(1, 2, -1))]:
+        for solve in (solve_csc, reference_solve_csc, csc_ansatz):
+            with pytest.raises(SpecError, match="^two retained factors and a trivial split"):
+                solve(AdmissibleData(entries))
 
 
 def test_csc_zero_parameter_is_inconsistent():
@@ -580,7 +625,7 @@ def test_csc_consistent_solutions_satisfy_oracle(r1, r2, s1):
     if s >= 0 and s1 * r1 < 2 and s2 * r2 < 2:
         assert result.verdict == CSC
     if result.verdict == CSC:
-        assert strictly_positive_on(result.certificate, -1, 1)
+        assert sturm_positive_on(reference(result.certificate), -1, 1)
 
 
 @given(rational_r, rational_r, rational_s, rational_s, st.booleans())

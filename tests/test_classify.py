@@ -453,7 +453,7 @@ def test_witnesses_revalidate(g1, g2, a, b, c, d):
     for verdict in classify(spec):
         if verdict.rule == "csc-profile-certificate":
             data = admissible_data(spec)
-            (e1, e2) = data.base_entries
+            (e1, e2) = data.entries
             s = Fraction(verdict.witness["s"])
             assert curvature_equation(e1.s, e1.r, e2.r, s) == 0
             assert curvature_equation(e2.s, e2.r, e1.r, s) == 0
@@ -1046,25 +1046,26 @@ def counted(monkeypatch):
     count(model, "_two_curve_base")
     count(BaseProduct, "describe")
     count(adm, "_operator_column", key=lambda k, u, v: (k, u, v))
-    adm._shared_column.cache_clear()
     adm._operator_columns.cache_clear()
     yield calls
-    adm._shared_column.cache_clear()
     adm._operator_columns.cache_clear()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_survey_derives_its_shared_facts_once(counted, fmt):
     """A survey shaped like g2 x g3 at split (0, 0): the base's facts
-    are derived once per survey, not per entry, and each operator
-    column once per (k, u, v); the cached columns are tuples."""
+    are derived once per survey, not per entry, and the operator
+    columns of each (top, u, v) shape once, column k for every shape
+    with top >= k; the cached columns are tuples."""
     report = survey(BaseProduct((BaseFactor.surface(2), BaseFactor.surface(3))), (0, 0), 4)
     assert len(report.entries) > 100
     emit(report, fmt)
     assert (counted["_two_curve_base"], counted["describe"]) == (1, 1)
+    shapes = [(2, 0, 0), (3, 0, 0)]
+    assert adm._operator_columns.cache_info().misses == len(shapes)
     columns = {key: n for key, n in counted.items() if isinstance(key, tuple)}
-    assert columns and set(columns.values()) == {1}
-    for top, u, v in [(2, 0, 0), (3, 0, 0)]:
+    assert columns == Counter((k, u, v) for top, u, v in shapes for k in range(top + 1))
+    for top, u, v in shapes:
         shared, lead = adm._operator_columns(top, u, v)
         assert type(shared) is tuple and all(type(column) is tuple for column in shared)
         assert lead == math.prod(column[-1] for column in shared)

@@ -907,6 +907,93 @@ def test_mutated_survey_requests_keep_the_contract(document, cap):
     assert_contract(["survey", "-"], document)
 
 
+# Values of each JSON type but the one a key wants, the reader's
+# non-finite floats among them.
+WRONG_TYPES = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), None]),
+    st.text(max_size=4),
+    st.lists(st.integers(min_value=-2, max_value=5), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(min_value=-2, max_value=5), max_size=2),
+)
+
+SMALL_INTEGERS = st.integers(min_value=1, max_value=9)
+
+# Zero and negative entries, and 4,300-digit ones, the longest the
+# reader takes.
+HOSTILE_INTEGERS = SMALL_INTEGERS | st.sampled_from(
+    [0, -1, -9, 10**4299, int("9" * 4300), -int("9" * 4300)]
+)
+
+
+def _value(doc, path):
+    target, key = _container(doc, path)
+    return target[key]
+
+
+@st.composite
+def hostile_joins(draw):
+    """A join document of any split shape, over small or hostile
+    integers, then up to three edits: a wrong type at a key, an unknown
+    key, or a deleted key."""
+    integers = draw(st.sampled_from([SMALL_INTEGERS, HOSTILE_INTEGERS]))
+    factor = st.one_of(
+        integers.map(lambda genus: {"kind": "surface", "genus": genus}),
+        st.integers(min_value=1, max_value=3).map(
+            lambda n: {"kind": "projective_space", "n": n}
+        ),
+        st.just({"kind": "torus"}),
+    )
+    base = draw(st.lists(factor, min_size=1, max_size=3))
+    row = st.lists(integers, min_size=len(base), max_size=len(base))
+    d0, dinf = (draw(st.sampled_from([0, 0, 1, 2])) for _ in range(2))
+    if draw(st.booleans()):
+        rows = [draw(row)] * (d0 + 1) + [draw(row)] * (dinf + 1)
+    else:
+        rows = draw(st.lists(row, min_size=2, max_size=4))
+    doc = json.loads(json.dumps({"base": base, "K": rows}))
+    split = draw(st.sampled_from(["blocks", "blocks", "other", "null", "absent"]))
+    if split == "blocks":
+        doc["split"] = [d0, dinf]
+    elif split == "other":
+        doc["split"] = [draw(st.integers(0, 3)), draw(st.integers(0, 3))]
+    elif split == "null":
+        doc["split"] = None
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        paths = list(paths_below(doc))
+        edit = draw(st.sampled_from(["wrong type", "unknown key", "delete"]))
+        if edit == "unknown key":
+            values = (_value(doc, path) for path in paths)
+            objects = [doc] + [value for value in values if isinstance(value, dict)]
+            draw(st.sampled_from(objects))[draw(st.text())] = draw(WRONG_TYPES)
+        elif paths:
+            target, key = _container(doc, draw(st.sampled_from(paths)))
+            if edit == "delete":
+                del target[key]
+            else:
+                target[key] = draw(WRONG_TYPES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(JOIN_COMMANDS), hostile_joins())
+def test_hostile_join_documents_keep_the_contract(command, document):
+    """Exit 0 with JSON on stdout, or exit 1 or 2 with exactly one
+    ``error:`` line; never a traceback, and no child process is left."""
+    code, out, err = call_main([command, "-"], json.dumps(document))
+    assert code in (0, 1, 2), (document, code)
+    if code == 0:
+        json.loads(out)
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("\n"), err
+        assert err.count("\n") == 1, err
+    assert "Traceback" not in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
 
 # --- serialise and parse ---------------------------------------------------------
 

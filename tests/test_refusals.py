@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from fiberjoin.admissible import admissible_data
+from fiberjoin.admissible import AdmissibleData, AdmissibleEntry, admissible_data
 from fiberjoin.classify import BoundsTooLargeError, _json_text, serialize_rational, survey
 from fiberjoin.cli import _unique_keys, main
 from fiberjoin.einstein import fano_index, se_check
@@ -50,6 +50,7 @@ UNSPLIT = make_spec([BaseFactor.surface(2), BaseFactor.surface(3)], [[2, 1], [1,
 LINES_THREE_ROWS = make_spec([BaseFactor.projective_space(1)] * 2, [[2, 1]] * 3)
 ZERO = Polynomial.from_coeffs([0])
 LINE = Polynomial.from_coeffs([1, 1])
+ENTRY = AdmissibleEntry("factor_0", 1, Fraction(-2), Fraction(1, 3))
 
 REFUSALS = {
     "torus-genus-2": (
@@ -154,6 +155,37 @@ REFUSALS = {
             )
         ),
         DigitLimitError(),
+    ),
+    # An admissible record refuses a malformed field when it is built:
+    # a float s or r, a dim that is not an integer, and entries that
+    # are not a tuple of entries.
+    "entry-float-s": (
+        lambda: AdmissibleEntry("factor_0", 1, 0.5, Fraction(1, 3)),
+        TypeError("not an exact scalar: 0.5"),
+    ),
+    "entry-float-r": (
+        lambda: AdmissibleEntry("factor_0", 1, Fraction(2), 0.25),
+        TypeError("not an exact scalar: 0.25"),
+    ),
+    "entry-bool-r": (
+        lambda: AdmissibleEntry("factor_0", 1, Fraction(2), True),
+        TypeError("not an exact scalar: True"),
+    ),
+    "entry-bool-dim": (
+        lambda: AdmissibleEntry("factor_0", True, Fraction(2), Fraction(1, 3)),
+        SpecError("dim must be an integer, not bool"),
+    ),
+    "entry-string-dim": (
+        lambda: AdmissibleEntry("factor_0", "1", Fraction(2), Fraction(1, 3)),
+        SpecError("dim must be an integer, not str"),
+    ),
+    "admissible-data-of-a-list": (
+        lambda: hash(AdmissibleData([ENTRY])),
+        SpecError("admissible data must be a tuple of admissible entries"),
+    ),
+    "admissible-data-of-a-non-entry": (
+        lambda: AdmissibleData((ENTRY, (1, Fraction(2), Fraction(1, 3)))),
+        SpecError("admissible data must be a tuple of admissible entries"),
     ),
     # A JSON object's pairs: json.loads would keep the last value of K.
     "repeated-key": (
