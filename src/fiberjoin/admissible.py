@@ -185,7 +185,7 @@ def _source(l_nums, q_nums, scale, an, bn, det, den) -> Polynomial:
     alpha = an / det and beta = bn / det, every argument an integer."""
     affine = _times_linear(q_nums, scale * an, scale * bn)
     nums = [det * x for x in l_nums] + [0] * (len(affine) - len(l_nums))
-    return Polynomial.from_numerators([x + y for x, y in zip(nums, affine)], den * det)
+    return Polynomial([x + y for x, y in zip(nums, affine)], den * det)
 
 
 def _times_binomial_pair(a: int, b: int, nums: list[int], den: int) -> Polynomial:
@@ -203,7 +203,7 @@ def _times_binomial_pair(a: int, b: int, nums: list[int], den: int) -> Polynomia
         if x:
             for j, y in enumerate(pair, i):
                 out[j] += x * y
-    return Polynomial.from_numerators(out, den)
+    return Polynomial(out, den)
 
 
 def _operator_column(k: int, u: int, v: int) -> list[int]:
@@ -387,7 +387,7 @@ def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
     an, bn = a2 * b1 - a1 * b2, a0 * b2 - a2 * b0
     alpha, beta = Fraction(an, det), Fraction(bn, det)
     h_nums = [det * y0 + an * y1 + bn * y2 for y0, y1, y2 in zip(x0, x1, x2)]
-    factor = Polynomial.from_numerators(h_nums, total * det)
+    factor = Polynomial(h_nums, total * det)
     profile = _times_binomial_pair(u + 1, v + 1, factor.nums, factor.den)
     source = _source(l_nums, q_nums, scale, an, bn, det, q_den * scale)
 
@@ -397,7 +397,7 @@ def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
         for n, c in enumerate(columns[k], k - 2):
             if n >= 0:
                 image[n] += x * c
-    assert Polynomial.from_numerators(image, factor.den) == (
+    assert Polynomial(image, factor.den) == (
         source if high is q_nums else _source(low, high, scale, an, bn, det, den)
     )
     # F(+-1) = 0 by the factor B.  F'(-1) = 2 p(-1) and F'(1) = -2 p(1),

@@ -6,12 +6,12 @@ rationals.  A dense univariate polynomial is stored as integer
 numerators over one positive common denominator, the layout of
 FLINT's fmpq_poly (von zur Gathen and Gerhard, *Modern Computer
 Algebra*, ch. 6), with only what the solve and the root counter run,
-on Python integers.  Descartes' rule of signs after a Möbius map
-decides positivity on an open interval and, by bisection, counts the
-roots there; gcds and square-free parts come from a primitive
-pseudo-remainder sequence; square linear systems are solved by
-fraction-free (Bareiss) elimination.  No floating point enters any
-decision.
+on Python integers, and its one constructor keeps the form canonical.
+Descartes' rule of signs after a Möbius map decides positivity on an
+open interval and, by bisection, counts the roots there; gcds and
+square-free parts come from a primitive pseudo-remainder sequence;
+square linear systems are solved by fraction-free (Bareiss)
+elimination.  No floating point enters any decision.
 """
 
 from __future__ import annotations
@@ -100,39 +100,42 @@ class Polynomial(Record):
     numerators over one denominator: the coefficient of z^k is
     nums[k] / den.
 
-    The form is canonical, so == and hash compare structure: den > 0,
-    gcd(den, *nums) == 1 and no trailing zero numerator; the zero
-    polynomial is ((), 1) and has degree -1.  Then den is the least
-    common denominator of the coefficients.  The solve builds with
-    ``from_numerators``; ``Polynomial(nums, den)`` takes a pair already
-    in canonical form.  ``from_coeffs`` and ``coeffs`` are the one
-    conversion to and from Fraction coefficients, through which callers
-    and tests build and read values.  There is no ring arithmetic.
+    ``Polynomial(nums, den)`` takes integer numerators over a nonzero
+    integer denominator, booleans refused, and keeps the canonical form,
+    so == and hash compare structure: den > 0, gcd(den, *nums) == 1 and
+    no trailing zero numerator; the zero polynomial is ((), 1) and has
+    degree -1.  Then den is the least common denominator of the
+    coefficients.  ``from_coeffs`` and ``coeffs`` are the one conversion
+    to and from Fraction coefficients, through which callers and tests
+    build and read values.  There is no ring arithmetic.
     """
 
-    # Built for every derivative, gcd and solve result, so kept as a
-    # generated record would be: no ``_values``, compared field by field.
     def __init__(self, nums: tuple[int, ...], den: int = 1):
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.nums == other.nums and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
+        # A canonical tuple is kept as given; copies only where it changes.
+        nums = tuple(nums)
+        for n in nums:
+            if type(n) is not int:
+                raise TypeError("polynomial numerators must be integers")
+        if type(den) is not int:
+            raise TypeError("polynomial denominator must be an integer")
+        if not den:
+            raise ZeroDivisionError("polynomial denominator is zero")
+        while nums and not nums[-1]:
+            nums = nums[:-1]
+        if not nums:
+            den = 1
+        elif den != 1:
+            if den < 0:
+                nums, den = tuple([-n for n in nums]), -den
+            g = gcd(den, *nums)
+            if g != 1:
+                nums, den = tuple([n // g for n in nums]), den // g
+        vars(self).update(nums=nums, den=den, _values=(nums, den))
 
     @staticmethod
     def from_coeffs(coeffs: Iterable) -> "Polynomial":
         """The polynomial with these coefficients, in ascending degree."""
-        return _canonical(*_over_common_denominator(coeffs))
-
-    @staticmethod
-    def from_numerators(nums: Iterable[int], den: int) -> "Polynomial":
-        """The polynomial with coefficients nums[k] / den, den != 0."""
-        return _canonical(list(nums), den)
+        return Polynomial(*_over_common_denominator(coeffs))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -163,7 +166,7 @@ class Polynomial(Record):
         return Fraction(acc, self.den * scale)
 
     def derivative(self) -> "Polynomial":
-        return _canonical([i * n for i, n in enumerate(self.nums)][1:], self.den)
+        return Polynomial([i * n for i, n in enumerate(self.nums)][1:], self.den)
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Monic greatest common divisor.
@@ -189,26 +192,6 @@ class Polynomial(Record):
         return _monic(quot)
 
 
-def _canonical(nums: list[int], den: int) -> Polynomial:
-    """The polynomial with coefficients nums[k] / den, den != 0, in
-    canonical form."""
-    while nums and not nums[-1]:
-        nums.pop()
-    if not nums:
-        return _ZERO
-    if den < 0:
-        nums, den = [-n for n in nums], -den
-    if den != 1:
-        g = gcd(den, *nums)
-        if g != 1:
-            nums = [n // g for n in nums]
-            den //= g
-    return Polynomial(tuple(nums), den)
-
-
-_ZERO = Polynomial(())
-
-
 def _primitive(nums: Sequence[int]) -> list[int]:
     """The numerators divided by their content, the gcd of them all."""
     g = gcd(*nums)
@@ -217,7 +200,7 @@ def _primitive(nums: Sequence[int]) -> list[int]:
 
 def _monic(nums: Sequence[int]) -> Polynomial:
     """The monic polynomial proportional to nums (zero for no nums)."""
-    return _canonical(list(nums), nums[-1]) if nums else _ZERO
+    return Polynomial(nums, nums[-1] if nums else 1)
 
 
 def _pseudo_divmod(

@@ -183,8 +183,9 @@ def _two_curve_base(genera: tuple[Optional[int], ...]) -> Optional[tuple[int, in
 class BaseFacts:
     """What the base alone decides, kept by ``BaseProduct.facts``: its
     c1 vector, genera, and for a product of two curves their genera
-    and its Betti numbers (else None), each a tuple.  A plain class,
-    not a generated record: see ``exactalg.Record``."""
+    and its Betti numbers (else None), each a tuple.  A plain class
+    with ``__slots__``, not a record: it is built once per base and
+    never compared or hashed."""
 
     __slots__ = ("c1", "genera", "curves", "betti")
 
@@ -393,7 +394,8 @@ class JoinFacts:
     (w0, winf, d0, dinf), pole classes and block sizes read from the
     declared split (None when the join is unsplit), and the retained
     factors, where w0 and winf differ (() when unsplit).  A plain
-    class, not a generated record: see ``exactalg.Record``."""
+    class with ``__slots__``, not a record: it is built once per join
+    and never compared or hashed."""
 
     __slots__ = ("c1", "join", "blocks", "retained")
 

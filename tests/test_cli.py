@@ -1,6 +1,7 @@
 """Exit codes, document handling, and output formats of the CLI."""
 
 import argparse
+import csv
 import errno
 import hashlib
 import importlib
@@ -932,6 +933,25 @@ def _value(doc, path):
     return target[key]
 
 
+def edited(draw, doc):
+    """``doc`` after up to three edits: a wrong type at a key, an
+    unknown key, or a deleted key."""
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        paths = list(paths_below(doc))
+        edit = draw(st.sampled_from(["wrong type", "unknown key", "delete"]))
+        if edit == "unknown key":
+            values = (_value(doc, path) for path in paths)
+            objects = [doc] + [value for value in values if isinstance(value, dict)]
+            draw(st.sampled_from(objects))[draw(st.text())] = draw(WRONG_TYPES)
+        elif paths:
+            target, key = _container(doc, draw(st.sampled_from(paths)))
+            if edit == "delete":
+                del target[key]
+            else:
+                target[key] = draw(WRONG_TYPES)
+    return doc
+
+
 @st.composite
 def hostile_joins(draw):
     """A join document of any split shape, over small or hostile
@@ -960,20 +980,7 @@ def hostile_joins(draw):
         doc["split"] = [draw(st.integers(0, 3)), draw(st.integers(0, 3))]
     elif split == "null":
         doc["split"] = None
-    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
-        paths = list(paths_below(doc))
-        edit = draw(st.sampled_from(["wrong type", "unknown key", "delete"]))
-        if edit == "unknown key":
-            values = (_value(doc, path) for path in paths)
-            objects = [doc] + [value for value in values if isinstance(value, dict)]
-            draw(st.sampled_from(objects))[draw(st.text())] = draw(WRONG_TYPES)
-        elif paths:
-            target, key = _container(doc, draw(st.sampled_from(paths)))
-            if edit == "delete":
-                del target[key]
-            else:
-                target[key] = draw(WRONG_TYPES)
-    return doc
+    return edited(draw, doc)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -988,6 +995,98 @@ def test_hostile_join_documents_keep_the_contract(command, document):
         assert err == ""
     else:
         assert out == ""
+        assert err.startswith("error: ") and err.endswith("\n"), err
+        assert err.count("\n") == 1, err
+    assert "Traceback" not in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Zero, negative and 4,300-digit counts, the longest the reader takes.
+HOSTILE_COUNTS = st.sampled_from([0, -1, -3, 10**4299, int("9" * 4300), -int("9" * 4300)])
+
+# Stands in a document for text that json.dumps cannot write.
+PLACEHOLDER = "\x00placeholder\x00"
+
+CSV_HEADER = ["K", "d", "n", "colinear", "c1", "euler", "p1", "spin", "verdicts"]
+
+
+def repeated_key_text(obj, value):
+    """The JSON text of a nonempty object with its first key written
+    twice, first with ``value``."""
+    key = next(iter(obj))
+    return "{" + f"{json.dumps(key)}: {json.dumps(value)}, " + json.dumps(obj)[1:]
+
+
+@st.composite
+def hostile_surveys(draw):
+    """The text of a survey request: a small survey of max_entry at most
+    3 over 0-5 factors, or one with hostile integers at any key, any
+    split shape, up to three edits (a wrong type at a key, an unknown
+    key, a deleted key), and maybe a repeated key or 5,000-deep
+    nesting."""
+    hostile = draw(st.booleans())
+    small = st.integers(min_value=1, max_value=3)
+    counts = small | HOSTILE_COUNTS if hostile else small
+    factor = st.one_of(
+        (st.integers(min_value=0, max_value=4) | counts).map(
+            lambda g: {"kind": "surface", "genus": g}
+        ),
+        small.map(lambda n: {"kind": "projective_space", "n": n}),
+        st.just({"kind": "torus"}),
+    )
+    splits = st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=2)
+    if hostile:
+        splits |= st.sampled_from([[], [0], [0, 0, 0], [-1, 0], [int("9" * 4300), 0], None])
+    doc = {
+        "base": draw(st.lists(factor, min_size=0 if hostile else 1, max_size=5)),
+        "split": draw(splits),
+        "max_entry": draw(counts),
+        "cap": draw(st.integers(min_value=1, max_value=5000) | counts),
+    }
+    if draw(st.booleans()):
+        del doc["cap"]
+    if not hostile:
+        return json.dumps(doc)
+    # Edited in a copy: the drawn factor objects may be shared.
+    doc = edited(draw, json.loads(json.dumps(doc)))
+    text = draw(st.sampled_from(["as is", "repeated", "nested"]))
+    if text == "nested" and draw(st.booleans()):
+        return "[" * 5000 + "]" * 5000
+    # A repeated key goes in an object with a key: the request or a factor.
+    paths = [
+        path for path in paths_below(doc)
+        if text == "nested" or (isinstance(_value(doc, path), dict) and _value(doc, path))
+    ]
+    if text == "as is" or not paths:
+        return json.dumps(doc)
+    if text == "repeated" and draw(st.booleans()):
+        return repeated_key_text(doc, draw(WRONG_TYPES | small))
+    target, key = _container(doc, draw(st.sampled_from(paths)))
+    replaced, target[key] = target[key], PLACEHOLDER
+    nested = "[" * 5000 + "]" * 5000
+    if text == "repeated":
+        nested = repeated_key_text(replaced, draw(WRONG_TYPES | small))
+    return json.dumps(doc).replace(json.dumps(PLACEHOLDER), nested)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(["json", "csv"]), hostile_surveys())
+def test_hostile_survey_requests_keep_the_contract(fmt, text):
+    """Exit 0 with JSON, or csv under its header row, on stdout, or exit
+    1 or 2 with exactly one ``error:`` line; never a traceback, no child
+    process left, and each request answered in a few seconds."""
+    started = time.perf_counter()
+    code, out, err = call_main(["survey", "-", "--format", fmt], text)
+    assert time.perf_counter() - started < 10.0, text[:200]
+    assert code in (0, 1, 2), (text[:200], code)
+    if code == 0:
+        if fmt == "json":
+            json.loads(out)
+        else:
+            assert next(csv.reader(io.StringIO(out))) == CSV_HEADER
+        assert err == ""
+    else:
         assert err.startswith("error: ") and err.endswith("\n"), err
         assert err.count("\n") == 1, err
     assert "Traceback" not in err

@@ -45,10 +45,38 @@ def test_construction_strips_leading_zeros():
     st.lists(st.integers(min_value=-50, max_value=50), max_size=6),
     st.integers(min_value=-30, max_value=30).filter(bool),
 )
-def test_from_numerators_is_canonical(nums, den):
-    assert Polynomial.from_numerators(nums, den) == Polynomial.from_coeffs(
+def test_constructor_is_canonical(nums, den):
+    """Any integer numerators over a nonzero integer denominator, in
+    canonical form, with the reference's coefficients."""
+    p = Polynomial(nums, den)
+    assert_canonical(p)
+    assert p.coeffs == FractionPolynomial.from_coeffs(
         [Fraction(n, den) for n in nums]
-    )
+    ).coeffs
+
+
+# Pairs not in canonical form are brought into it.
+def test_negative_denominator_is_made_positive():
+    minus_one = Polynomial((1,), -1)
+    assert (minus_one.nums, minus_one.den) == ((-1,), 1)
+    assert not strictly_positive_on(minus_one, -1, 1)
+
+
+def test_zero_numerators_are_the_zero_polynomial():
+    zero = Polynomial((0,), 1)
+    assert zero.is_zero and (zero.nums, zero.den) == ((), 1)
+    with pytest.raises(ZeroPolynomialError):
+        strictly_positive_on(zero, -1, 1)
+
+
+def test_trailing_zeros_and_common_factors_are_removed():
+    one, expected = Polynomial((1, 0), 1), Polynomial.from_coeffs([1])
+    assert one == expected and hash(one) == hash(expected)
+    assert Polynomial((2, 4), 2) == Polynomial.from_coeffs([1, 2])
+
+
+def test_list_numerators_hash():
+    assert hash(Polynomial([1, 2], 1)) == hash(Polynomial.from_coeffs([1, 2]))
 
 
 def test_zero_polynomial():
@@ -277,8 +305,8 @@ def test_equal_polynomials_compare_and_hash_equal(a):
     # Over twice the least common denominator, which the form reduces,
     # and over its negative with trailing zeros, which the form strips.
     den = 2 * lcm(1, *(c.denominator for c in a))
-    scaled = Polynomial.from_numerators([int(c * den) for c in a], den)
-    negated = Polynomial.from_numerators([-int(c * den) for c in a] + [0, 0], -den)
+    scaled = Polynomial([int(c * den) for c in a], den)
+    negated = Polynomial([-int(c * den) for c in a] + [0, 0], -den)
     assert direct == scaled == negated
     assert hash(direct) == hash(scaled) == hash(negated)
     zero = Polynomial.from_coeffs([0, 0])

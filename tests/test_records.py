@@ -3,9 +3,11 @@ position and by keyword with the documented defaults, equality and
 hashing by class and fields, the ``Name(field=value, ...)`` text, and
 refusal of assignment and deletion."""
 
+import ast
 import importlib
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -110,7 +112,7 @@ def test_records_of_two_classes_are_never_equal():
     for a, b in itertools.combinations(records, 2):
         assert a != b and not a == b
     # The same field values in two classes of the same shape.
-    assert topology.HomeoKey(4, 2) != exactalg.Polynomial(4, 2)
+    assert topology.HomeoKey((1,), 3) != exactalg.Polynomial((1,), 3)
     assert topology.HomeoKey(4, 2) != (4, 2)
 
 
@@ -124,6 +126,30 @@ def test_repr():
         "AdmissibleEntry(label='factor_0', dim=1, s=Fraction(-2, 1), r=Fraction(1, 3))"
     )
     assert repr(topology.HomeoKey(4, 2)) == "HomeoKey(p1=4, euler=2)"
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=IDS)
+def test_records_keep_the_inherited_methods(cls):
+    """A record compares, hashes and refuses assignment through
+    ``Record``'s methods, on the ``_values`` its ``__init__`` stores."""
+    for name in ("__eq__", "__hash__", "__setattr__"):
+        assert getattr(cls, name) is getattr(exactalg.Record, name)
+
+
+def test_no_module_calls_object_setattr():
+    """Records store their fields through ``vars(self).update``; no
+    module writes around ``__setattr__`` with ``object.__setattr__``."""
+    package = Path(exactalg.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("cls, fields", RECORDS.items(), ids=IDS)

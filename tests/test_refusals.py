@@ -109,6 +109,28 @@ REFUSALS = {
         lambda: strictly_positive_on(ZERO, 0, 1),
         ZeroPolynomialError("positivity is undefined for the zero polynomial"),
     ),
+    # A polynomial is built from integer numerators over a nonzero
+    # integer denominator, booleans refused, and nothing else.
+    "polynomial-float-numerator": (
+        lambda: Polynomial((0.5,), 1),
+        TypeError("polynomial numerators must be integers"),
+    ),
+    "polynomial-bool-numerator": (
+        lambda: Polynomial((1, True), 1),
+        TypeError("polynomial numerators must be integers"),
+    ),
+    "polynomial-string-denominator": (
+        lambda: Polynomial((1, 2), "3"),
+        TypeError("polynomial denominator must be an integer"),
+    ),
+    "polynomial-non-iterable-numerators": (
+        lambda: Polynomial(4, 2),
+        TypeError("'int' object is not iterable"),
+    ),
+    "polynomial-zero-denominator": (
+        lambda: Polynomial((1, 2), 0),
+        ZeroDivisionError("polynomial denominator is zero"),
+    ),
     "roots-empty-interval": (
         lambda: count_roots_in_open_interval(LINE, 1, 1),
         ValueError("empty interval"),
