@@ -29,6 +29,7 @@ from .classify import (
     parse_survey,
     spec_report,
     survey,
+    survey_chunks,
 )
 from .einstein import SEVerdict, fano_index, se_check
 from .exactalg import (

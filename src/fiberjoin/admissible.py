@@ -57,30 +57,32 @@ class RepeatedNodeError(SingularSystemError):
     source polynomial must take at -1/r conflict."""
 
 
-FIBER_ZERO = "fiber_zero"
-FIBER_INFINITY = "fiber_infinity"
-
-
 class AdmissibleEntry(Record):
     """One index of the admissible data: a retained base factor or a
     fiber block.  dim is the complex dimension carried by the index,
-    s the normalized scalar curvature, r the class parameter."""
+    at least 1, s the normalized scalar curvature, r the class
+    parameter."""
 
-    def __init__(self, label: str, dim: int, s: Fraction, r: Fraction):
+    def __init__(self, dim: int, s: Fraction, r: Fraction):
         dim, s, r = integer(dim, "dim"), _as_fraction(s), _as_fraction(r)
-        vars(self).update(label=label, dim=dim, s=s, r=r, _values=(label, dim, s, r))
+        if dim < 1:
+            raise ValueError("every admissible entry needs dim >= 1")
+        vars(self).update(dim=dim, s=s, r=r, _values=(dim, s, r))
 
 
 class AdmissibleData(Record):
-    """The entries of admissible data.  An entry's role is told by its
-    r: the fiber blocks are the entries at r = +1 and -1, and every
-    other entry is a retained factor; labels only name entries."""
+    """The entries of admissible data, at least one, each its
+    (dim, s, r).  An entry's role is told by its r: the fiber blocks
+    are the entries at r = +1 and -1, and every other entry is a
+    retained factor."""
 
     def __init__(self, entries: tuple[AdmissibleEntry, ...]):
         if not isinstance(entries, tuple) or not all(
             isinstance(e, AdmissibleEntry) for e in entries
         ):
             raise SpecError("admissible data must be a tuple of admissible entries")
+        if not entries:
+            raise SpecError("empty admissible data")
         vars(self).update(entries=entries, _values=(entries,))
 
 
@@ -111,25 +113,21 @@ def admissible_data(spec: FiberJoinSpec) -> AdmissibleData:
         diff = w0[a] - winf[a]
         s = Fraction(2 * (1 - genus), diff)
         r = Fraction(diff, w0[a] + winf[a])
-        entries.append(AdmissibleEntry(f"factor_{a}", factor.dim_c, s, r))
-    seen = {}  # by r in lowest terms, which hashes faster than the Fraction
-    for e in entries:
+        entries.append(AdmissibleEntry(factor.dim_c, s, r))
+    seen = {}  # factors by r in lowest terms, which hashes faster than the Fraction
+    for a, e in zip(retained, entries):
         key = (e.r.numerator, e.r.denominator)
         if key in seen:
             try:
-                message = f"{seen[key]} and {e.label} share r = {e.r}"
+                message = f"factor_{seen[key]} and factor_{a} share r = {e.r}"
             except ValueError as exc:  # only the digit limit raises here
                 raise DigitLimitError() from exc
             raise RepeatedParameterError(message)
-        seen[key] = e.label
+        seen[key] = a
     if d0 > 0:
-        entries.append(
-            AdmissibleEntry(FIBER_ZERO, d0, Fraction(d0 + 1), Fraction(1))
-        )
+        entries.append(AdmissibleEntry(d0, Fraction(d0 + 1), Fraction(1)))
     if dinf > 0:
-        entries.append(
-            AdmissibleEntry(FIBER_INFINITY, dinf, Fraction(-(dinf + 1)), Fraction(-1))
-        )
+        entries.append(AdmissibleEntry(dinf, Fraction(-(dinf + 1)), Fraction(-1)))
     return AdmissibleData(tuple(entries))
 
 
@@ -297,23 +295,18 @@ def extremal_profile(data: AdmissibleData) -> ExtremalProfile:
     ``_times_binomial_pair``, times a polynomial of low degree.
     """
     entries = data.entries
-    m = len(entries)
-    if m == 0:
-        raise SpecError("empty admissible data")
     # Integer numerators: with r_a = e_a / c_a, s_a = n_a / m_a,
     # C = prod c_a and M = lcm m_a,
     #   q = prod (c_a + e_a z) / C,
     #   L = sum_a 2 dim_a n_a (M / m_a) e_a prod_{b != a} (c_b + e_b z) / (C M),
     #   R_base = prod_{r_a != +-1} ((c_a + e_a z) / c_a)^(dim_a - 1).
     pairs = [(e.r.denominator, e.r.numerator) for e in entries]
-    if len(set(pairs)) != m:
+    if len(set(pairs)) != len(entries):
         raise RepeatedNodeError("repeated class parameters")
     scale = math.lcm(*(e.s.denominator for e in entries))
     u = v = 0
     q_nums, l_nums, q_den, reduced = [1], [], 1, []
     for (c, e), entry in zip(pairs, entries):
-        if entry.dim < 1:
-            raise ValueError("every admissible entry needs dim >= 1")
         if c != abs(e):
             if entry.dim > 1:
                 reduced.append((c, e, entry.dim - 1))

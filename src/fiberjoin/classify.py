@@ -83,18 +83,28 @@ class BoundsTooLargeError(SpecError):
 
 
 class Verdict(Record):
-    def __init__(self, kind: str, rule: str, citation: str, witness: Optional[dict] = None):
+    """A rule's conclusion.  Its witness, if any, is a tuple of
+    (name, value) pairs, each value a scalar or a tuple of them, so a
+    verdict hashes and the joins that share one cannot change it."""
+
+    def __init__(self, kind: str, rule: str, citation: str, witness: Optional[tuple] = None):
         vars(self).update(
             kind=kind, rule=rule, citation=citation, witness=witness,
             _values=(kind, rule, citation, witness),
         )
 
     def as_dict(self) -> dict:
+        """The verdict as a document, the witness as a dict of lists."""
+        witness = self.witness
+        if witness is not None:
+            witness = {
+                name: list(value) if type(value) is tuple else value for name, value in witness
+            }
         return {
             "kind": self.kind,
             "rule": self.rule,
             "citation": self.citation,
-            "witness": self.witness,
+            "witness": witness,
         }
 
 
@@ -155,7 +165,7 @@ _CONCLUSIONS = {
 }
 
 
-def _verdict(rule: str, witness: Optional[dict] = None) -> Verdict:
+def _verdict(rule: str, witness: Optional[tuple] = None) -> Verdict:
     """The verdict of a rule in ``_CONCLUSIONS``, with its witness."""
     kind, citation = _CONCLUSIONS[rule]
     return Verdict(kind, rule, citation, witness)
@@ -200,7 +210,7 @@ def _rule_colinear(spec: FiberJoinSpec) -> list[Verdict]:
         return []
     verdicts = []
     if spec.d == 1:
-        verdicts.append(_verdict("colinear-subcone-csc", {"b": join.b, "w": list(join.w)}))
+        verdicts.append(_verdict("colinear-subcone-csc", (("b", join.b), ("w", join.w))))
         if _base_scalar_sign(spec.base, join.primitive) >= 0:
             verdicts.append(_verdict("colinear-subcone-exhausted"))
     verdicts.append(_verdict("colinear-extremal-base"))
@@ -219,12 +229,12 @@ def _rule_super_admissible(spec: FiberJoinSpec) -> list[Verdict]:
 def _rule_line_times_curve(spec: FiberJoinSpec) -> list[Verdict]:
     """Joins over (projective line) x (curve): any admissible split for
     genus at most one, else only the distinguished (1, 1) matrix."""
-    genera = spec.base.facts.genera
-    if not spec.facts.retained or len(genera) != 2 or None in genera or 0 not in genera:
+    curves = spec.base.facts.curves
+    if not spec.facts.retained or curves is None or 0 not in curves:
         return []
-    line_idx = genera.index(0)
+    line_idx = curves.index(0)
     other_idx = 1 - line_idx
-    g = genera[other_idx]
+    g = curves[other_idx]
     if g > 1:
         w0, winf, d0, dinf = spec.facts.blocks
         if (d0, dinf) != (1, 1):
@@ -279,8 +289,8 @@ def _rule_profile(spec: FiberJoinSpec) -> Sequence[Verdict]:
     entry's (dim, s, r) as integers, the oldest dropped past 256 keys,
     so a survey solves each distinct data once.  Equal keys give equal
     verdicts: the solve builds q, L and R_base as symmetric functions
-    of the entries and returns canonical polynomials and Fractions, and
-    labels only name entries.  A refusal is not kept, and is raised again."""
+    of the entries and returns canonical polynomials and Fractions.  A
+    refusal is not kept, and is raised again."""
     if spec.facts.blocks is None or spec.d != 1:  # the split is (0, 0)
         return []
     data = _or_none(adm.admissible_data, spec)
@@ -308,13 +318,13 @@ def _profile_verdicts(data: adm.AdmissibleData) -> tuple[Verdict, ...]:
     if len(data.entries) == 2:  # at split (0, 0) every entry is a base entry
         result = adm.csc_from_profile(profile)
         if result.verdict == adm.CSC:
-            witness = {
-                "s": serialize_rational(result.s),
-                "certificate": serialize_polynomial(result.certificate),
-            }
+            witness = (
+                ("s", serialize_rational(result.s)),
+                ("certificate", tuple(serialize_polynomial(result.certificate))),
+            )
             verdicts.append(_verdict("csc-profile-certificate", witness))
     if profile.positive:
-        witness = {"profile": serialize_polynomial(profile.profile)}
+        witness = (("profile", tuple(serialize_polynomial(profile.profile))),)
         verdicts.append(_verdict("extremal-profile-certificate", witness))
     return tuple(verdicts)
 
@@ -325,7 +335,7 @@ def _rule_einstein(spec: FiberJoinSpec) -> list[Verdict]:
         return [Verdict(SE_OBSTRUCTED, "einstein-obstruction-chain", verdict.reason)]
     if verdict.reason == einstein.NECESSARY_CONDITIONS_PASS:
         return []
-    witness = {"count": verdict.count} if verdict.count is not None else None
+    witness = (("count", verdict.count),) if verdict.count is not None else None
     return [Verdict(SE_EXISTS, "einstein-existence", verdict.reason, witness)]
 
 
@@ -596,10 +606,9 @@ def survey_chunks(report: SurveyReport, fmt: str = "json") -> Iterator[str]:
 # fell in 9 of 9 at 378 entries (genus 2 x 3 x 4, max_entry 3) and at
 # 637 and more, but not at 405 cheap ones (genus 2 x 2 x 3, split
 # (1, 0), max_entry 3: 35 ms in one process).  Any value from 406 to
-# 637 fits those runs; the sizes between were not run.  That sweep ran
-# with an earlier reader that read the pipe on every take; the value is
-# kept so that a survey of a few hundred entries, such as genus 0 to the
-# 4th at max_entry 3 (267), stays in one process.
+# 637 fits those runs; the sizes between were not run.  A survey of a
+# few hundred entries, such as genus 0 to the 4th at max_entry 3 (267),
+# stays in one process.
 _HELPER_MIN_ENTRIES = 500
 
 
@@ -906,11 +915,7 @@ def parse_survey(doc: dict) -> tuple:
         return BaseProduct(tuple(factors)), doc["split"], doc["max_entry"], cap
 
 
-def emit(report, fmt: str = "json") -> str:
-    """Serialize a survey report or a plain document; surveys also
-    support csv."""
-    if isinstance(report, SurveyReport):
-        return "".join(survey_chunks(report, fmt))
-    if fmt == "json":
-        return _json_text(report)
-    raise SpecError(f"unsupported format: {fmt}")
+def emit(document) -> str:
+    """A plain document's JSON text; a survey's text comes from
+    ``survey_chunks``."""
+    return _json_text(document)

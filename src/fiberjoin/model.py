@@ -155,13 +155,11 @@ class BaseProduct(Record):
     def dim_c(self) -> int:
         return sum(f.dim_c for f in self.factors)
 
-    def describe(self) -> str:
-        return " x ".join(f.describe() for f in self.factors)
-
     @cached_property
     def description(self) -> str:
-        """``describe()``, kept: the entries of a survey share its base."""
-        return self.describe()
+        """The factors' descriptions joined by " x ", kept: the entries
+        of a survey share its base."""
+        return " x ".join(f.describe() for f in self.factors)
 
     @cached_property
     def facts(self) -> BaseFacts:
@@ -173,11 +171,6 @@ class BaseProduct(Record):
         """The extremal-profile verdicts of joins over this base, by the
         solve's inputs; ``classify`` fills and bounds it."""
         return {}
-
-
-def _two_curve_base(genera: tuple[Optional[int], ...]) -> Optional[tuple[int, int]]:
-    """The genera of a product of two curves; None on any other base."""
-    return genera if len(genera) == 2 and None not in genera else None
 
 
 class BaseFacts:
@@ -192,9 +185,9 @@ class BaseFacts:
     def __init__(self, base: BaseProduct):
         self.c1 = tuple(f.c1_coefficient for f in base.factors)
         self.genera = tuple(f.effective_genus for f in base.factors)
-        self.curves, self.betti = _two_curve_base(self.genera), None
-        if self.curves:
-            g1, g2 = self.curves
+        self.curves = self.betti = None
+        if len(self.genera) == 2 and None not in self.genera:
+            g1, g2 = self.curves = self.genera
             self.betti = (1, 2 * g1 + 2 * g2, 4 * g1 * g2 + 2, 2 * g1 + 2 * g2, 1)
 
 

@@ -16,8 +16,6 @@ import pytest
 
 from fiberjoin.admissible import (
     CSC,
-    FIBER_INFINITY,
-    FIBER_ZERO,
     POSITIVITY_FAILS,
     AdmissibleData,
     AdmissibleEntry,
@@ -76,8 +74,8 @@ def reference(polynomial):
 ONE_MINUS_Z2 = poly(1, 0, -1)
 
 
-def base_entry(idx, s, r):
-    return AdmissibleEntry(f"factor_{idx}", 1, F(s), F(r))
+def base_entry(s, r):
+    return AdmissibleEntry(1, F(s), F(r))
 
 
 # --- criterion 1 -------------------------------------------------------------
@@ -154,10 +152,10 @@ def test_criterion_04_genus_threshold_family():
 def quartet_data(r1, r2):
     return AdmissibleData(
         (
-            AdmissibleEntry("factor_0", 1, F(2), r1),
-            AdmissibleEntry("factor_1", 1, F(-2), r2),
-            AdmissibleEntry(FIBER_ZERO, 1, F(2), F(1)),
-            AdmissibleEntry(FIBER_INFINITY, 1, F(-2), F(-1)),
+            AdmissibleEntry(1, F(2), r1),
+            AdmissibleEntry(1, F(-2), r2),
+            AdmissibleEntry(1, F(2), F(1)),
+            AdmissibleEntry(1, F(-2), F(-1)),
         )
     )
 
@@ -216,13 +214,13 @@ def random_admissible_data(rng):
                 break
         used.add(r)
         s = F(rng.randint(-20, 20), rng.randint(1, 4))
-        entries.append(AdmissibleEntry(f"factor_{idx}", rng.randint(1, 2), s, r))
+        entries.append(AdmissibleEntry(rng.randint(1, 2), s, r))
     d0 = rng.randint(0, 2)
     dinf = rng.randint(0, 2)
     if d0:
-        entries.append(AdmissibleEntry(FIBER_ZERO, d0, F(d0 + 1), F(1)))
+        entries.append(AdmissibleEntry(d0, F(d0 + 1), F(1)))
     if dinf:
-        entries.append(AdmissibleEntry(FIBER_INFINITY, dinf, F(-(dinf + 1)), F(-1)))
+        entries.append(AdmissibleEntry(dinf, F(-(dinf + 1)), F(-1)))
     return AdmissibleData(tuple(entries))
 
 
@@ -245,7 +243,7 @@ def test_criterion_06_extremal_postconditions():
         clone = data.entries[0]
         doubled = AdmissibleData(
             data.entries
-            + (AdmissibleEntry("duplicate", 1, clone.s + 1, clone.r),)
+            + (AdmissibleEntry(1, clone.s + 1, clone.r),)
         )
         with pytest.raises(RepeatedNodeError):
             extremal_profile(doubled)
@@ -266,7 +264,7 @@ def consistent_csc_data(rng):
             break
     s1 = F(rng.randint(-20, 20), rng.randint(1, 3))
     _, s2 = back_solve_csc(r1, r2, s1)
-    return AdmissibleData((base_entry(0, s1, r1), base_entry(1, s2, r2)))
+    return AdmissibleData((base_entry(s1, r1), base_entry(s2, r2)))
 
 
 def test_criterion_07_profile_equals_csc_certificate():

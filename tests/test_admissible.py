@@ -3,13 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiberjoin.admissible import (
     CSC,
-    FIBER_INFINITY,
-    FIBER_ZERO,
     INCONSISTENT,
     POSITIVITY_FAILS,
     AdmissibleData,
@@ -62,8 +60,8 @@ def surface_pair(g1, g2, rows=((2, 1), (1, 3))):
     )
 
 
-def base_entry(idx, s, r):
-    return AdmissibleEntry(f"factor_{idx}", 1, Fraction(s), Fraction(r))
+def base_entry(s, r):
+    return AdmissibleEntry(1, Fraction(s), Fraction(r))
 
 
 # --- admissible data -----------------------------------------------------
@@ -74,7 +72,7 @@ def test_admissible_data_of_reference_spec():
     (e1, e2) = data.entries
     assert (e1.s, e2.s) == (-8, 2)
     assert (e1.r, e2.r) == (Fraction(1, 3), Fraction(-1, 2))
-    assert [e.label for e in data.entries] == ["factor_0", "factor_1"]
+    assert [e.dim for e in data.entries] == [1, 1]
 
 
 def test_admissible_data_fiber_entries():
@@ -84,8 +82,7 @@ def test_admissible_data_fiber_entries():
         (1, 2),
     )
     data = admissible_data(spec)
-    labels = [e.label for e in data.entries]
-    assert labels == ["factor_0", "factor_1", FIBER_ZERO, FIBER_INFINITY]
+    assert [abs(e.r) == 1 for e in data.entries] == [False, False, True, True]
     fiber0 = data.entries[2]
     fiberinf = data.entries[3]
     assert (fiber0.dim, fiber0.s, fiber0.r) == (1, 2, 1)
@@ -98,7 +95,7 @@ def test_admissible_data_drops_unretained_factor():
     )
     data = admissible_data(spec)
     assert len(data.entries) == 1
-    assert data.entries[0].label == "factor_0"
+    assert (data.entries[0].s, data.entries[0].r) == (2, Fraction(1, 3))
 
 
 def test_admissible_data_requires_split():
@@ -185,7 +182,7 @@ def test_profile_reference_case():
 
 def test_profile_boundary_conditions_hand_case():
     data = AdmissibleData(
-        (base_entry(0, 3, Fraction(1, 2)), base_entry(1, -1, Fraction(-1, 3)))
+        (base_entry(3, Fraction(1, 2)), base_entry(-1, Fraction(-1, 3)))
     )
     result = extremal_profile(data)
     p = result.char_product
@@ -199,9 +196,9 @@ def test_profile_boundary_conditions_hand_case():
 def test_profile_second_derivative_factorization():
     data = AdmissibleData(
         (
-            base_entry(0, 2, Fraction(1, 5)),
-            base_entry(1, -4, Fraction(-2, 7)),
-            AdmissibleEntry(FIBER_ZERO, 2, Fraction(3), Fraction(1)),
+            base_entry(2, Fraction(1, 5)),
+            base_entry(-4, Fraction(-2, 7)),
+            AdmissibleEntry(2, Fraction(3), Fraction(1)),
         )
     )
     result = extremal_profile(data)
@@ -212,7 +209,7 @@ def test_profile_second_derivative_factorization():
 
 def test_profile_source_interpolation():
     data = AdmissibleData(
-        (base_entry(0, 5, Fraction(2, 3)), base_entry(1, 1, Fraction(-3, 5)))
+        (base_entry(5, Fraction(2, 3)), base_entry(1, Fraction(-3, 5)))
     )
     result = extremal_profile(data)
     for e in data.entries:
@@ -226,7 +223,7 @@ def test_profile_source_interpolation():
 
 def test_profile_repeated_nodes_raise():
     data = AdmissibleData(
-        (base_entry(0, 1, Fraction(1, 2)), base_entry(1, 2, Fraction(1, 2)))
+        (base_entry(1, Fraction(1, 2)), base_entry(2, Fraction(1, 2)))
     )
     with pytest.raises(RepeatedNodeError):
         extremal_profile(data)
@@ -242,9 +239,9 @@ def test_profile_singular_system_raises():
     singular; both solves refuse it with the same message."""
     data = AdmissibleData(
         (
-            AdmissibleEntry("f0", 1, Fraction(0), Fraction(-3)),
-            AdmissibleEntry(FIBER_ZERO, 3, Fraction(2), Fraction(1)),
-            AdmissibleEntry(FIBER_INFINITY, 3, Fraction(-2), Fraction(-1)),
+            AdmissibleEntry(1, Fraction(0), Fraction(-3)),
+            AdmissibleEntry(3, Fraction(2), Fraction(1)),
+            AdmissibleEntry(3, Fraction(-2), Fraction(-1)),
         )
     )
     for solve in (extremal_profile, reference_extremal_profile):
@@ -252,11 +249,12 @@ def test_profile_singular_system_raises():
             solve(data)
 
 
-@pytest.mark.parametrize("label, r", [("factor_1", Fraction(1, 3)), (FIBER_ZERO, 1)])
-def test_profile_rejects_dimensionless_entries(label, r):
-    entries = (base_entry(0, 2, Fraction(-1, 2)), AdmissibleEntry(label, 0, 3, r))
-    with pytest.raises(ValueError):
-        extremal_profile(AdmissibleData(entries))
+@pytest.mark.parametrize("role, r", [("factor_1", Fraction(1, 3)), ("fiber_zero", 1)])
+def test_profile_rejects_dimensionless_entries(role, r):
+    """An entry of dim 0, in the role of a base factor or of a fiber
+    block, is refused when it is built, so no solve sees it."""
+    with pytest.raises(ValueError, match=r"^every admissible entry needs dim >= 1$"):
+        AdmissibleEntry(0, 3, r)
 
 
 rational_r = st.fractions(
@@ -274,7 +272,7 @@ def test_profile_postconditions_random(params):
     if len(set(rs)) != len(rs):
         return
     entries = tuple(
-        base_entry(i, s, r) for i, (r, s) in enumerate(params)
+        base_entry(s, r) for r, s in params
     )
     result = extremal_profile(AdmissibleData(entries))
     f = result.profile
@@ -287,15 +285,12 @@ def test_profile_postconditions_random(params):
 def data_with_fiber_blocks(params, d0, dinf):
     """Base entries from (r, s, dim) triples, then the fiber blocks of
     dimensions d0 and dinf (none for 0), as ``admissible_data`` adds them."""
-    entries = [
-        AdmissibleEntry(f"factor_{i}", dim, s, r)
-        for i, (r, s, dim) in enumerate(params)
-    ]
+    entries = [AdmissibleEntry(dim, s, r) for r, s, dim in params]
     if d0:
-        entries.append(AdmissibleEntry(FIBER_ZERO, d0, Fraction(d0 + 1), Fraction(1)))
+        entries.append(AdmissibleEntry(d0, Fraction(d0 + 1), Fraction(1)))
     if dinf:
         entries.append(
-            AdmissibleEntry(FIBER_INFINITY, dinf, Fraction(-(dinf + 1)), Fraction(-1))
+            AdmissibleEntry(dinf, Fraction(-(dinf + 1)), Fraction(-1))
         )
     return AdmissibleData(tuple(entries))
 
@@ -477,60 +472,16 @@ def test_profile_factors_over_fiber_blocks(spec_params):
 @settings(max_examples=150, deadline=None)
 def test_profile_reads_each_entry_by_dim_s_and_r_in_any_order(spec, draws):
     """The solve reads only the multiset of the entries' (dim, s, r):
-    relabelling and permuting the entries of a join's data at d = 1,
-    split (0, 0), gives an equal profile.  The survey's memo of profile
+    permuting the entries of a join's data at d = 1, split (0, 0),
+    gives an equal profile.  The survey's memo of profile
     verdicts is keyed on that multiset."""
     join = make_spec(spec.base.factors, [spec.matrix[0], spec.matrix[-1]], (0, 0))
     try:
         data = admissible_data(join)
     except SpecError:
         return
-    relabelled = [
-        AdmissibleEntry(f"relabelled_{i}", e.dim, e.s, e.r)
-        for i, e in enumerate(data.entries)
-    ]
-    permuted = AdmissibleData(tuple(draws.draw(st.permutations(relabelled))))
+    permuted = AdmissibleData(tuple(draws.draw(st.permutations(data.entries))))
     assert extremal_profile(permuted) == extremal_profile(data)
-
-
-def outcome(solve, data):
-    """The solve's answer, or the class and message of its refusal."""
-    try:
-        return solve(data)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-LABELS = st.one_of(st.sampled_from([FIBER_ZERO, FIBER_INFINITY, "factor_0"]), st.text())
-
-
-@given(
-    st.lists(
-        st.tuples(unit_r, rational_s, st.integers(min_value=1, max_value=3)),
-        min_size=1,
-        max_size=3,
-        unique_by=lambda t: t[0],
-    ),
-    st.integers(min_value=0, max_value=2),
-    st.integers(min_value=0, max_value=2),
-    st.lists(LABELS, min_size=5, max_size=5),
-)
-# Two retained factors, one relabelled as a fiber block; and a fiber
-# block at r = 1 relabelled as a retained factor.
-@example([(Fraction(1, 3), Fraction(-2), 1), (Fraction(-1, 2), Fraction(2), 1)], 0, 0,
-         ["factor_0", FIBER_ZERO, "", "", ""])
-@example([(Fraction(1, 3), Fraction(-2), 1)], 1, 0, ["factor_0", "factor_1", "", "", ""])
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_labels_only_name_entries(params, d0, dinf, labels):
-    """An entry's role is told by its r alone: relabelling the entries
-    with any strings, the fiber blocks' labels included, changes
-    neither the extremal solve nor the CSC answer or refusal."""
-    data = data_with_fiber_blocks(params, d0, dinf)
-    relabelled = AdmissibleData(
-        tuple(AdmissibleEntry(label, e.dim, e.s, e.r) for label, e in zip(labels, data.entries))
-    )
-    for solve in (extremal_profile, solve_csc):
-        assert outcome(solve, relabelled) == outcome(solve, data)
 
 
 # --- csc solver -----------------------------------------------------------
@@ -574,7 +525,7 @@ def test_csc_returned_s_solves_both_equations():
 
 def test_csc_inconsistent_data():
     data = AdmissibleData(
-        (base_entry(0, 1, Fraction(1, 2)), base_entry(1, 1, Fraction(1, 3)))
+        (base_entry(1, Fraction(1, 2)), base_entry(1, Fraction(1, 3)))
     )
     result = solve_csc(data)
     assert result.verdict == INCONSISTENT
@@ -583,7 +534,7 @@ def test_csc_inconsistent_data():
 
 def test_csc_rejects_equal_parameters():
     data = AdmissibleData(
-        (base_entry(0, 1, Fraction(1, 2)), base_entry(1, 2, Fraction(1, 2)))
+        (base_entry(1, Fraction(1, 2)), base_entry(2, Fraction(1, 2)))
     )
     with pytest.raises(RepeatedNodeError):
         solve_csc(data)
@@ -592,8 +543,8 @@ def test_csc_rejects_equal_parameters():
 def test_csc_rejects_wrong_shape():
     """One entry, or a retained factor and a fiber block at r = +-1, are
     not two retained factors on a trivial split."""
-    factor = base_entry(0, -2, Fraction(1, 3))
-    for entries in [(factor,), (factor, base_entry(1, 2, 1)), (factor, base_entry(1, 2, -1))]:
+    factor = base_entry(-2, Fraction(1, 3))
+    for entries in [(factor,), (factor, base_entry(2, 1)), (factor, base_entry(2, -1))]:
         for solve in (solve_csc, reference_solve_csc, csc_ansatz):
             with pytest.raises(SpecError, match="^two retained factors and a trivial split"):
                 solve(AdmissibleData(entries))
@@ -601,7 +552,7 @@ def test_csc_rejects_wrong_shape():
 
 def test_csc_zero_parameter_is_inconsistent():
     """The affine equations divide by each r; the extremal solve does not."""
-    data = AdmissibleData((base_entry(0, 2, Fraction(1, 2)), base_entry(1, 3, 0)))
+    data = AdmissibleData((base_entry(2, Fraction(1, 2)), base_entry(3, 0)))
     with pytest.raises(ZeroDivisionError):
         reference_solve_csc(data)
     assert solve_csc(data) == CscResult(s=None, certificate=None, verdict=INCONSISTENT)
@@ -614,7 +565,7 @@ def test_csc_consistent_solutions_satisfy_oracle(r1, r2, s1):
     if r1 == r2:
         return
     s, s2 = back_solve_csc(r1, r2, s1)
-    data = AdmissibleData((base_entry(0, s1, r1), base_entry(1, s2, r2)))
+    data = AdmissibleData((base_entry(s1, r1), base_entry(s2, r2)))
     result = solve_csc(data)
     assert result.s == s
     assert curvature_equation(s1, r1, r2, s) == 0
@@ -638,7 +589,7 @@ def test_csc_matches_affine_oracle(r1, r2, s1, s2, consistent):
         return
     if consistent:
         _, s2 = back_solve_csc(r1, r2, s1)
-    data = AdmissibleData((base_entry(0, s1, r1), base_entry(1, s2, r2)))
+    data = AdmissibleData((base_entry(s1, r1), base_entry(s2, r2)))
     result = solve_csc(data)
     assert result == reference_solve_csc(data)
     if result.certificate is not None:
@@ -672,7 +623,7 @@ def test_ansatz_rejects_unbalanced_data():
 @given(rational_r, rational_s)
 @settings(max_examples=60, deadline=None)
 def test_ansatz_closed_form_random(r1, s1):
-    data = AdmissibleData((base_entry(0, s1, r1), base_entry(1, -s1, -r1)))
+    data = AdmissibleData((base_entry(s1, r1), base_entry(-s1, -r1)))
     expected = (1 - r1 * r1 + 2 * s1 * r1) / (3 - r1 * r1)
     assert csc_ansatz(data) == expected
     assert solve_csc(data).s == expected

@@ -2,6 +2,7 @@
 
 import csv as csv_module
 import importlib
+import inspect
 import io
 import itertools
 import json
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fiberjoin
 from fiberjoin import admissible as adm
 from fiberjoin import einstein, exactalg, model
 from fiberjoin.admissible import admissible_data
@@ -40,6 +42,7 @@ from fiberjoin.classify import (
     serialize_rational,
     spec_report,
     survey,
+    survey_chunks,
 )
 from fiberjoin.cli import main
 from fiberjoin.exactalg import Polynomial
@@ -75,6 +78,11 @@ def rules(spec):
     return {v.rule for v in classify(spec)}
 
 
+def survey_text(report, fmt="json"):
+    """A survey's whole text, as ``survey_chunks`` writes it."""
+    return "".join(survey_chunks(report, fmt))
+
+
 def parse_poly(witness_coeffs):
     return Polynomial.from_coeffs([Fraction(c) for c in witness_coeffs])
 
@@ -92,16 +100,17 @@ def test_reference_join_verdicts():
     ]
     csc, extremal, se = verdicts
     assert csc.rule == "csc-profile-certificate"
-    assert csc.witness == {
+    assert csc.witness == (("s", "-1/1"), ("certificate", ("3/4", "-1/6", "1/12")))
+    assert csc.as_dict()["witness"] == {
         "s": "-1/1",
         "certificate": ["3/4", "-1/6", "1/12"],
     }
     assert extremal.rule == "extremal-profile-certificate"
-    certificate = parse_poly(csc.witness["certificate"]).coeffs
+    certificate = parse_poly(dict(csc.witness)["certificate"]).coeffs
     expected = FractionPolynomial.from_coeffs([1, 0, -1]) * (
         FractionPolynomial.from_coeffs(certificate)
     )
-    assert parse_poly(extremal.witness["profile"]).coeffs == expected.coeffs
+    assert parse_poly(dict(extremal.witness)["profile"]).coeffs == expected.coeffs
     assert se.rule == "einstein-obstruction-chain"
     assert "[-11, -8]" in se.citation
 
@@ -109,12 +118,9 @@ def test_reference_join_verdicts():
 def test_second_reference_join():
     spec = curve_pair(18, 14, [[2, 1], [1, 3]])
     verdicts = {v.rule: v for v in classify(spec)}
-    assert verdicts["csc-profile-certificate"].witness["s"] == "-6/1"
-    assert verdicts["csc-profile-certificate"].witness["certificate"] == [
-        "1/3",
-        "-1/6",
-        "1/2",
-    ]
+    witness = dict(verdicts["csc-profile-certificate"].witness)
+    assert witness["s"] == "-6/1"
+    assert witness["certificate"] == ("1/3", "-1/6", "1/2")
 
 
 def test_einstein_necessary_conditions_alone_are_inconclusive():
@@ -454,10 +460,10 @@ def test_witnesses_revalidate(g1, g2, a, b, c, d):
         if verdict.rule == "csc-profile-certificate":
             data = admissible_data(spec)
             (e1, e2) = data.entries
-            s = Fraction(verdict.witness["s"])
+            s = Fraction(dict(verdict.witness)["s"])
             assert curvature_equation(e1.s, e1.r, e2.r, s) == 0
             assert curvature_equation(e2.s, e2.r, e1.r, s) == 0
-            quadratic = parse_poly(verdict.witness["certificate"])
+            quadratic = parse_poly(dict(verdict.witness)["certificate"])
             expected = (
                 FractionPolynomial.from_coeffs([1, e1.r])
                 * FractionPolynomial.from_coeffs([1, e2.r])
@@ -465,7 +471,7 @@ def test_witnesses_revalidate(g1, g2, a, b, c, d):
             )
             assert quadratic.coeffs == expected.coeffs
         if verdict.rule == "extremal-profile-certificate":
-            profile = parse_poly(verdict.witness["profile"])
+            profile = parse_poly(dict(verdict.witness)["profile"])
             p = characteristic_product(admissible_data(spec))
             assert profile(1) == 0 and profile(-1) == 0
             assert profile.derivative()(1) == -2 * p(1)
@@ -613,8 +619,8 @@ def test_a_survey_request_solves_each_distinct_data_once(monkeypatch, capsys, so
 
 def test_columns_with_equal_solve_inputs_share_one_key(solves):
     """Over genus 2 x genus 3, the columns (2, 1), (6, 2) and (3, 1),
-    (4, 2) give the entries (s, r) = (-2, 1/3) and (-1, 1/2) under
-    swapped labels.  Solved apart, the two joins give equal verdicts;
+    (4, 2) give the entries (s, r) = (-2, 1/3) and (-1, 1/2) in
+    swapped order.  Solved apart, the two joins give equal verdicts;
     over one base they share one key, and the second is not solved."""
     first, second = [[2, 6], [1, 2]], [[3, 4], [1, 2]]
     apart = [classify_module._rule_profile(curve_pair(2, 3, rows)) for rows in (first, second)]
@@ -633,6 +639,44 @@ def test_a_base_keeps_at_most_256_profile_verdicts(solves):
     base = BaseProduct((BaseFactor.surface(0),) * 4)
     assert len(survey(base, (0, 0), 4).entries[:]) == 1996
     assert len(solves) == 389 and len(base.profile_verdicts) == 256
+
+
+LINE = BaseFactor.projective_space(1)
+
+
+@pytest.mark.parametrize(
+    "factors, rows, rule",
+    [
+        ((LINE, LINE), [[1, 1], [1, 1]], "colinear-subcone-csc"),
+        ((LINE, LINE), [[1, 2], [2, 1]], "csc-profile-certificate"),
+        ((LINE, LINE), [[1, 1], [1, 2]], "extremal-profile-certificate"),
+        ((BaseFactor.projective_space(2),), [[1], [2]], "einstein-existence"),
+    ],
+    ids=["colinear", "csc-profile", "extremal-profile", "einstein-existence"],
+)
+def test_verdicts_with_witnesses_hash(factors, rows, rule):
+    """A witness is a tuple of (name, value) pairs, so a verdict that
+    carries one hashes, and so does a survey entry holding it."""
+    spec = make_spec(factors, rows, (0, 0))
+    verdicts = tuple(classify(spec))
+    verdict = next(v for v in verdicts if v.rule == rule)
+    assert verdict.witness is not None
+    assert hash(verdict) == hash((verdict.kind, verdict.rule, verdict.citation, verdict.witness))
+    entry = SurveyEntry(spec.matrix, invariant_report(spec), verdicts)
+    assert hash(entry) == hash(SurveyEntry(spec.matrix, invariant_report(spec), verdicts))
+
+
+def test_a_shared_witness_cannot_be_edited():
+    """Two joins whose data differ only in order share the memo's
+    verdicts; editing the first one's witness is refused, so the
+    second's answer keeps its own bytes."""
+    base = BaseProduct((BaseFactor.surface(0), BaseFactor.surface(0)))
+    first, second = (make_spec(base, rows, (0, 0)) for rows in ([[2, 1], [1, 2]], [[1, 2], [2, 1]]))
+    expected = emit(spec_report(make_spec(base.factors, [[1, 2], [2, 1]], (0, 0))))
+    verdict = next(v for v in classify(first) if v.rule == "extremal-profile-certificate")
+    with pytest.raises(TypeError):
+        verdict.witness["profile"] = ["tampered"]
+    assert emit(spec_report(second)) == expected
 
 
 def test_classify_derives_each_rule_fact_once(monkeypatch):
@@ -727,8 +771,15 @@ def test_spec_report_is_json_ready():
     assert parsed["verdicts"][0]["witness"]["s"] == "-1/1"
 
 
+def test_the_package_exports_survey_chunks():
+    assert fiberjoin.survey_chunks is classify_module.survey_chunks
+
+
 def test_emit_rejects_csv_for_single_reports():
-    with pytest.raises(SpecError):
+    """``emit`` writes one plain document as JSON and takes no format:
+    a survey's csv comes from ``survey_chunks``."""
+    assert list(inspect.signature(emit).parameters) == ["document"]
+    with pytest.raises(TypeError):
         emit(spec_report(curve_pair(5, 3, [[2, 1], [1, 3]])), "csv")
 
 
@@ -979,8 +1030,8 @@ def test_survey_matches_candidate_deduplication(factors, split, max_entry):
     report = survey(base, split, max_entry)
     assert (report.base, report.split, report.max_entry) == (base, split, max_entry)
     assert list(report.entries) == list(expected.entries)
-    assert emit(report, "json") == emit(expected, "json")
-    assert emit(report, "csv") == emit(expected, "csv")
+    assert survey_text(report, "json") == survey_text(expected, "json")
+    assert survey_text(report, "csv") == survey_text(expected, "csv")
 
 
 S0, S2, TORUS = BaseFactor.surface(0), BaseFactor.surface(2), BaseFactor.torus()
@@ -1043,8 +1094,8 @@ def counted(monkeypatch):
 
         monkeypatch.setattr(owner, name, counting)
 
-    count(model, "_two_curve_base")
-    count(BaseProduct, "describe")
+    count(model.BaseFacts, "__init__", key=lambda facts, base: "BaseFacts")
+    count(BaseFactor, "describe")
     count(adm, "_operator_column", key=lambda k, u, v: (k, u, v))
     adm._operator_columns.cache_clear()
     yield calls
@@ -1054,13 +1105,14 @@ def counted(monkeypatch):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_survey_derives_its_shared_facts_once(counted, fmt):
     """A survey shaped like g2 x g3 at split (0, 0): the base's facts
-    are derived once per survey, not per entry, and the operator
+    and its description, which describes each factor, are derived once
+    per survey, not per entry, and the operator
     columns of each (top, u, v) shape once, column k for every shape
     with top >= k; the cached columns are tuples."""
     report = survey(BaseProduct((BaseFactor.surface(2), BaseFactor.surface(3))), (0, 0), 4)
     assert len(report.entries) > 100
-    emit(report, fmt)
-    assert (counted["_two_curve_base"], counted["describe"]) == (1, 1)
+    survey_text(report, fmt)
+    assert (counted["BaseFacts"], counted["describe"]) == (1, 2)
     shapes = [(2, 0, 0), (3, 0, 0)]
     assert adm._operator_columns.cache_info().misses == len(shapes)
     columns = {key: n for key, n in counted.items() if isinstance(key, tuple)}
@@ -1074,7 +1126,7 @@ def test_survey_derives_its_shared_facts_once(counted, fmt):
 def test_survey_document_shape():
     base = BaseProduct((BaseFactor.surface(0),))
     report = survey(base, (0, 0), 2)
-    doc = json.loads(emit(report))
+    doc = json.loads(survey_text(report))
     assert set(doc) == {"base", "split", "max_entry", "entries"}
     assert doc["base"] == [{"kind": "surface", "genus": 0}]
     assert doc["split"] == [0, 0]
@@ -1086,7 +1138,7 @@ def test_survey_document_shape():
 def test_survey_csv_shape():
     base = BaseProduct((BaseFactor.surface(0), BaseFactor.surface(0)))
     report = survey(base, (0, 0), 2)
-    text = emit(report, "csv")
+    text = survey_text(report, "csv")
     parsed = list(csv_module.reader(io.StringIO(text)))
     assert parsed[0] == [
         "K", "d", "n", "colinear", "c1", "euler", "p1", "spin", "verdicts",
@@ -1177,7 +1229,7 @@ WRITER_FACTORS = st.sampled_from(
 )
 def test_survey_writer_matches_the_whole_document(factors, split, max_entry, fmt):
     base = BaseProduct(tuple(factors))
-    text = emit(survey(base, split, max_entry), fmt)
+    text = survey_text(survey(base, split, max_entry), fmt)
     report = survey(base, split, max_entry)
     held = SurveyReport(report.base, report.split, report.max_entry, tuple(report.entries))
     if fmt == "json":
@@ -1189,10 +1241,10 @@ def test_survey_writer_matches_the_whole_document(factors, split, max_entry, fmt
 def test_survey_writer_on_a_report_without_entries():
     base = BaseProduct((BaseFactor.surface(0),))
     empty = SurveyReport(base, (0, 0), 1, ())
-    assert emit(empty) == json.dumps(reference_document(empty), indent=2)
-    assert emit(empty, "csv") == reference_csv(empty)
+    assert survey_text(empty) == json.dumps(reference_document(empty), indent=2)
+    assert survey_text(empty, "csv") == reference_csv(empty)
     with pytest.raises(SpecError, match="unsupported format"):
-        emit(empty, "xml")
+        survey_chunks(empty, "xml")
     document = reference_document(empty)
     assert emit(document) == json.dumps(document, indent=2)
 

@@ -20,7 +20,7 @@ BASE = model.BaseProduct((FACTOR, FACTOR))
 MATRIX = ((2, 1), (1, 3))
 LINE = exactalg.Polynomial((1, 1))
 TABLE = topology.CohomologyTable(((0, 1, ()), (1, 0, ())))
-ENTRY = admissible.AdmissibleEntry("factor_0", 1, Fraction(-2, 1), Fraction(1, 3))
+ENTRY = admissible.AdmissibleEntry(1, Fraction(-2, 1), Fraction(1, 3))
 VERDICT = classify.Verdict("inconclusive", "none", "no rule applies")
 REPORT = classify.InvariantReport(
     "surface(genus=2) x surface(genus=2)", 1, 2, (0, 0), False, None, None,
@@ -37,16 +37,16 @@ RECORDS = {
     topology.CohomologyTable: {"groups": ((0, 1, ()), (4, 0, (2,)))},
     topology.HomeoKey: {"p1": 4, "euler": 2},
     einstein.SEVerdict: {"possible": True, "reason": "r", "count": 2},
-    admissible.AdmissibleEntry: {
-        "label": "fiber_zero", "dim": 1, "s": Fraction(2), "r": Fraction(1),
-    },
+    admissible.AdmissibleEntry: {"dim": 1, "s": Fraction(2), "r": Fraction(1)},
     admissible.AdmissibleData: {"entries": (ENTRY,)},
     admissible.ExtremalProfile: {
         "profile": LINE, "source": LINE, "char_product": LINE, "positive": True,
         "alpha": Fraction(1, 2), "beta": Fraction(0), "factor": LINE,
     },
     admissible.CscResult: {"s": Fraction(1, 6), "certificate": LINE, "verdict": "csc"},
-    classify.Verdict: {"kind": "k", "rule": "r", "citation": "c", "witness": None},
+    classify.Verdict: {
+        "kind": "k", "rule": "r", "citation": "c", "witness": (("w", (1, 2)), ("b", 3)),
+    },
     classify.InvariantReport: {
         name: getattr(REPORT, name)
         for name in (
@@ -123,7 +123,7 @@ def test_repr():
         "Verdict(kind='inconclusive', rule='none', citation='no rule applies', witness=None)"
     )
     assert repr(ENTRY) == (
-        "AdmissibleEntry(label='factor_0', dim=1, s=Fraction(-2, 1), r=Fraction(1, 3))"
+        "AdmissibleEntry(dim=1, s=Fraction(-2, 1), r=Fraction(1, 3))"
     )
     assert repr(topology.HomeoKey(4, 2)) == "HomeoKey(p1=4, euler=2)"
 

@@ -12,7 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from fiberjoin.admissible import AdmissibleData, AdmissibleEntry, admissible_data
+from fiberjoin.admissible import (
+    AdmissibleData,
+    AdmissibleEntry,
+    RepeatedParameterError,
+    admissible_data,
+)
 from fiberjoin.classify import BoundsTooLargeError, _json_text, serialize_rational, survey
 from fiberjoin.cli import _unique_keys, main
 from fiberjoin.einstein import fano_index, se_check
@@ -50,7 +55,7 @@ UNSPLIT = make_spec([BaseFactor.surface(2), BaseFactor.surface(3)], [[2, 1], [1,
 LINES_THREE_ROWS = make_spec([BaseFactor.projective_space(1)] * 2, [[2, 1]] * 3)
 ZERO = Polynomial.from_coeffs([0])
 LINE = Polynomial.from_coeffs([1, 1])
-ENTRY = AdmissibleEntry("factor_0", 1, Fraction(-2), Fraction(1, 3))
+ENTRY = AdmissibleEntry(1, Fraction(-2), Fraction(1, 3))
 
 REFUSALS = {
     "torus-genus-2": (
@@ -178,29 +183,56 @@ REFUSALS = {
         ),
         DigitLimitError(),
     ),
+    # Two retained factors with one r: the message names them by index.
+    "repeated-r": (
+        lambda: admissible_data(
+            make_spec([BaseFactor.surface(2), BaseFactor.surface(3)], [[2, 4], [1, 2]], (0, 0))
+        ),
+        RepeatedParameterError("factor_0 and factor_1 share r = 1/3"),
+    ),
+    # By factor index: factor 1 is not retained.
+    "repeated-r-by-index": (
+        lambda: admissible_data(
+            make_spec(
+                [BaseFactor.surface(2), BaseFactor.surface(3), BaseFactor.surface(0)],
+                [[2, 5, 4], [1, 5, 2]],
+                (0, 0),
+            )
+        ),
+        RepeatedParameterError("factor_0 and factor_2 share r = 1/3"),
+    ),
     # An admissible record refuses a malformed field when it is built:
-    # a float s or r, a dim that is not an integer, and entries that
-    # are not a tuple of entries.
+    # a float s or r, a dim that is not a positive integer, and entries
+    # that are not a nonempty tuple of entries.
     "entry-float-s": (
-        lambda: AdmissibleEntry("factor_0", 1, 0.5, Fraction(1, 3)),
+        lambda: AdmissibleEntry(1, 0.5, Fraction(1, 3)),
         TypeError("not an exact scalar: 0.5"),
     ),
     "entry-float-r": (
-        lambda: AdmissibleEntry("factor_0", 1, Fraction(2), 0.25),
+        lambda: AdmissibleEntry(1, Fraction(2), 0.25),
         TypeError("not an exact scalar: 0.25"),
     ),
     "entry-bool-r": (
-        lambda: AdmissibleEntry("factor_0", 1, Fraction(2), True),
+        lambda: AdmissibleEntry(1, Fraction(2), True),
         TypeError("not an exact scalar: True"),
     ),
     "entry-bool-dim": (
-        lambda: AdmissibleEntry("factor_0", True, Fraction(2), Fraction(1, 3)),
+        lambda: AdmissibleEntry(True, Fraction(2), Fraction(1, 3)),
         SpecError("dim must be an integer, not bool"),
     ),
     "entry-string-dim": (
-        lambda: AdmissibleEntry("factor_0", "1", Fraction(2), Fraction(1, 3)),
+        lambda: AdmissibleEntry("1", Fraction(2), Fraction(1, 3)),
         SpecError("dim must be an integer, not str"),
     ),
+    "entry-zero-dim": (
+        lambda: AdmissibleEntry(0, Fraction(2), Fraction(1, 3)),
+        ValueError("every admissible entry needs dim >= 1"),
+    ),
+    "entry-negative-dim": (
+        lambda: AdmissibleEntry(-1, Fraction(2), Fraction(1)),
+        ValueError("every admissible entry needs dim >= 1"),
+    ),
+    "admissible-data-empty": (lambda: AdmissibleData(()), SpecError("empty admissible data")),
     "admissible-data-of-a-list": (
         lambda: hash(AdmissibleData([ENTRY])),
         SpecError("admissible data must be a tuple of admissible entries"),
